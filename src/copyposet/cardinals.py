@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .atoms import AtomRegistry, CardinalAtom
+from .parser import ParseError, TokenStream, parse_declaration, tokenize
 
 
 class HypothesisError(ValueError):
@@ -192,142 +193,115 @@ def rel(op: str, lhs: CardinalExpr, rhs: CardinalExpr) -> Hypothesis:
 
 
 # -- hypothesis grammar ---------------------------------------------------------
+# Tokens and ``card`` declarations come from ``parser``; this section maps the
+# names and shapes of a hypothesis line onto the constructors above.
+
+_CONSTANTS = {"w": ALEPH0, "c": CONTINUUM, "h": DIST_H}
+_FUNCTIONS = {"cf": lambda x, _registry: cf_of(x), "succ": succ_of,
+              "cc": lambda x, _registry: cc_cp_of(x)}
+# relation token -> (op, operands swapped): ``>`` and ``>=`` mirror ``<`` and ``<=``
+_RELATIONS = {"=": ("eq", False), "<": ("lt", False), "<=": ("le", False),
+              ">": ("lt", True), ">=": ("le", True)}
+
+
+class _HypothesisParser(TokenStream):
+    def __init__(self, text: str, registry: AtomRegistry):
+        super().__init__(tokenize(text))
+        self.registry = registry
+
+    def expr(self) -> CardinalExpr:
+        """expr := primary ['^' expr], where ``2^X`` binds tighter than ``^``."""
+        base = self.primary()
+        if self.at("op", "^"):
+            self.advance()
+            return exp_of(base, self.expr())
+        return base
+
+    def primary(self) -> CardinalExpr:
+        tok = self.advance()
+        if tok.kind == "op" and tok.text == "(":
+            inner = self.expr()
+            self.expect("op", ")")
+            return inner
+        if tok.kind == "num":
+            if tok.text != "2":
+                raise ParseError("a number is only allowed as the base 2 of 2^X", tok.pos)
+            self.expect("op", "^", what="'^' after 2")
+            if self.at("op", "<"):
+                self.advance()
+                return pow2lt_of(self.primary(), self.registry)
+            return pow2_of(self.primary())
+        if tok.kind != "name":
+            raise ParseError("expected a cardinal expression", tok.pos)
+        if tok.text in _CONSTANTS:
+            return _CONSTANTS[tok.text]
+        if tok.text in _FUNCTIONS and self.at("op", "("):
+            self.advance()
+            if tok.text == "cc":
+                self.expect("name", "CP", what="CP(...) inside cc(...)")
+                self.expect("op", "(")
+                arg = self.expr()
+                self.expect("op", ")")
+            else:
+                arg = self.expr()
+            self.expect("op", ")")
+            return _FUNCTIONS[tok.text](arg, self.registry)
+        found = self.registry.lookup(tok.text)
+        if found is None:
+            raise ParseError(f"undeclared atom {tok.text!r} in cardinal expression", tok.pos)
+        return atom_expr(found)
+
+    def hypothesis(self) -> Hypothesis | None:
+        head = self.peek()
+        if head.kind == "end":
+            return None
+        word = head.text if head.kind == "name" else None
+        if word == "card":
+            parse_declaration(self, self.registry)
+            return None
+        if word in ("GCH", "CH"):
+            self.advance()
+            return Hypothesis(word)
+        if word == "MA":
+            self.advance()
+            self.expect("name", "mu", what="'mu=' after MA")
+            self.expect("op", "=")
+            return Hypothesis("MA", mu=self.expr())
+        if word == "CohenModel":
+            self.advance()
+            self.expect("op", "(")
+            kexpr = self.expr()
+            self.expect("op", ")")
+            if kexpr.kind != "atom" or kexpr.atom.singular:
+                raise ParseError("CohenModel requires a regular cardinal atom", head.pos)
+            return Hypothesis("CohenModel", kappa=kexpr.atom)
+        lhs = self.expr()
+        sym = self.peek()
+        if sym.kind != "op" or sym.text not in _RELATIONS:
+            raise ParseError("expected one of = < <= > >=", sym.pos)
+        self.advance()
+        rhs = self.expr()
+        op, mirrored = _RELATIONS[sym.text]
+        return rel(op, rhs, lhs) if mirrored else rel(op, lhs, rhs)
+
+
+def _parse_whole(text: str, registry: AtomRegistry, production):
+    try:
+        p = _HypothesisParser(text, registry)
+        result = production(p)
+        p.expect_end()
+    except ParseError as exc:
+        raise HypothesisError(str(exc)) from exc
+    return result
+
 
 def parse_cardinal_expr(text: str, registry: AtomRegistry) -> CardinalExpr:
-    expr, i = _parse_cexpr(text, 0, registry)
-    if text[i:].strip():
-        raise HypothesisError(f"trailing input in cardinal expression: {text[i:]!r}")
-    return expr
-
-
-def _skip_ws(text: str, i: int) -> int:
-    while i < len(text) and text[i].isspace():
-        i += 1
-    return i
-
-
-def _parse_name(text: str, i: int) -> tuple[str, int]:
-    j = i
-    while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-        j += 1
-    if j == i:
-        raise HypothesisError(f"expected a name at {text[i:]!r}")
-    return text[i:j], j
-
-
-def _parse_cexpr(text: str, i: int, registry: AtomRegistry) -> tuple[CardinalExpr, int]:
-    base, i = _parse_cprimary(text, i, registry)
-    i = _skip_ws(text, i)
-    if i < len(text) and text[i] == "^" and (i + 1 >= len(text) or text[i + 1] not in "<"):
-        ex, i = _parse_cexpr(text, i + 1, registry)
-        return exp_of(base, ex), i
-    return base, i
-
-
-def _parse_cprimary(text: str, i: int, registry: AtomRegistry) -> tuple[CardinalExpr, int]:
-    i = _skip_ws(text, i)
-    if i >= len(text):
-        raise HypothesisError("unexpected end of cardinal expression")
-    if text[i] == "(":
-        expr, i = _parse_cexpr(text, i + 1, registry)
-        i = _skip_ws(text, i)
-        if i >= len(text) or text[i] != ")":
-            raise HypothesisError("missing ')' in cardinal expression")
-        return expr, i + 1
-    if text[i] == "2":
-        i = _skip_ws(text, i + 1)
-        if i >= len(text) or text[i] != "^":
-            raise HypothesisError("bare '2' is only allowed as a power base")
-        i += 1
-        if i < len(text) and text[i] == "<":
-            arg, i = _parse_cprimary(text, i + 1, registry)
-            return pow2lt_of(arg, registry), i
-        arg, i = _parse_cprimary(text, i, registry)
-        return pow2_of(arg), i
-    name, j = _parse_name(text, i)
-    j = _skip_ws(text, j)
-    if name == "w":
-        return ALEPH0, j
-    if name == "c":
-        return CONTINUUM, j
-    if name == "h":
-        return DIST_H, j
-    if name in ("cf", "succ") and j < len(text) and text[j] == "(":
-        arg, j = _parse_cexpr(text, j + 1, registry)
-        j = _skip_ws(text, j)
-        if j >= len(text) or text[j] != ")":
-            raise HypothesisError(f"missing ')' after {name}(...)")
-        return (cf_of(arg) if name == "cf" else succ_of(arg, registry)), j + 1
-    if name == "cc" and j < len(text) and text[j] == "(":
-        j = _skip_ws(text, j + 1)
-        inner, j2 = _parse_name(text, j)
-        if inner != "CP":
-            raise HypothesisError("expected CP(...) inside cc(...)")
-        j2 = _skip_ws(text, j2)
-        if j2 >= len(text) or text[j2] != "(":
-            raise HypothesisError("expected '(' after CP")
-        arg, j2 = _parse_cexpr(text, j2 + 1, registry)
-        j2 = _skip_ws(text, j2)
-        if j2 >= len(text) or text[j2] != ")":
-            raise HypothesisError("missing ')' after CP(...)")
-        j2 = _skip_ws(text, j2 + 1)
-        if j2 >= len(text) or text[j2] != ")":
-            raise HypothesisError("missing ')' after cc(...)")
-        return cc_cp_of(arg), j2 + 1
-    found = registry.lookup(name)
-    if found is None:
-        raise HypothesisError(f"undeclared atom {name!r} in cardinal expression")
-    return atom_expr(found), j
+    return _parse_whole(text, registry, _HypothesisParser.expr)
 
 
 def parse_hypothesis_line(line: str, registry: AtomRegistry) -> Hypothesis | None:
-    text = line.split("#", 1)[0].strip()
-    if not text:
-        return None
-    if text.startswith("card "):
-        _declare_from_line(text, registry)
-        return None
-    if text in ("GCH", "CH"):
-        return Hypothesis(text)
-    if text.startswith("MA"):
-        rest = text[2:].strip()
-        if not rest.startswith("mu="):
-            raise HypothesisError("MA hypothesis must look like 'MA mu=<expr>'")
-        return Hypothesis("MA", mu=parse_cardinal_expr(rest[3:], registry))
-    if text.startswith("CohenModel"):
-        inner = text[len("CohenModel"):].strip()
-        if not (inner.startswith("(") and inner.endswith(")")):
-            raise HypothesisError("CohenModel takes a parenthesized regular atom")
-        kexpr = parse_cardinal_expr(inner[1:-1], registry)
-        if kexpr.kind != "atom" or kexpr.atom.singular:
-            raise HypothesisError("CohenModel requires a regular cardinal atom")
-        return Hypothesis("CohenModel", kappa=kexpr.atom)
-    for sym, op in (("<=", "le"), ("=", "eq"), ("<", "lt"), (">=", "ge"), (">", "gt")):
-        if sym in text:
-            lhs_text, rhs_text = text.split(sym, 1)
-            lhs = parse_cardinal_expr(lhs_text, registry)
-            rhs = parse_cardinal_expr(rhs_text, registry)
-            if op == "ge":
-                return rel("le", rhs, lhs)
-            if op == "gt":
-                return rel("lt", rhs, lhs)
-            return rel(op, lhs, rhs)
-    raise HypothesisError(f"cannot parse hypothesis {text!r}")
-
-
-def _declare_from_line(text: str, registry: AtomRegistry) -> None:
-    parts = text.split()
-    if len(parts) < 4 or parts[0] != "card" or parts[2] != "rank":
-        raise HypothesisError(f"bad declaration {text!r}")
-    name, rank = parts[1], int(parts[3])
-    singular = False
-    cof: str | None = None
-    if len(parts) > 4:
-        if parts[4] != "singular" or len(parts) != 7 or parts[5] != "cf":
-            raise HypothesisError(f"bad declaration {text!r}")
-        singular = True
-        cof = None if parts[6] == "w" else parts[6]
-    registry.declare(name, rank, singular=singular, cofinality=cof)
+    """One hypothesis, or None for a blank, comment or ``card`` declaration line."""
+    return _parse_whole(line.split("#", 1)[0], registry, _HypothesisParser.hypothesis)
 
 
 def parse_hypotheses(text: str, registry: AtomRegistry) -> list[Hypothesis]:

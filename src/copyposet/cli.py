@@ -36,7 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--assume", action="append", default=[], metavar="HYP",
                         help="inline hypothesis line")
     common.add_argument("--assume-file", action="append", default=[], metavar="PATH")
-    common.add_argument("--seed", type=int, default=0)
 
     top = argparse.ArgumentParser(prog="copyposet",
                                   description="poset-of-copies workbench")

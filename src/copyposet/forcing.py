@@ -131,12 +131,6 @@ def poset_to_obj(p: PosetExpr) -> dict:
     return obj
 
 
-def cnf_factors(alpha: OrdinalTerm) -> list[tuple[OrdinalTerm, int]]:
-    """(exponent, multiplicity) pairs of alpha's CNF, finite tail dropped."""
-    from .terms import exp_term
-    return [(exp_term(e), c) for (e, c) in alpha.summands]
-
-
 def factorize(alpha: OrdinalTerm) -> PosetExpr:
     """sq(P(alpha)) as a product over the CNF exponents, tail discarded."""
     if compare(alpha, OMEGA) < 0:

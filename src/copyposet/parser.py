@@ -1,10 +1,12 @@
-"""Expression grammar for ordinal terms.
+"""Expression grammar for ordinal terms, and the lexer and ``card`` declarations
+shared with the hypothesis grammar in ``cardinals``.
 
 Atoms: ``w`` (omega), ``w_1``, ``w_2``, ... and user atoms declared in a
 preamble of ``card <name> rank <k> [singular cf <atom|w>];`` statements.
 Operators ``+ * ^`` with precedence ``^ > * > +``; ``+`` and ``*`` associate
 left, ``^`` right; parentheses and decimal naturals. Arithmetic is evaluated
-on the spot, so the result is always canonical.
+on the spot, so the result is always canonical. The relation operators
+``= < <= > >=`` are tokens too, for hypotheses; an ordinal term rejects them.
 """
 from __future__ import annotations
 
@@ -50,7 +52,11 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(Token("name", text[i:j], i))
             i = j
             continue
-        if c in "+*^();":
+        if text.startswith(("<=", ">="), i):
+            tokens.append(Token("op", text[i:i + 2], i))
+            i += 2
+            continue
+        if c in "+*^();=<>":
             tokens.append(Token("op", c, i))
             i += 1
             continue
@@ -59,16 +65,12 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-_PREC = {"+": 1, "*": 2, "^": 3}
+class TokenStream:
+    """A cursor over the tokens of one input, shared by every grammar."""
 
-
-class _Parser:
-    def __init__(self, tokens: list[Token], registry: AtomRegistry,
-                 env: dict[str, OrdinalTerm] | None):
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
-        self.registry = registry
-        self.env = env or {}
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -78,11 +80,50 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect_op(self, text: str) -> Token:
+    def at(self, kind: str, text: str) -> bool:
+        tok = self.tokens[self.i]
+        return tok.kind == kind and tok.text == text
+
+    def expect(self, kind: str, text: str | None = None, what: str | None = None) -> Token:
         tok = self.peek()
-        if tok.kind != "op" or tok.text != text:
-            raise ParseError(f"expected {text!r}", tok.pos)
+        if tok.kind != kind or (text is not None and tok.text != text):
+            raise ParseError(f"expected {what or repr(text)}", tok.pos)
         return self.advance()
+
+    def expect_end(self) -> None:
+        tok = self.peek()
+        if tok.kind != "end":
+            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
+
+
+def parse_declaration(ts: TokenStream, registry: AtomRegistry) -> None:
+    """Consume ``card NAME rank K [singular cf ATOM]`` and declare the atom."""
+    ts.expect("name", "card")
+    name = ts.expect("name", what="atom name after 'card'")
+    ts.expect("name", "rank")
+    rank = int(ts.expect("num", what="rank number").text)
+    cof: str | None = None
+    singular = ts.at("name", "singular")
+    if singular:
+        ts.advance()
+        ts.expect("name", "cf", what="'cf' after 'singular'")
+        cof_name = ts.expect("name", what="cofinality atom").text
+        cof = None if cof_name == "w" else cof_name
+    try:
+        registry.declare(name.text, rank, singular=singular, cofinality=cof)
+    except AtomError as exc:
+        raise ParseError(str(exc), name.pos) from exc
+
+
+_PREC = {"+": 1, "*": 2, "^": 3}
+
+
+class _Parser(TokenStream):
+    def __init__(self, tokens: list[Token], registry: AtomRegistry,
+                 env: dict[str, OrdinalTerm] | None):
+        super().__init__(tokens)
+        self.registry = registry
+        self.env = env or {}
 
     def atom(self) -> OrdinalTerm:
         tok = self.advance()
@@ -99,7 +140,7 @@ class _Parser:
             return from_atom(found)
         if tok.kind == "op" and tok.text == "(":
             inner = self.expression(0)
-            self.expect_op(")")
+            self.expect("op", ")")
             return inner
         raise ParseError("expected a number, atom or parenthesized expression", tok.pos)
 
@@ -123,51 +164,13 @@ class _Parser:
                 lhs = power(lhs, rhs)
 
 
-def parse_preamble(tokens: list[Token], i: int, registry: AtomRegistry) -> int:
-    """Consume leading ``card ...;`` declarations, returning the new position."""
-    while tokens[i].kind == "name" and tokens[i].text == "card":
-        i += 1
-        if tokens[i].kind != "name":
-            raise ParseError("expected atom name after 'card'", tokens[i].pos)
-        name = tokens[i].text
-        i += 1
-        if not (tokens[i].kind == "name" and tokens[i].text == "rank"):
-            raise ParseError("expected 'rank'", tokens[i].pos)
-        i += 1
-        if tokens[i].kind != "num":
-            raise ParseError("expected rank number", tokens[i].pos)
-        rank = int(tokens[i].text)
-        i += 1
-        singular = False
-        cof: str | None = None
-        if tokens[i].kind == "name" and tokens[i].text == "singular":
-            singular = True
-            i += 1
-            if not (tokens[i].kind == "name" and tokens[i].text == "cf"):
-                raise ParseError("expected 'cf' after 'singular'", tokens[i].pos)
-            i += 1
-            if tokens[i].kind != "name":
-                raise ParseError("expected cofinality atom", tokens[i].pos)
-            cof = None if tokens[i].text == "w" else tokens[i].text
-            i += 1
-        if not (tokens[i].kind == "op" and tokens[i].text == ";"):
-            raise ParseError("expected ';' after declaration", tokens[i].pos)
-        i += 1
-        try:
-            registry.declare(name, rank, singular=singular, cofinality=cof)
-        except AtomError as exc:
-            raise ParseError(str(exc), tokens[i - 1].pos) from exc
-    return i
-
-
 def parse_term(text: str, registry: AtomRegistry,
                env: dict[str, OrdinalTerm] | None = None) -> OrdinalTerm:
     """Parse and fully evaluate an expression, optionally with a declaration preamble."""
-    tokens = tokenize(text)
-    start = parse_preamble(tokens, 0, registry)
-    parser = _Parser(tokens[start:], registry, env)
+    parser = _Parser(tokenize(text), registry, env)
+    while parser.at("name", "card"):
+        parse_declaration(parser, registry)
+        parser.expect("op", ";", what="';' after declaration")
     result = parser.expression(0)
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise ParseError(f"unexpected trailing input {trailing.text!r}", trailing.pos)
+    parser.expect_end()
     return result

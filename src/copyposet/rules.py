@@ -235,13 +235,15 @@ class _Engine:
             ce = _card_expr(d)
             if ce is not None:
                 out += [ce, pow2_of(ce), succ_of(pow2_of(ce), self.registry)]
-            rep_kappa = _term_card(classify_exponent(d).kappa) if not d.is_zero() else None
+            rep = None
+            if not d.is_zero():
+                rep = self.reports[d] if d in self.reports else classify_exponent(d)
+            rep_kappa = _term_card(rep.kappa) if rep is not None else None
             if rep_kappa is not None and rep_kappa != ALEPH0:
                 out += [rep_kappa, pow2_of(rep_kappa),
                         pow2lt_of(rep_kappa, self.registry),
                         succ_of(rep_kappa, self.registry), cc_cp_of(rep_kappa),
                         succ_of(pow2_of(rep_kappa), self.registry)]
-            rep = classify_exponent(d) if not d.is_zero() else None
             if rep is not None and rep.lam is not None:
                 le = _term_card(rep.lam)
                 if le is not None and le != ALEPH0:
@@ -474,11 +476,10 @@ class _Engine:
                         (f"case({pretty(d)}) = {self.reports[d].label}",) + tuple(used)),))
 
     def _rule_t54(self, d, F, a) -> None:
-        ae = atom_expr(a)
-        cfe = self.fb.resolve(CardinalExpr("cf", args=(ae,))) if a.declared_cofinality is None \
-            else atom_expr(a.declared_cofinality)
         if a.declared_cofinality is None:
             return  # cf = w belongs to T5.8, not here
+        ae = atom_expr(a)
+        cfe = atom_expr(a.declared_cofinality)
         prem = [("lt", pow2_of(cfe), ae), ("lt", cfe, pow2_of(cfe)),
                 ("lt", ALEPH0, cfe), ("eq", pow2_of(ae), succ_of(ae, self.registry))]
         ok, used = self.check("T5.4", prem)

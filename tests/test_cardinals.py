@@ -26,6 +26,10 @@ class TestGrammar:
         assert h2.op == "lt"
         h3 = parse_hypothesis_line("2^w_1 > w_3", reg)
         assert h3.op == "lt" and h3.lhs == _w(reg, 3)
+        # >= mirrors into <=, and the < of a weak power 2^<X is no relation
+        assert parse_hypothesis_line("w_2 >= w_1", reg) == rel("le", _w(reg, 1), _w(reg, 2))
+        assert parse_hypothesis_line("c >= w_2", reg) == rel("le", _w(reg, 2), CONTINUUM)
+        assert parse_hypothesis_line("2^<w_1 < w_2", reg) == rel("lt", CONTINUUM, _w(reg, 2))
 
     def test_axioms_and_comments(self, reg):
         assert parse_hypothesis_line("GCH", reg).kind == "GCH"
@@ -59,12 +63,20 @@ class TestGrammar:
         for text in ("2^w_1", "cc(CP(w_1))", "mu^w", "cf(2^mu)", "2^<mu", "succ(mu)"):
             e = parse_cardinal_expr(text, reg)
             assert parse_cardinal_expr(render_expr(e), reg) == e
+        for text in ("2^w_1 = w_2", "w_3 < 2^w_1", "2^w_1 > w_3", "mu <= 2^<mu",
+                     "c >= w_2", "GCH", "CH", "MA mu=mu", "CohenModel(w_5)"):
+            h = parse_hypothesis_line(text, reg)
+            assert parse_hypothesis_line(h.render(), reg) == h
 
     def test_bad_input(self, reg):
         with pytest.raises(HypothesisError):
             parse_hypothesis_line("2^", reg)
         with pytest.raises(HypothesisError):
             parse_hypothesis_line("xyz = w_1", reg)
+        for text in ("2^w_1 = w_2 = w_3", "card mu rank abc", "card mu rank 5 singular cf",
+                     "w_1", "w_1 =", "3^w = c", "cc(w_1) = w_2", "GCH CH", "w_1 @ w_2"):
+            with pytest.raises(HypothesisError):
+                parse_hypothesis_line(text, reg)
 
 
 class TestClosure:

@@ -93,6 +93,13 @@ def test_parse_error_exit_2(capsys):
     assert code == 2 and "offset 2" in err
 
 
+def test_bad_hypothesis_input_exit_2(capsys):
+    for argv in (["--card", "mu rank abc"], ["--card", "mu rank 5 singular cf"],
+                 ["--assume", "2^w_1 = w_2 = w_3"]):
+        code, _out, err = run(capsys, "analyze", "w^w", *argv)
+        assert code == 2 and err.startswith("error: ") and "Traceback" not in err
+
+
 def test_domain_error_exit_1(capsys):
     code, _out, err = run(capsys, "factorize", "5")
     assert code == 1 and "infinite" in err

@@ -60,6 +60,8 @@ def test_variable_environment(registry):
 def test_trailing_input(registry):
     with pytest.raises(ParseError, match="trailing"):
         parse_term("w 3", registry)
+    with pytest.raises(ParseError, match="trailing"):
+        parse_term("w_2 >= w_1", registry)
 
 
 def test_w0_rejected(registry):
