@@ -8,7 +8,7 @@ Every derived relation carries a provenance chain for auditing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .atoms import AtomRegistry, CardinalAtom
 from .parser import ParseError, TokenStream, parse_declaration, tokenize
@@ -31,6 +31,13 @@ class CardinalExpr:
     kind: str  # aleph0 | atom | c | h | succ | cf | pow2 | pow2lt | exp | cc_cp
     atom: CardinalAtom | None = None
     args: tuple = ()
+
+    def __post_init__(self) -> None:
+        # the dataclass hash, computed once: nested expressions rehashed on every lookup
+        object.__setattr__(self, "_hash", hash((self.kind, self.atom, self.args)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         return f"<{render_expr(self)}>"
@@ -336,8 +343,25 @@ class FactBase:
         self.universe: set[CardinalExpr] = set()
         self.rels: dict[Rel, tuple[str, tuple]] = {}
         self.gch = False
+        # indices over rels: equality neighbours in insertion order, and an id per
+        # expression with bit rows, bit j of above[op][i] and bit i of below[op][j]
+        # marking the key (op, nodes[i], nodes[j])
+        self.eq_nbrs: dict[CardinalExpr, dict[CardinalExpr, None]] = {}
+        self.ids: dict[CardinalExpr, int] = {}
+        self.nodes: list[CardinalExpr] = []
+        self.above: dict[str, list[int]] = {"le": [], "lt": []}
+        self.below: dict[str, list[int]] = {"le": [], "lt": []}
 
     # -- storage
+
+    def node_id(self, x: CardinalExpr) -> int:
+        i = self.ids.get(x)
+        if i is None:
+            i = self.ids[x] = len(self.nodes)
+            self.nodes.append(x)
+            for rows in (*self.above.values(), *self.below.values()):
+                rows.append(0)
+        return i
 
     def add(self, op: str, lhs: CardinalExpr, rhs: CardinalExpr,
             rule: str, premises: tuple = ()) -> bool:
@@ -347,16 +371,25 @@ class FactBase:
         if key in self.rels:
             return False
         self.rels[key] = (rule, premises)
+        if op == "eq":
+            self.eq_nbrs.setdefault(lhs, {})[rhs] = None
+            self.eq_nbrs.setdefault(rhs, {})[lhs] = None
+        else:
+            i, j = self.node_id(lhs), self.node_id(rhs)
+            self.above[op][i] |= 1 << j
+            self.below[op][j] |= 1 << i
         if op == "lt" and lhs == rhs:
             raise ContradictionError(
                 f"derived {render_rel(key)}", self.chain(key))
-        if op == "lt" and self.holds("eq", lhs, rhs):
-            raise ContradictionError(
-                f"derived both {render_rel(key)} and equality", self.chain(key))
-        if op == "eq" and self.holds("lt", lhs, rhs) or (op == "eq" and self.holds("lt", rhs, lhs)):
-            raise ContradictionError(
-                f"derived both equality and strict order for {render_rel(key)}",
-                self.chain(key))
+        # the chain derives the relation already known first, then the new one
+        if op == "lt" and rhs in self.eq_nbrs.get(lhs, ()):
+            raise ContradictionError(f"derived both {render_rel(key)} and equality",
+                                     self.chain(_rel_key("eq", lhs, rhs), key))
+        for known in (("lt", lhs, rhs), ("lt", rhs, lhs)) if op == "eq" else ():
+            if known in self.rels:
+                raise ContradictionError(
+                    f"derived both equality and strict order for {render_rel(key)}",
+                    self.chain(known, key))
         return True
 
     def holds(self, op: str, lhs: CardinalExpr, rhs: CardinalExpr) -> bool:
@@ -375,7 +408,8 @@ class FactBase:
             return "no"
         return "unknown"
 
-    def chain(self, key: Rel) -> list[str]:
+    def chain(self, *keys: Rel) -> list[str]:
+        """Derivations of the keys, in order, each premise before its first use."""
         out: list[str] = []
         seen: set = set()
 
@@ -389,23 +423,18 @@ class FactBase:
                     walk(p)
             out.append(f"{render_rel(k)}  [{rule}]")
 
-        walk(key)
+        for key in keys:
+            walk(key)
         return out
 
     def resolve(self, x: CardinalExpr) -> CardinalExpr:
-        """Most canonical member of x's equality class (atoms first)."""
-        best = x
-        for (op, l, r_) in list(self.rels):
-            if op != "eq":
-                continue
-            if l == x and skey(r_) < skey(best):
-                best = r_
-            if r_ == x and skey(l) < skey(best):
-                best = l
-        if best != x:
-            nxt = self.resolve(best)
-            return nxt
-        return best
+        """Most canonical member of x's equality class (atoms first): descend to the
+        least-skey equal neighbour (the first stored on ties) until none is less."""
+        while True:
+            best = min(self.eq_nbrs.get(x, ()), key=skey, default=x)
+            if skey(best) >= skey(x):
+                return x
+            x = best
 
     def relations(self) -> list[Rel]:
         return sorted(self.rels, key=lambda k: (k[0], skey(k[1]), skey(k[2])))
@@ -528,6 +557,8 @@ def closure(hyps: Iterable[Hypothesis], registry: AtomRegistry,
 
     fb.universe = uni
     fb.gch = gch
+    for x in sorted(uni, key=skey):
+        fb.node_id(x)
 
     # seed facts
     atoms_in = sorted((x for x in uni if x.kind == "atom"), key=skey)
@@ -572,148 +603,135 @@ def closure(hyps: Iterable[Hypothesis], registry: AtomRegistry,
     return fb
 
 
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _run_rules(fb: FactBase) -> None:
+    """Semi-naive rounds (Bancilhon & Ramakrishnan 1986): the relation rules join
+    only the relations stored since the previous round (the delta) against all
+    stored ones, through the bit rows; the per-node rules re-check the universe."""
     uni = fb.universe
     registry = fb.registry
-    ma_axioms = [h for h in fb.hyps if h.kind == "MA"]
+    nodes = fb.nodes
+    in_uni = (1 << len(uni)) - 1  # closure gave the universe the ids below len(uni)
+    exps = [x for x in nodes[:len(uni)] if x.kind == "exp"]
+    unary = (lambda z: succ_of(z, registry), pow2_of, cf_of,
+             lambda z: pow2lt_of(z, registry), cc_cp_of)
+
+    def emit(op, l, r_, rule, *prem):
+        if l in uni and r_ in uni:
+            fb.add(op, l, r_, rule, prem)
+
+    done = 0
     for _ in range(100):
-        changed = False
-
-        def emit(op, l, r_, rule, *prem):
-            nonlocal changed
-            if l in uni and r_ in uni and fb.add(op, l, r_, rule, tuple(prem)):
-                changed = True
-
-        rels = list(fb.rels.items())
-        by_op: dict[str, list[Rel]] = {"eq": [], "le": [], "lt": []}
-        for key, _prov in rels:
-            by_op[key[0]].append(key)
-
-        # equality and order structure
-        for key in by_op["eq"]:
-            _op, l, r_ = key
-            emit("le", l, r_, "eq-weaken", key)
-            emit("le", r_, l, "eq-weaken", key)
-        for key in by_op["lt"]:
-            _op, l, r_ = key
-            emit("le", l, r_, "lt-weaken", key)
-        le_pairs = [k for k in fb.rels if k[0] == "le"]
-        lt_pairs = [k for k in fb.rels if k[0] == "lt"]
-        le_by_lhs: dict[CardinalExpr, list[Rel]] = {}
-        for k in le_pairs:
-            le_by_lhs.setdefault(k[1], []).append(k)
-        lt_by_lhs: dict[CardinalExpr, list[Rel]] = {}
-        for k in lt_pairs:
-            lt_by_lhs.setdefault(k[1], []).append(k)
-        for k1 in le_pairs:
-            for k2 in le_by_lhs.get(k1[2], ()):
-                emit("le", k1[1], k2[2], "le-trans", k1, k2)
-            for k2 in lt_by_lhs.get(k1[2], ()):
-                emit("lt", k1[1], k2[2], "order-trans", k1, k2)
-        for k1 in lt_pairs:
-            for k2 in le_by_lhs.get(k1[2], ()):
-                emit("lt", k1[1], k2[2], "order-trans", k1, k2)
-        for k in le_pairs:
-            back = _rel_key("le", k[2], k[1])
-            if k[1] != k[2] and back in fb.rels:
-                emit("eq", k[1], k[2], "antisymmetry", k, back)
-
-        # arithmetic rules over the universe
-        for x in list(uni):
-            if x.kind == "pow2":
-                emit("lt", x.args[0], x, "cantor")
-                cf_node = CardinalExpr("cf", args=(x,))
-                if cf_node in uni:
-                    emit("lt", x.args[0], cf_node, "koenig")
-            if x.kind == "pow2lt":
-                emit("le", x.args[0], x, "weakpow-above")
-                p = pow2_of(x.args[0])
-                emit("le", x, p, "weakpow-below")
-            if x.kind == "succ":
-                emit("lt", x.args[0], x, "succ-above")
-            if x.kind == "atom" and x.atom.builtin_index is not None and x.atom.builtin_index > 1:
-                prev = atom_expr(registry.builtin(x.atom.builtin_index - 1))
-                emit("lt", prev, x, "atom-order")
-            if x.kind == "cf":
-                emit("le", x, x.args[0], "cf-below")
-            if x.kind == "cc_cp":
-                arg = x.args[0]
-                emit("le", succ_of(succ_of(arg, registry), registry), x, "F2.6a")
-                emit("le", x, succ_of(pow2_of(arg), registry), "F2.6a")
-                weak = pow2lt_of(arg, registry)
-                k_tree = _rel_key("eq", weak, arg)
-                if fb.holds("eq", weak, arg):
-                    emit("eq", x, succ_of(pow2_of(arg), registry), "cc-tree", k_tree)
-                k_pinch = _rel_key("eq", pow2_of(arg), succ_of(arg, registry))
-                if fb.holds("eq", pow2_of(arg), succ_of(arg, registry)):
-                    emit("eq", x, succ_of(pow2_of(arg), registry), "cc-pinch", k_pinch)
-            if x.kind == "exp":
-                base, ex = x.args
-                emit("le", base, x, "exp-base")
-                p_ex = pow2_of(ex)
-                emit("le", p_ex, x, "exp-above-pow2")
-                p_base = pow2_of(base)
-                k_le = _rel_key("le", ex, base)
-                if fb.holds("le", ex, base):
-                    emit("le", x, p_base, "exp-below-pow2", k_le)
-                cfb = cf_of(base)
-                if fb.holds("le", cfb, ex) or cfb == ex:
-                    emit("lt", base, x, "koenig-exp")
-                # T5.8(b): for singular x of countable cofinality, 2^{<x}=x gives x^w = 2^x
-                if (ex == ALEPH0 and base.kind == "atom" and base.atom.singular
-                        and cf_of(base) == ALEPH0):
-                    weak = pow2lt_of(base, registry)
-                    if fb.holds("eq", weak, base):
-                        emit("eq", x, pow2_of(base), "singular-weakpow",
-                             _rel_key("eq", weak, base))
-            # MA: 2^x = c for aleph0 <= x < c
-            if x.kind == "pow2" and ma_axioms:
-                arg = x.args[0]
-                if fb.holds("lt", arg, CONTINUUM):
-                    emit("eq", x, CONTINUUM, "MA", _rel_key("lt", arg, CONTINUUM))
-
-        # below-successor: y < succ(x) gives y <= x
-        for key in list(fb.rels):
-            if key[0] != "lt":
-                continue
-            _op, y, s = key
-            p = pred_of(s, registry)
-            if p is not None:
-                emit("le", y, p, "below-successor", key)
-
-        # monotonicity through unary constructors
-        for key in [k for k in fb.rels if k[0] in ("le", "lt")]:
-            op, l, r_ = key
-            sl, sr = succ_of(l, registry), succ_of(r_, registry)
-            if sl in uni and sr in uni:
-                emit("le" if op == "le" else "lt", sl, sr, "succ-mono", key)
-            pl, pr = pow2_of(l), pow2_of(r_)
-            if pl in uni and pr in uni:
-                emit("le", pl, pr, "pow2-mono", key)
-            if op == "lt":
-                sl = succ_of(l, registry)
-                if sl in uni:
-                    emit("le", sl, r_, "no-between", key)
-        # congruence under equality for applied constructors
-        for key in by_op["eq"]:
-            _op, l, r_ = key
-            for make in (lambda z: succ_of(z, registry), pow2_of, cf_of,
-                         lambda z: pow2lt_of(z, registry), cc_cp_of):
-                fl, fr = make(l), make(r_)
-                if fl != fr and fl in uni and fr in uni:
-                    emit("eq", fl, fr, "congruence", key)
-            for other in list(uni):
-                if other.kind == "exp":
-                    b, ex2 = other.args
-                    for nb, ne in (((r_ if b == l else b), (r_ if ex2 == l else ex2)),
-                                   ((l if b == r_ else b), (l if ex2 == r_ else ex2))):
+        delta = list(fb.rels)[done:]
+        done += len(delta)
+        _node_rules(fb, emit)
+        for key in delta:
+            op, a, b = key
+            if op == "eq":
+                emit("le", a, b, "eq-weaken", key)
+                emit("le", b, a, "eq-weaken", key)
+                # congruence under equality for applied constructors
+                for make in unary:
+                    fa, fb_ = make(a), make(b)
+                    if fa != fb_:
+                        emit("eq", fa, fb_, "congruence", key)
+                for other in exps:
+                    ob, oe = other.args
+                    for nb, ne in (((b if ob == a else ob), (b if oe == a else oe)),
+                                   ((a if ob == b else ob), (a if oe == b else oe))):
                         cand = exp_of(nb, ne)
-                        if cand != other and cand in uni:
+                        if cand != other:
                             emit("eq", other, cand, "congruence", key)
-
-        if not changed:
+                continue
+            if op == "lt":
+                emit("le", a, b, "lt-weaken", key)
+                p = pred_of(b, registry)  # y < succ(x) gives y <= x
+                if p is not None:
+                    emit("le", a, p, "below-successor", key)
+                emit("le", succ_of(a, registry), b, "no-between", key)
+            elif a != b and ("le", b, a) in fb.rels:
+                emit("eq", a, b, "antisymmetry", key, ("le", b, a))
+            emit(op, succ_of(a, registry), succ_of(b, registry), "succ-mono", key)
+            emit("le", pow2_of(a), pow2_of(b), "pow2-mono", key)
+            # transitivity: x <= a <= b <= c, with < anywhere making the result <;
+            # a row mask leaves out the conclusions already stored
+            ia, ib = fb.ids[a], fb.ids[b]
+            for other in ("le", "lt") if op == "le" else ("le",):
+                out = "le" if op == other == "le" else "lt"
+                rule = "le-trans" if out == "le" else "order-trans"
+                if a in uni:
+                    for j in _bits(fb.above[other][ib] & ~fb.above[out][ia] & in_uni):
+                        fb.add(out, a, nodes[j], rule, (key, (other, b, nodes[j])))
+                if b in uni:
+                    for j in _bits(fb.below[other][ia] & ~fb.below[out][ib] & in_uni):
+                        fb.add(out, nodes[j], b, rule, ((other, nodes[j], a), key))
+        if len(fb.rels) == done:
             return
     raise HypothesisError("closure did not reach a fixpoint within bounds")
+
+
+def _node_rules(fb: FactBase, emit) -> None:
+    """The arithmetic rules, one pass over the universe."""
+    uni, registry = fb.universe, fb.registry
+    ma_axioms = any(h.kind == "MA" for h in fb.hyps)
+    for x in fb.nodes[:len(uni)]:
+        if x.kind == "pow2":
+            emit("lt", x.args[0], x, "cantor")
+            cf_node = CardinalExpr("cf", args=(x,))
+            if cf_node in uni:
+                emit("lt", x.args[0], cf_node, "koenig")
+        if x.kind == "pow2lt":
+            emit("le", x.args[0], x, "weakpow-above")
+            p = pow2_of(x.args[0])
+            emit("le", x, p, "weakpow-below")
+        if x.kind == "succ":
+            emit("lt", x.args[0], x, "succ-above")
+        if x.kind == "atom" and x.atom.builtin_index is not None and x.atom.builtin_index > 1:
+            prev = atom_expr(registry.builtin(x.atom.builtin_index - 1))
+            emit("lt", prev, x, "atom-order")
+        if x.kind == "cf":
+            emit("le", x, x.args[0], "cf-below")
+        if x.kind == "cc_cp":
+            arg = x.args[0]
+            emit("le", succ_of(succ_of(arg, registry), registry), x, "F2.6a")
+            emit("le", x, succ_of(pow2_of(arg), registry), "F2.6a")
+            weak = pow2lt_of(arg, registry)
+            k_tree = _rel_key("eq", weak, arg)
+            if fb.holds("eq", weak, arg):
+                emit("eq", x, succ_of(pow2_of(arg), registry), "cc-tree", k_tree)
+            k_pinch = _rel_key("eq", pow2_of(arg), succ_of(arg, registry))
+            if fb.holds("eq", pow2_of(arg), succ_of(arg, registry)):
+                emit("eq", x, succ_of(pow2_of(arg), registry), "cc-pinch", k_pinch)
+        if x.kind == "exp":
+            base, ex = x.args
+            emit("le", base, x, "exp-base")
+            p_ex = pow2_of(ex)
+            emit("le", p_ex, x, "exp-above-pow2")
+            p_base = pow2_of(base)
+            k_le = _rel_key("le", ex, base)
+            if fb.holds("le", ex, base):
+                emit("le", x, p_base, "exp-below-pow2", k_le)
+            cfb = cf_of(base)
+            if fb.holds("le", cfb, ex) or cfb == ex:
+                emit("lt", base, x, "koenig-exp")
+            # T5.8(b): for singular x of countable cofinality, 2^{<x}=x gives x^w = 2^x
+            if (ex == ALEPH0 and base.kind == "atom" and base.atom.singular
+                    and cf_of(base) == ALEPH0):
+                weak = pow2lt_of(base, registry)
+                if fb.holds("eq", weak, base):
+                    emit("eq", x, pow2_of(base), "singular-weakpow",
+                         _rel_key("eq", weak, base))
+        # MA: 2^x = c for aleph0 <= x < c
+        if x.kind == "pow2" and ma_axioms:
+            arg = x.args[0]
+            if fb.holds("lt", arg, CONTINUUM):
+                emit("eq", x, CONTINUUM, "MA", _rel_key("lt", arg, CONTINUUM))
 
 
 def entails(hyps: Iterable[Hypothesis], relation: Hypothesis,

@@ -11,7 +11,7 @@ from .terms import (
     OrdinalError, cardinality, cnf_base, cofinality, compare, is_indecomposable,
     pretty, term_to_obj,
 )
-from .parser import ParseError, parse_term
+from .parser import ParseError, parse_card, parse_term
 from .classify import classify_exponent
 from .cardinals import (
     ContradictionError, Hypothesis, HypothesisError, parse_hypothesis_line,
@@ -90,8 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_registry_and_hyps(ns) -> tuple[AtomRegistry, list[Hypothesis]]:
     registry = AtomRegistry()
     for decl in ns.card:
-        line = decl if decl.startswith("card ") else f"card {decl}"
-        parse_hypothesis_line(line, registry)
+        parse_card(decl, registry)
     hyps: list[Hypothesis] = []
     for path in ns.assume_file:
         try:

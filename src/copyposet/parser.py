@@ -22,6 +22,11 @@ class ParseError(ValueError):
         self.position = position
 
 
+# decimal numerals longer than this are refused; the bound keeps int() far below
+# Python's 4300-digit string conversion limit
+MAX_NUMERAL_DIGITS = 1000
+
+
 @dataclass(frozen=True)
 class Token:
     kind: str  # "num" | "name" | "op" | "end"
@@ -42,6 +47,8 @@ def tokenize(text: str) -> list[Token]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            if j - i > MAX_NUMERAL_DIGITS:
+                raise ParseError(f"numeral longer than {MAX_NUMERAL_DIGITS} digits", i)
             tokens.append(Token("num", text[i:j], i))
             i = j
             continue
@@ -97,8 +104,9 @@ class TokenStream:
 
 
 def parse_declaration(ts: TokenStream, registry: AtomRegistry) -> None:
-    """Consume ``card NAME rank K [singular cf ATOM]`` and declare the atom."""
-    ts.expect("name", "card")
+    """Consume ``[card] NAME rank K [singular cf ATOM]`` and declare the atom."""
+    if ts.at("name", "card"):
+        ts.advance()
     name = ts.expect("name", what="atom name after 'card'")
     ts.expect("name", "rank")
     rank = int(ts.expect("num", what="rank number").text)
@@ -113,6 +121,13 @@ def parse_declaration(ts: TokenStream, registry: AtomRegistry) -> None:
         registry.declare(name.text, rank, singular=singular, cofinality=cof)
     except AtomError as exc:
         raise ParseError(str(exc), name.pos) from exc
+
+
+def parse_card(text: str, registry: AtomRegistry) -> None:
+    """A whole declaration such as a ``--card`` value; offsets count from its start."""
+    ts = TokenStream(tokenize(text))
+    parse_declaration(ts, registry)
+    ts.expect_end()
 
 
 _PREC = {"+": 1, "*": 2, "^": 3}

@@ -1,12 +1,17 @@
+import hashlib
+
 import pytest
 
+from copyposet import cardinals, rules
 from copyposet.atoms import AtomRegistry
 from copyposet.cardinals import (
     ALEPH0, CONTINUUM, DIST_H, ContradictionError, Hypothesis, HypothesisError,
     atom_expr, cc_cp_of, cf_of, closure, cohen_transfer, entails, exp_of, gch_exp,
     parse_cardinal_expr, parse_hypotheses, parse_hypothesis_line, pow2_of,
-    pow2lt_of, rel, render_expr, succ_of,
+    pow2lt_of, rel, render_expr, render_rel, succ_of,
 )
+from copyposet.parser import parse_term
+from golden_scenarios import SCENARIOS
 
 
 @pytest.fixture
@@ -219,3 +224,129 @@ class TestT58Arithmetic:
     def test_no_free_lunch(self, reg):
         mu = self._mu(reg)
         assert entails([], self._query(reg, mu), reg) == "unknown"
+
+
+# -- the closure engine: fixpoint, work and contradiction chains ------------------
+
+def _problem(name):
+    """(alpha, hypotheses, registry) of a golden scenario or ``saturate_k``."""
+    registry = AtomRegistry()
+    if name.startswith("saturate_"):
+        k = int(name.split("_")[1])
+        alpha_text, text = "w^(w_1+1)", f"GCH\n2^w_1 = w_2\nw_{k} < 2^w_{k}"
+    else:
+        _name, alpha_text, decls, assume = next(s for s in SCENARIOS if s[0] == name)
+        text = (decls + "\n" if decls else "") + assume
+    hyps = parse_hypotheses(text, registry)
+    return parse_term(alpha_text, registry), hyps, registry
+
+
+def _analyze_closures(monkeypatch, name):
+    """Every FactBase that `analyze` builds for the problem, the T5.6 sub-closure included."""
+    built = []
+    real = rules.closure
+
+    def recording(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(rules, "closure", recording)
+    rules.analyze(*_problem(name))
+    return built
+
+
+def _fixpoint_digest(closures) -> str:
+    text = "\n\n".join("\n".join(sorted(render_rel(k) for k in fb.rels)) for fb in closures)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of the sorted relations of every closure `analyze` runs, in call order;
+# generated with the round-by-round naive engine the semi-naive one replaced
+FIXPOINT_DIGESTS = {
+    "ex53_negative": "0d9edebfb95f35e219dc4e5ea4f228d250a76df6da4fb2c9ddbb7b337b634742",
+    "ex57_cohen": "f511b0951e07c86c457b0544d8cf01771ef70d3a2e7a7c91b3061ee693b7c986",
+    "saturate_2": "5908b80ddffac5b4ffc5382b63018c9a3297722b170adc5fb2983fbb14af6182",
+    "saturate_3": "8eb915118cfd53bab3db96f1d238e91973685067df2e050f48aadf881782ff26",
+    "saturate_4": "7645393a79454f3bdf8d670303702dd6939f739d62e0a09150b09931667ea8ad",
+    "saturate_5": "1e4a4d3711e43766987912c7ef5043db9401aadc29a0c12b8806ed3d61bf949a",
+    "saturate_6": "079102e9f5c69601f8730292f986c8c7e48d91376daae768e5d41a2f030ee413",
+    "saturate_7": "fac2af4dd3bc16e9dad3ce1fe56bd7e64bf151cdf2e49eed509e21e3131fa778",
+    "saturate_8": "a566fea50a6c2b007e4e38719e0fdd3ce75cf0e5918f3374242d287aa843c78c",
+    "t410_case_a": "7bedc9f69d55024636f804445a49a467b0a31d403d5cf9ad76f31f6d9ab49759",
+    "t410_case_b": "464493a1b6cb6596240dd5de69f4a1fadb216219b309ca37d61c1770833ad9c0",
+    "t410_case_d": "88a3efe88fc3e5f750790d4cdc8fb29ea5fbfc486cf161394e6a6c839b7b2862",
+    "t410_case_e": "464493a1b6cb6596240dd5de69f4a1fadb216219b309ca37d61c1770833ad9c0",
+    "t410_countable": "a9a10f6a180599bf7f0a7f72e8562c63eb54c470e29691687df5700e55750e3d",
+    "t52_ch": "a73ef3249ce20cb9f52341bd2fb6a8a79bb5b20af74cebf2d6a822db888ccc05",
+    "t52_power_pinch": "7c6e4b47f6eebe32359260644c816fbdcd7aacf72ecfe6078cac171fbd169945",
+    "t54_singular": "5c542cf05f5d24ca8c725bd87419960495339ba3bb2561f52db6485c13e9aee5",
+    "t56_n1": "d07ef1888a01d9a29957cc4d70b80516b7ef3533168e2a59b29f495ec52cc386",
+    "t56_n2": "d07ef1888a01d9a29957cc4d70b80516b7ef3533168e2a59b29f495ec52cc386",
+    "t58_mu_a": "187b10dd6387133605426eb5ff6a62b386540a2a814dcb07e63a72daf4a024bd",
+    "t58_mu_b": "3156174da5ce0f617b9d58e08d87b136992047979b289a4b0e8979f2a217b3fb",
+    "t58_mu_c": "d08ff80ee0c6ae88dde0cbaa5c9c446960d6ea9540e906754c16073917c2fb0a",
+    "t58_mu_d": "023a7996f18d4f100240c6b6c2590ec24b5506c92b92e84764758a7b89d47507",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXPOINT_DIGESTS))
+def test_fixpoint_pinned(monkeypatch, name):
+    assert _fixpoint_digest(_analyze_closures(monkeypatch, name)) == FIXPOINT_DIGESTS[name]
+
+
+def test_closure_work_bound(monkeypatch):
+    """Semi-naive rounds: each closure of the densest saturate problem makes at most
+    10 FactBase.add calls per relation it keeps (the naive rounds made ~90)."""
+    calls = {}
+    real_add = cardinals.FactBase.add
+
+    def counting(self, *args, **kwargs):
+        calls[self] = calls.get(self, 0) + 1
+        return real_add(self, *args, **kwargs)
+
+    monkeypatch.setattr(cardinals.FactBase, "add", counting)
+    closures = _analyze_closures(monkeypatch, "saturate_8")
+    assert len(closures) == 2
+    for fb in closures:
+        assert calls[fb] <= 10 * len(fb.rels)
+
+
+# the `derive` benchmark's contradictory sets, and Cantor's theorem broken outright
+CONTRADICTIONS = [("w^(w_1)", "CH\nc = w_2"), ("w^(w_1+1)", "2^w_1 = w_1"),
+                  ("w^w", "h < c\nc = w_1"), ("w^(w_1*w_1)", "w_2 < w_1"), ("w^w", "2^w = w")]
+
+
+@pytest.mark.parametrize("alpha_text,text", CONTRADICTIONS)
+def test_contradiction_chain_shape(monkeypatch, alpha_text, text):
+    """The chain ends at the raising relation and derives every premise before use,
+    so it carries both halves of the conflict."""
+    bases = []
+    real_init = cardinals.FactBase.__init__
+
+    def recording_init(self, *args):
+        real_init(self, *args)
+        bases.append(self)
+
+    monkeypatch.setattr(cardinals.FactBase, "__init__", recording_init)
+    reg = AtomRegistry()
+    hyps = parse_hypotheses(text, reg)
+    with pytest.raises(ContradictionError) as exc:
+        rules.analyze(parse_term(alpha_text, reg), hyps, reg)
+    chain = exc.value.chain
+    fb = bases[-1]
+    line_of = {k: f"{render_rel(k)}  [{rule}]" for k, (rule, _p) in fb.rels.items()}
+    last = list(fb.rels)[-1]
+    assert chain and chain[-1] == line_of[last]
+    key_of = {line: k for k, line in line_of.items()}
+    earlier: set = set()
+    for line in chain:
+        key = key_of[line]
+        for p in fb.rels[key][1]:
+            if isinstance(p, tuple):
+                assert p in fb.rels and p in earlier, (line, p)
+        earlier.add(key)
+    if last[1] != last[2]:
+        # the relation the raising one conflicts with is derived in the chain too
+        other = "lt" if last[0] == "eq" else "eq"
+        assert {(other, last[1], last[2]), (other, last[2], last[1])} & earlier
+

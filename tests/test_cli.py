@@ -100,6 +100,20 @@ def test_bad_hypothesis_input_exit_2(capsys):
         assert code == 2 and err.startswith("error: ") and "Traceback" not in err
 
 
+def test_long_numeral_exit_2(capsys):
+    nines = "9" * 5000
+    for argv in (["norm", nines], ["analyze", "w^w", "--card", f"mu rank {nines}"]):
+        code, _out, err = run(capsys, *argv)
+        assert code == 2 and "numeral longer than" in err and "Traceback" not in err
+
+
+def test_card_error_offset_counts_from_the_value(capsys):
+    for value in ("mu rank abc", "card mu rank abc"):
+        code, _out, err = run(capsys, "analyze", "w^w", "--card", value)
+        assert code == 2
+        assert err.strip() == f"error: expected rank number at offset {value.index('abc')}"
+
+
 def test_domain_error_exit_1(capsys):
     code, _out, err = run(capsys, "factorize", "5")
     assert code == 1 and "infinite" in err

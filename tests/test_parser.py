@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from copyposet.atoms import AtomRegistry
-from copyposet.parser import ParseError, parse_term
+from copyposet.parser import MAX_NUMERAL_DIGITS, ParseError, parse_term
 from copyposet.terms import OMEGA, ONE, add, from_atom, mul, nat, power, pretty
 from conftest import make_atoms, random_term
 
@@ -62,6 +62,14 @@ def test_trailing_input(registry):
         parse_term("w 3", registry)
     with pytest.raises(ParseError, match="trailing"):
         parse_term("w_2 >= w_1", registry)
+
+
+def test_numeral_length_bound(registry):
+    longest = "9" * MAX_NUMERAL_DIGITS
+    assert parse_term(longest, registry) == nat(int(longest))
+    with pytest.raises(ParseError, match="numeral longer than") as exc:
+        parse_term("w + " + longest + "9", registry)
+    assert exc.value.position == 4
 
 
 def test_w0_rejected(registry):
