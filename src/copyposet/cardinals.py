@@ -619,8 +619,14 @@ def _run_rules(fb: FactBase) -> None:
     nodes = fb.nodes
     in_uni = (1 << len(uni)) - 1  # closure gave the universe the ids below len(uni)
     exps = [x for x in nodes[:len(uni)] if x.kind == "exp"]
-    unary = (lambda z: succ_of(z, registry), pow2_of, cf_of,
-             lambda z: pow2lt_of(z, registry), cc_cp_of)
+    lifts: dict[CardinalExpr, tuple] = {}
+
+    def lift(x):
+        """succ(x), 2^x, cf(x), 2^<x and cc(CP(x)), built once per closure."""
+        if x not in lifts:
+            lifts[x] = (succ_of(x, registry), pow2_of(x), cf_of(x),
+                        pow2lt_of(x, registry), cc_cp_of(x))
+        return lifts[x]
 
     def emit(op, l, r_, rule, *prem):
         if l in uni and r_ in uni:
@@ -637,30 +643,31 @@ def _run_rules(fb: FactBase) -> None:
                 emit("le", a, b, "eq-weaken", key)
                 emit("le", b, a, "eq-weaken", key)
                 # congruence under equality for applied constructors
-                for make in unary:
-                    fa, fb_ = make(a), make(b)
-                    if fa != fb_:
-                        emit("eq", fa, fb_, "congruence", key)
-                for other in exps:
-                    ob, oe = other.args
-                    for nb, ne in (((b if ob == a else ob), (b if oe == a else oe)),
-                                   ((a if ob == b else ob), (a if oe == b else oe))):
+                for la, lb in zip(lift(a), lift(b)):
+                    if la != lb:
+                        emit("eq", la, lb, "congruence", key)
+                for x in exps:
+                    xb, xe = x.args
+                    for nb, ne in (((b if xb == a else xb), (b if xe == a else xe)),
+                                   ((a if xb == b else xb), (a if xe == b else xe))):
                         cand = exp_of(nb, ne)
-                        if cand != other:
-                            emit("eq", other, cand, "congruence", key)
+                        if cand != x:
+                            emit("eq", x, cand, "congruence", key)
                 continue
+            (sa, pa, *_), (sb, pb, *_) = lift(a), lift(b)
             if op == "lt":
                 emit("le", a, b, "lt-weaken", key)
                 p = pred_of(b, registry)  # y < succ(x) gives y <= x
                 if p is not None:
                     emit("le", a, p, "below-successor", key)
-                emit("le", succ_of(a, registry), b, "no-between", key)
+                emit("le", sa, b, "no-between", key)
             elif a != b and ("le", b, a) in fb.rels:
                 emit("eq", a, b, "antisymmetry", key, ("le", b, a))
-            emit(op, succ_of(a, registry), succ_of(b, registry), "succ-mono", key)
-            emit("le", pow2_of(a), pow2_of(b), "pow2-mono", key)
-            # transitivity: x <= a <= b <= c, with < anywhere making the result <;
-            # a row mask leaves out the conclusions already stored
+            emit(op, sa, sb, "succ-mono", key)
+            emit("le", pa, pb, "pow2-mono", key)
+            # transitivity, joining (a, b) with a stored (b, c) or (x, a): le with le is
+            # le-trans, le with lt is order-trans (lt with lt goes through lt-weaken);
+            # the row masks leave out the conclusions already stored
             ia, ib = fb.ids[a], fb.ids[b]
             for other in ("le", "lt") if op == "le" else ("le",):
                 out = "le" if op == other == "le" else "lt"
