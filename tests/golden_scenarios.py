@@ -41,12 +41,18 @@ SCENARIOS = [
 ]
 
 
-def run_scenario(name: str):
+def scenario_inputs(name: str):
+    """(alpha, hypotheses, registry) of one scenario, in a fresh registry."""
     entry = next(s for s in SCENARIOS if s[0] == name)
     _name, alpha_text, decls, assume = entry
     registry = AtomRegistry()
     hyps = parse_hypotheses((decls + "\n" if decls else "") + assume, registry)
     alpha = parse_term(alpha_text, registry)
+    return alpha, hyps, registry
+
+
+def run_scenario(name: str):
+    alpha, hyps, registry = scenario_inputs(name)
     return analyze(alpha, hyps, registry), registry
 
 

@@ -11,7 +11,7 @@ from copyposet.cardinals import (
     pow2lt_of, rel, render_expr, render_rel, succ_of,
 )
 from copyposet.parser import parse_term
-from golden_scenarios import SCENARIOS
+from golden_scenarios import scenario_inputs
 
 
 @pytest.fixture
@@ -230,15 +230,12 @@ class TestT58Arithmetic:
 
 def _problem(name):
     """(alpha, hypotheses, registry) of a golden scenario or ``saturate_k``."""
+    if not name.startswith("saturate_"):
+        return scenario_inputs(name)
+    k = int(name.split("_")[1])
     registry = AtomRegistry()
-    if name.startswith("saturate_"):
-        k = int(name.split("_")[1])
-        alpha_text, text = "w^(w_1+1)", f"GCH\n2^w_1 = w_2\nw_{k} < 2^w_{k}"
-    else:
-        _name, alpha_text, decls, assume = next(s for s in SCENARIOS if s[0] == name)
-        text = (decls + "\n" if decls else "") + assume
-    hyps = parse_hypotheses(text, registry)
-    return parse_term(alpha_text, registry), hyps, registry
+    hyps = parse_hypotheses(f"GCH\n2^w_1 = w_2\nw_{k} < 2^w_{k}", registry)
+    return parse_term("w^(w_1+1)", registry), hyps, registry
 
 
 def _analyze_closures(monkeypatch, name):
