@@ -7,8 +7,10 @@ Every derived relation carries a provenance chain for auditing.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from operator import attrgetter
+from typing import Iterable, Optional
 
 from .atoms import AtomRegistry, CardinalAtom
 from .parser import ParseError, TokenStream, parse_declaration, tokenize
@@ -26,18 +28,48 @@ class ContradictionError(HypothesisError):
 
 # -- expressions ---------------------------------------------------------------
 
-@dataclass(frozen=True)
+_KIND_ORDER = {"aleph0": 0, "atom": 1, "succ": 2, "c": 3, "h": 4,
+               "pow2": 5, "pow2lt": 6, "exp": 7, "cf": 8, "cc_cp": 9}
+
+# the live expressions by (kind, atom, args); an entry goes when its expression dies
+_INTERNED: weakref.WeakValueDictionary[tuple, CardinalExpr] = weakref.WeakValueDictionary()
+
+
 class CardinalExpr:
+    """An immutable cardinal expression, hash-consed (Filliatre & Conchon 2006): there
+    is one live instance per ``(kind, atom, args)``, so equality and hashing are the
+    identity ones of ``object``. ``skey`` is the total order key the closure sorts by,
+    built once from the children's keys."""
+
+    __slots__ = ("kind", "atom", "args", "skey", "__weakref__")
     kind: str  # aleph0 | atom | c | h | succ | cf | pow2 | pow2lt | exp | cc_cp
-    atom: CardinalAtom | None = None
-    args: tuple = ()
+    atom: CardinalAtom | None
+    args: tuple
+    skey: tuple
 
-    def __post_init__(self) -> None:
-        # the dataclass hash, computed once: nested expressions rehashed on every lookup
-        object.__setattr__(self, "_hash", hash((self.kind, self.atom, self.args)))
+    def __new__(cls, kind: str, atom: CardinalAtom | None = None,
+                args: tuple = ()) -> "CardinalExpr":
+        key = (kind, atom, args)
+        self = _INTERNED.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            init = object.__setattr__
+            init(self, "kind", kind)
+            init(self, "atom", atom)
+            init(self, "args", args)
+            init(self, "skey", (_KIND_ORDER[kind], atom.rank) if kind == "atom"
+                 else (_KIND_ORDER[kind], *(a.skey for a in args)))
+            _INTERNED[key] = self
+        return self
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __setattr__(self, name, value):
+        raise AttributeError("CardinalExpr is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("CardinalExpr is immutable")
+
+    def __reduce__(self):
+        return CardinalExpr, (self.kind, self.atom, self.args)
 
     def __repr__(self) -> str:
         return f"<{render_expr(self)}>"
@@ -46,16 +78,7 @@ class CardinalExpr:
 ALEPH0 = CardinalExpr("aleph0")
 CONTINUUM = CardinalExpr("c")
 DIST_H = CardinalExpr("h")
-
-_KIND_ORDER = {"aleph0": 0, "atom": 1, "succ": 2, "c": 3, "h": 4,
-               "pow2": 5, "pow2lt": 6, "exp": 7, "cf": 8, "cc_cp": 9}
-
-
-def skey(e: CardinalExpr) -> tuple:
-    base = (_KIND_ORDER[e.kind],)
-    if e.kind == "atom":
-        return base + (e.atom.rank,)
-    return base + tuple(skey(a) for a in e.args)
+_SKEY = attrgetter("skey")
 
 
 def atom_expr(a: CardinalAtom) -> CardinalExpr:
@@ -221,13 +244,13 @@ class _HypothesisParser(TokenStream):
         base = self.primary()
         if self.at("op", "^"):
             self.advance()
-            return exp_of(base, self.expr())
+            return exp_of(base, self.nested(self.expr))
         return base
 
     def primary(self) -> CardinalExpr:
         tok = self.advance()
         if tok.kind == "op" and tok.text == "(":
-            inner = self.expr()
+            inner = self.nested(self.expr)
             self.expect("op", ")")
             return inner
         if tok.kind == "num":
@@ -236,8 +259,8 @@ class _HypothesisParser(TokenStream):
             self.expect("op", "^", what="'^' after 2")
             if self.at("op", "<"):
                 self.advance()
-                return pow2lt_of(self.primary(), self.registry)
-            return pow2_of(self.primary())
+                return pow2lt_of(self.nested(self.primary), self.registry)
+            return pow2_of(self.nested(self.primary))
         if tok.kind != "name":
             raise ParseError("expected a cardinal expression", tok.pos)
         if tok.text in _CONSTANTS:
@@ -247,10 +270,10 @@ class _HypothesisParser(TokenStream):
             if tok.text == "cc":
                 self.expect("name", "CP", what="CP(...) inside cc(...)")
                 self.expect("op", "(")
-                arg = self.expr()
+                arg = self.nested(self.expr)
                 self.expect("op", ")")
             else:
-                arg = self.expr()
+                arg = self.nested(self.expr)
             self.expect("op", ")")
             return _FUNCTIONS[tok.text](arg, self.registry)
         found = self.registry.lookup(tok.text)
@@ -326,7 +349,7 @@ Rel = tuple  # (op, lhs, rhs)
 
 
 def _rel_key(op: str, lhs: CardinalExpr, rhs: CardinalExpr) -> Rel:
-    if op == "eq" and skey(lhs) > skey(rhs):
+    if op == "eq" and lhs.skey > rhs.skey:
         lhs, rhs = rhs, lhs
     return (op, lhs, rhs)
 
@@ -365,31 +388,41 @@ class FactBase:
 
     def add(self, op: str, lhs: CardinalExpr, rhs: CardinalExpr,
             rule: str, premises: tuple = ()) -> bool:
-        if op == "eq" and lhs == rhs:
+        if op == "eq":
+            if lhs is rhs:
+                return False
+            key = ("eq", rhs, lhs) if lhs.skey > rhs.skey else ("eq", lhs, rhs)
+        else:
+            key = (op, lhs, rhs)
+        rels = self.rels
+        if key in rels:
             return False
-        key = _rel_key(op, lhs, rhs)
-        if key in self.rels:
-            return False
-        self.rels[key] = (rule, premises)
+        rels[key] = (rule, premises)
         if op == "eq":
             self.eq_nbrs.setdefault(lhs, {})[rhs] = None
             self.eq_nbrs.setdefault(rhs, {})[lhs] = None
-        else:
-            i, j = self.node_id(lhs), self.node_id(rhs)
-            self.above[op][i] |= 1 << j
-            self.below[op][j] |= 1 << i
-        if op == "lt" and lhs == rhs:
-            raise ContradictionError(
-                f"derived {render_rel(key)}", self.chain(key))
-        # the chain derives the relation already known first, then the new one
-        if op == "lt" and rhs in self.eq_nbrs.get(lhs, ()):
-            raise ContradictionError(f"derived both {render_rel(key)} and equality",
-                                     self.chain(_rel_key("eq", lhs, rhs), key))
-        for known in (("lt", lhs, rhs), ("lt", rhs, lhs)) if op == "eq" else ():
-            if known in self.rels:
-                raise ContradictionError(
-                    f"derived both equality and strict order for {render_rel(key)}",
-                    self.chain(known, key))
+            for known in (("lt", lhs, rhs), ("lt", rhs, lhs)):
+                if known in rels:
+                    raise ContradictionError(
+                        f"derived both equality and strict order for {render_rel(key)}",
+                        self.chain(known, key))
+            return True
+        ids = self.ids
+        i = ids.get(lhs)
+        if i is None:
+            i = self.node_id(lhs)
+        j = ids.get(rhs)
+        if j is None:
+            j = self.node_id(rhs)
+        self.above[op][i] |= 1 << j
+        self.below[op][j] |= 1 << i
+        if op == "lt":
+            if lhs is rhs:
+                raise ContradictionError(f"derived {render_rel(key)}", self.chain(key))
+            # the chain derives the relation already known first, then the new one
+            if rhs in self.eq_nbrs.get(lhs, ()):
+                raise ContradictionError(f"derived both {render_rel(key)} and equality",
+                                         self.chain(_rel_key("eq", lhs, rhs), key))
         return True
 
     def holds(self, op: str, lhs: CardinalExpr, rhs: CardinalExpr) -> bool:
@@ -431,13 +464,13 @@ class FactBase:
         """Most canonical member of x's equality class (atoms first): descend to the
         least-skey equal neighbour (the first stored on ties) until none is less."""
         while True:
-            best = min(self.eq_nbrs.get(x, ()), key=skey, default=x)
-            if skey(best) >= skey(x):
+            best = min(self.eq_nbrs.get(x, ()), key=_SKEY, default=x)
+            if best.skey >= x.skey:
                 return x
             x = best
 
     def relations(self) -> list[Rel]:
-        return sorted(self.rels, key=lambda k: (k[0], skey(k[1]), skey(k[2])))
+        return sorted(self.rels, key=lambda k: (k[0], k[1].skey, k[2].skey))
 
 
 def _gch_ground(theta: CardinalExpr, mu: CardinalExpr,
@@ -557,12 +590,15 @@ def closure(hyps: Iterable[Hypothesis], registry: AtomRegistry,
 
     fb.universe = uni
     fb.gch = gch
-    for x in sorted(uni, key=skey):
+    # ids 0..n-1 in skey order; the seeds walk the universe in that order, so the
+    # stored order (and the provenance it picks) does not follow the set's hashing
+    order = sorted(uni, key=_SKEY)
+    for x in order:
         fb.node_id(x)
 
     # seed facts
-    atoms_in = sorted((x for x in uni if x.kind == "atom"), key=skey)
-    for x in uni:
+    atoms_in = [x for x in order if x.kind == "atom"]
+    for x in order:
         fb.add("le", ALEPH0, x, "infinite-floor")
     for i, a in enumerate(atoms_in):
         fb.add("lt", ALEPH0, a, "atom-order")
@@ -579,7 +615,7 @@ def closure(hyps: Iterable[Hypothesis], registry: AtomRegistry,
         elif h.kind == "CH":
             fb.add("eq", CONTINUUM, w1, "CH")
         elif h.kind == "GCH":
-            for x in list(uni):
+            for x in order:
                 if x.kind in ("aleph0", "atom", "succ"):
                     fb.add("eq", pow2_of(x), succ_of(x, registry), "GCH")
                 if x.kind == "atom" and x.atom.singular:
@@ -591,7 +627,7 @@ def closure(hyps: Iterable[Hypothesis], registry: AtomRegistry,
         elif h.kind == "CohenModel":
             fb.add("eq", CONTINUUM, atom_expr(h.kappa), "F2.4")
             fb.add("eq", DIST_H, w1, "cohen-h")
-            for x in list(uni):
+            for x in order:
                 if x.kind in ("pow2", "exp"):
                     try:
                         tr = cohen_transfer(h.kappa, x, registry)
@@ -603,82 +639,93 @@ def closure(hyps: Iterable[Hypothesis], registry: AtomRegistry,
     return fb
 
 
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _run_rules(fb: FactBase) -> None:
     """Semi-naive rounds (Bancilhon & Ramakrishnan 1986): the relation rules join
     only the relations stored since the previous round (the delta) against all
-    stored ones, through the bit rows; the per-node rules re-check the universe."""
+    stored ones, through the bit rows; the per-node rules re-check the universe.
+    Every stored le/lt relation lies inside the universe: the hypotheses' operands
+    are in it, and the rules below only store images that are."""
     uni = fb.universe
     registry = fb.registry
-    nodes = fb.nodes
+    rels, ids, nodes, add = fb.rels, fb.ids, fb.nodes, fb.add
+    above, below = fb.above, fb.below
     in_uni = (1 << len(uni)) - 1  # closure gave the universe the ids below len(uni)
     exps = [x for x in nodes[:len(uni)] if x.kind == "exp"]
-    lifts: dict[CardinalExpr, tuple] = {}
+    images: dict[CardinalExpr, tuple] = {}
 
     def lift(x):
-        """succ(x), 2^x, cf(x), 2^<x and cc(CP(x)), built once per closure."""
-        if x not in lifts:
-            lifts[x] = (succ_of(x, registry), pow2_of(x), cf_of(x),
-                        pow2lt_of(x, registry), cc_cp_of(x))
-        return lifts[x]
+        """succ(x), 2^x, cf(x), 2^<x, cc(CP(x)) and the y with succ(y) = x, stored in
+        ``images`` once per closure; an image outside the universe is None, as no rule
+        may store it."""
+        images[x] = tuple(y if y in uni else None
+                          for y in (succ_of(x, registry), pow2_of(x), cf_of(x),
+                                    pow2lt_of(x, registry), cc_cp_of(x), pred_of(x, registry)))
+        return images[x]
 
     def emit(op, l, r_, rule, *prem):
         if l in uni and r_ in uni:
-            fb.add(op, l, r_, rule, prem)
+            add(op, l, r_, rule, prem)
 
     done = 0
     for _ in range(100):
-        delta = list(fb.rels)[done:]
+        delta = list(rels)[done:]
         done += len(delta)
         _node_rules(fb, emit)
         for key in delta:
             op, a, b = key
+            prem = (key,)
+            img_a = images.get(a) or lift(a)
+            img_b = images.get(b) or lift(b)
             if op == "eq":
-                emit("le", a, b, "eq-weaken", key)
-                emit("le", b, a, "eq-weaken", key)
+                if a in uni and b in uni:
+                    add("le", a, b, "eq-weaken", prem)
+                    add("le", b, a, "eq-weaken", prem)
                 # congruence under equality for applied constructors
-                for la, lb in zip(lift(a), lift(b)):
-                    if la != lb:
-                        emit("eq", la, lb, "congruence", key)
+                for la, lb in zip(img_a[:5], img_b[:5]):
+                    if la is not lb and la is not None and lb is not None:
+                        add("eq", la, lb, "congruence", prem)
                 for x in exps:
                     xb, xe = x.args
-                    for nb, ne in (((b if xb == a else xb), (b if xe == a else xe)),
-                                   ((a if xb == b else xb), (a if xe == b else xe))):
-                        cand = exp_of(nb, ne)
-                        if cand != x:
-                            emit("eq", x, cand, "congruence", key)
+                    for old, new in ((a, b), (b, a)):
+                        if xb is old or xe is old:
+                            cand = exp_of(new if xb is old else xb, new if xe is old else xe)
+                            if cand in uni:
+                                add("eq", x, cand, "congruence", prem)
                 continue
-            (sa, pa, *_), (sb, pb, *_) = lift(a), lift(b)
+            sa, pa, *_ = img_a
+            sb, pb, _, _, _, pred_b = img_b
             if op == "lt":
-                emit("le", a, b, "lt-weaken", key)
-                p = pred_of(b, registry)  # y < succ(x) gives y <= x
-                if p is not None:
-                    emit("le", a, p, "below-successor", key)
-                emit("le", sa, b, "no-between", key)
-            elif a != b and ("le", b, a) in fb.rels:
-                emit("eq", a, b, "antisymmetry", key, ("le", b, a))
-            emit(op, sa, sb, "succ-mono", key)
-            emit("le", pa, pb, "pow2-mono", key)
+                add("le", a, b, "lt-weaken", prem)
+                if pred_b is not None:  # y < succ(x) gives y <= x
+                    add("le", a, pred_b, "below-successor", prem)
+                if sa is not None:
+                    add("le", sa, b, "no-between", prem)
+            elif a is not b and ("le", b, a) in rels:
+                add("eq", a, b, "antisymmetry", (key, ("le", b, a)))
+            if sa is not None and sb is not None:
+                add(op, sa, sb, "succ-mono", prem)
+            if pa is not None and pb is not None:
+                add("le", pa, pb, "pow2-mono", prem)
             # transitivity, joining (a, b) with a stored (b, c) or (x, a): le with le is
             # le-trans, le with lt is order-trans (lt with lt goes through lt-weaken);
             # the row masks leave out the conclusions already stored
-            ia, ib = fb.ids[a], fb.ids[b]
+            ia, ib = ids[a], ids[b]
             for other in ("le", "lt") if op == "le" else ("le",):
                 out = "le" if op == other == "le" else "lt"
                 rule = "le-trans" if out == "le" else "order-trans"
-                if a in uni:
-                    for j in _bits(fb.above[other][ib] & ~fb.above[out][ia] & in_uni):
-                        fb.add(out, a, nodes[j], rule, (key, (other, b, nodes[j])))
-                if b in uni:
-                    for j in _bits(fb.below[other][ia] & ~fb.below[out][ib] & in_uni):
-                        fb.add(out, nodes[j], b, rule, ((other, nodes[j], a), key))
-        if len(fb.rels) == done:
+                mask = above[other][ib] & ~above[out][ia] & in_uni
+                while mask:
+                    low = mask & -mask
+                    mask ^= low
+                    c = nodes[low.bit_length() - 1]
+                    add(out, a, c, rule, (key, (other, b, c)))
+                mask = below[other][ia] & ~below[out][ib] & in_uni
+                while mask:
+                    low = mask & -mask
+                    mask ^= low
+                    c = nodes[low.bit_length() - 1]
+                    add(out, c, b, rule, ((other, c, a), key))
+        if len(rels) == done:
             return
     raise HypothesisError("closure did not reach a fixpoint within bounds")
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .atoms import AtomRegistry, AtomError
-from .terms import OrdinalTerm, OMEGA, add, mul, power, nat, from_atom
+from .terms import (MAX_NUMERAL_DIGITS, OrdinalTerm, OMEGA, add, mul, power, nat,
+                    from_atom)
 
 
 class ParseError(ValueError):
@@ -22,9 +23,12 @@ class ParseError(ValueError):
         self.position = position
 
 
-# decimal numerals longer than this are refused; the bound keeps int() far below
-# Python's 4300-digit string conversion limit
-MAX_NUMERAL_DIGITS = 1000
+# A decimal numeral longer than MAX_NUMERAL_DIGITS (the bound ``terms`` puts on every
+# natural) is refused. So is nesting deeper than MAX_NESTING levels, where a level is
+# a parenthesis, a function argument or an operand of an operator: the parsers and
+# the recursive functions over terms and expressions then stay far inside Python's
+# recursion limit.
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -78,6 +82,7 @@ class TokenStream:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -96,6 +101,16 @@ class TokenStream:
         if tok.kind != kind or (text is not None and tok.text != text):
             raise ParseError(f"expected {what or repr(text)}", tok.pos)
         return self.advance()
+
+    def nested(self, production, *args):
+        """Run one production a level deeper, refusing to go past MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels",
+                             self.peek().pos)
+        self.depth += 1
+        result = production(*args)
+        self.depth -= 1
+        return result
 
     def expect_end(self) -> None:
         tok = self.peek()
@@ -154,7 +169,7 @@ class _Parser(TokenStream):
                 raise ParseError(f"undeclared atom {tok.text!r}", tok.pos)
             return from_atom(found)
         if tok.kind == "op" and tok.text == "(":
-            inner = self.expression(0)
+            inner = self.nested(self.expression, 0)
             self.expect("op", ")")
             return inner
         raise ParseError("expected a number, atom or parenthesized expression", tok.pos)
@@ -170,7 +185,7 @@ class _Parser(TokenStream):
                 return lhs
             self.advance()
             # ^ is right-associative, + and * left-associative
-            rhs = self.expression(prec if tok.text == "^" else prec + 1)
+            rhs = self.nested(self.expression, prec if tok.text == "^" else prec + 1)
             if tok.text == "+":
                 lhs = add(lhs, rhs)
             elif tok.text == "*":

@@ -18,6 +18,41 @@ class OrdinalError(ValueError):
     """Domain error (precondition violation) in an ordinal operation."""
 
 
+# Size limits of a result, checked before it is computed. A natural number (a tail or
+# a coefficient) has at most MAX_NUMERAL_DIGITS decimal digits, far below Python's
+# 4300-digit int-to-str limit; a product or power has at most MAX_SUMMANDS summands.
+MAX_NUMERAL_DIGITS = 1000
+MAX_SUMMANDS = 10_000
+_MAX_NATURAL = 10 ** MAX_NUMERAL_DIGITS - 1
+_MAX_BITS = _MAX_NATURAL.bit_length()
+_TOO_LARGE = f"natural number of more than {MAX_NUMERAL_DIGITS} digits"
+
+
+def _bounded(n: int) -> int:
+    if n > _MAX_NATURAL:
+        raise OrdinalError(_TOO_LARGE)
+    return n
+
+
+def _nat_mul(x: int, y: int) -> int:
+    # x * y >= 2^(bits(x) + bits(y) - 2) for x, y > 0: refuse before multiplying
+    if x.bit_length() + y.bit_length() - 2 >= _MAX_BITS:
+        raise OrdinalError(_TOO_LARGE)
+    return _bounded(x * y)
+
+
+def _nat_pow(x: int, m: int) -> int:
+    # x^m >= 2^((bits(x) - 1) * m): refuse before exponentiating
+    if (x.bit_length() - 1) * m >= _MAX_BITS:
+        raise OrdinalError(_TOO_LARGE)
+    return _bounded(x ** m)
+
+
+def _summand_bound(count: int) -> None:
+    if count > MAX_SUMMANDS:
+        raise OrdinalError(f"term of more than {MAX_SUMMANDS} summands")
+
+
 @dataclass(frozen=True)
 class OrdinalTerm:
     summands: tuple = ()
@@ -134,7 +169,7 @@ def add(a: OrdinalTerm, b: OrdinalTerm) -> OrdinalTerm:
     if a.is_zero():
         return b
     if b.is_finite():
-        return OrdinalTerm(a.summands, a.tail + b.tail)
+        return OrdinalTerm(a.summands, _bounded(a.tail + b.tail))
     e0, c0 = b.summands[0]
     keep = []
     merged = False
@@ -143,7 +178,7 @@ def add(a: OrdinalTerm, b: OrdinalTerm) -> OrdinalTerm:
         if k > 0:
             keep.append((e, c))
         elif k == 0:
-            keep.append((e0, c + c0))
+            keep.append((e0, _bounded(c + c0)))
             merged = True
             break
         else:
@@ -161,29 +196,36 @@ def mul(a: OrdinalTerm, b: OrdinalTerm) -> OrdinalTerm:
     if a.is_zero() or b.is_zero():
         return ZERO
     if a.is_finite() and b.is_finite():
-        return nat(a.tail * b.tail)
+        return nat(_nat_mul(a.tail, b.tail))
     if a.is_finite():
         # n * (w^f*t + ...) = w^f*t + ... ; only the finite tail sees n
-        out = list(b.summands)
-        return OrdinalTerm(tuple(out), a.tail * b.tail)
+        return OrdinalTerm(b.summands, _nat_mul(a.tail, b.tail))
     e0, c0 = a.summands[0]
+    if b.tail > 0:
+        _summand_bound(len(a.summands) + len(b.summands))
     out = [(add_exp(e0, f), t) for (f, t) in b.summands]
     tail = 0
     if b.tail > 0:
-        out.append((e0, c0 * b.tail))
+        out.append((e0, _nat_mul(c0, b.tail)))
         out.extend(a.summands[1:])
         tail = a.tail
     return OrdinalTerm(tuple(out), tail)
 
 
 def _pow_nat(a: OrdinalTerm, m: int) -> OrdinalTerm:
+    if a.is_finite():
+        return nat(_nat_pow(a.tail, m))
+    if a.tail:
+        # each factor a with a finite tail adds len(a.summands) summands
+        _summand_bound(m * len(a.summands))
     result = ONE
     base = a
     while m:
         if m & 1:
             result = mul(result, base)
-        base = mul(base, base)
         m >>= 1
+        if m:
+            base = mul(base, base)
     return result
 
 
@@ -206,7 +248,7 @@ def power(a: OrdinalTerm, b: OrdinalTerm) -> OrdinalTerm:
             else:
                 fq = f  # 1 + f = f for infinite f
             q = add(q, omega_power(fq, t) if not (isinstance(fq, OrdinalTerm) and fq.is_zero()) else nat(t))
-        return mul(omega_power(q), nat(a.tail ** b.tail) if b.tail else ONE)
+        return mul(omega_power(q), nat(_nat_pow(a.tail, b.tail)))
     e0 = a.summands[0][0]
     limit_part = OrdinalTerm(b.summands, 0)
     head_exp = canon_exp(mul(exp_term(e0), limit_part))

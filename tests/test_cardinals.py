@@ -1,3 +1,4 @@
+import gc
 import hashlib
 
 import pytest
@@ -5,10 +6,10 @@ import pytest
 from copyposet import cardinals, rules
 from copyposet.atoms import AtomRegistry
 from copyposet.cardinals import (
-    ALEPH0, CONTINUUM, DIST_H, ContradictionError, Hypothesis, HypothesisError,
-    atom_expr, cc_cp_of, cf_of, closure, cohen_transfer, entails, exp_of, gch_exp,
-    parse_cardinal_expr, parse_hypotheses, parse_hypothesis_line, pow2_of,
-    pow2lt_of, rel, render_expr, render_rel, succ_of,
+    ALEPH0, CONTINUUM, DIST_H, CardinalExpr, ContradictionError, Hypothesis,
+    HypothesisError, atom_expr, cc_cp_of, cf_of, closure, cohen_transfer, entails,
+    exp_of, gch_exp, parse_cardinal_expr, parse_hypotheses, parse_hypothesis_line,
+    pow2_of, pow2lt_of, rel, render_expr, render_rel, succ_of,
 )
 from copyposet.parser import parse_term
 from golden_scenarios import scenario_inputs
@@ -82,6 +83,45 @@ class TestGrammar:
                      "w_1", "w_1 =", "3^w = c", "cc(w_1) = w_2", "GCH CH", "w_1 @ w_2"):
             with pytest.raises(HypothesisError):
                 parse_hypothesis_line(text, reg)
+
+
+class TestInterning:
+    def test_one_instance_per_expression(self, reg):
+        x = _w(reg, 1)
+        assert pow2_of(x) is CardinalExpr("pow2", args=(x,))
+        assert exp_of(pow2_of(x), ALEPH0) is parse_cardinal_expr("(2^w_1)^w", reg)
+        assert pow2_of(x).skey == (5, (1, 1))
+        with pytest.raises(AttributeError):
+            x.kind = "c"
+        with pytest.raises(AttributeError):
+            del x.atom
+
+    def test_equal_atoms_share_the_instance(self):
+        first, second = AtomRegistry(), AtomRegistry()
+        assert _w(first, 3) is _w(second, 3)
+        mu1 = first.declare("mu", 50, singular=True)
+        mu2 = second.declare("mu", 50, singular=True)
+        assert mu1 is not mu2 and atom_expr(mu1) is atom_expr(mu2)
+        assert atom_expr(mu1) is not atom_expr(AtomRegistry().declare("mu", 51))
+
+    def test_table_does_not_grow_over_requests(self, capsys):
+        """Expressions die with the request that built them, so a long --batch run
+        keeps the intern table (and the process) at its starting size."""
+        from copyposet.cli import main
+
+        def request(rank):
+            argv = ["analyze", "w^mu", "--card", f"mu rank {rank} singular cf w",
+                    "--assume", "2^mu = succ(mu)", "--format", "json"]
+            assert main(argv) == 0
+
+        request(1000)
+        gc.collect()
+        start = len(cardinals._INTERNED)
+        for rank in range(50, 250):
+            request(rank)
+        capsys.readouterr()
+        gc.collect()
+        assert len(cardinals._INTERNED) <= start + 10
 
 
 class TestClosure:

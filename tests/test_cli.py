@@ -1,6 +1,13 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
+import copyposet
 from copyposet.cli import main
+from golden_scenarios import SCENARIOS
+from test_cardinals import CONTRADICTIONS
 
 
 def run(capsys, *argv):
@@ -105,6 +112,49 @@ def test_long_numeral_exit_2(capsys):
     for argv in (["norm", nines], ["analyze", "w^w", "--card", f"mu rank {nines}"]):
         code, _out, err = run(capsys, *argv)
         assert code == 2 and "numeral longer than" in err and "Traceback" not in err
+
+
+def test_oversized_arithmetic_exit_1(capsys):
+    for expr in ("9999999999^500", "2^(w+99999999)", "9^9^9", "(w+1)^99999999999"):
+        code, _out, err = run(capsys, "norm", expr)
+        assert code == 1 and err.startswith("error: ") and "Traceback" not in err
+
+
+def test_deep_nesting_exit_2(capsys):
+    for expr in ("(" * 3000 + "w" + ")" * 3000, "^".join(["w"] * 2000)):
+        code, _out, err = run(capsys, "norm", expr)
+        assert code == 2 and "nested deeper than" in err and "Traceback" not in err
+    code, _out, err = run(capsys, "analyze", "w^w", "--assume", "2^" * 3000 + "w = c")
+    assert code == 2 and "nested deeper than" in err
+
+
+def _analyze_argv(alpha, *lines):
+    argv = ["analyze", alpha, "--format", "json"]
+    for line in lines:
+        argv += ["--assume", line]
+    return argv
+
+
+def test_output_independent_of_hash_seed():
+    """Expressions hash by identity and the universe is a set, so nothing the closure
+    stores or prints may follow set order: two hash seeds give the same bytes."""
+    cases = []
+    for name in ("t410_case_b", "t54_singular", "t58_mu_d"):
+        _name, alpha, decls, assume = next(s for s in SCENARIOS if s[0] == name)
+        cases.append(_analyze_argv(alpha, *decls.splitlines(), *assume.splitlines()))
+    for alpha, text in (CONTRADICTIONS[0], CONTRADICTIONS[-1]):
+        cases.append(_analyze_argv(alpha, *text.splitlines()))
+    src = str(pathlib.Path(copyposet.__file__).resolve().parent.parent)
+    for argv in cases:
+        runs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run([sys.executable, "-m", "copyposet.cli", *argv], env=env,
+                                  capture_output=True, timeout=60)
+            runs.append((done.returncode, done.stdout, done.stderr))
+        assert runs[0] == runs[1], argv
+        code, out, err = runs[0]
+        assert (code == 0 and out) or (code == 1 and b"contradictory" in err), runs[0]
 
 
 def test_card_error_offset_counts_from_the_value(capsys):

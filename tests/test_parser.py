@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from copyposet.atoms import AtomRegistry
-from copyposet.parser import MAX_NUMERAL_DIGITS, ParseError, parse_term
+from copyposet.cardinals import HypothesisError, parse_cardinal_expr
+from copyposet.parser import MAX_NESTING, MAX_NUMERAL_DIGITS, ParseError, parse_term
 from copyposet.terms import OMEGA, ONE, add, from_atom, mul, nat, power, pretty
 from conftest import make_atoms, random_term
 
@@ -70,6 +71,21 @@ def test_numeral_length_bound(registry):
     with pytest.raises(ParseError, match="numeral longer than") as exc:
         parse_term("w + " + longest + "9", registry)
     assert exc.value.position == 4
+
+
+def test_nesting_bound(registry):
+    deepest = "(" * MAX_NESTING + "w" + ")" * MAX_NESTING
+    assert parse_term(deepest, registry) == OMEGA
+    tower = "^".join(["w"] * (MAX_NESTING + 1))
+    assert pretty(parse_term(tower, registry)) == tower
+    for text in ("(" + deepest + ")", tower + "^w"):
+        with pytest.raises(ParseError, match="nested deeper than"):
+            parse_term(text, registry)
+    assert parse_cardinal_expr("cf(" * MAX_NESTING + "c" + ")" * MAX_NESTING, registry)
+    for text in ("cf(" * (MAX_NESTING + 1) + "c" + ")" * (MAX_NESTING + 1),
+                 "2^" * (MAX_NESTING + 1) + "w_1", "w_1^" * (MAX_NESTING + 1) + "w"):
+        with pytest.raises(HypothesisError, match="nested deeper than"):
+            parse_cardinal_expr(text, registry)
 
 
 def test_w0_rejected(registry):

@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from copyposet.atoms import AtomRegistry
 from copyposet.terms import (
-    OMEGA, ONE, ZERO, OrdinalError, add, cardinality, check_canonical, cnf_base,
-    cofinality, compare, from_atom, is_indecomposable, mul, nat, power,
-    term_from_obj, term_to_obj,
+    MAX_NUMERAL_DIGITS, MAX_SUMMANDS, OMEGA, ONE, ZERO, OrdinalError, add, cardinality,
+    check_canonical, cnf_base, cofinality, compare, from_atom, is_indecomposable, mul,
+    nat, power, term_from_obj, term_to_obj,
 )
 from conftest import make_atoms, random_term
 
@@ -195,3 +195,30 @@ class TestSerialization:
     def test_negative_nat(self):
         with pytest.raises(OrdinalError):
             nat(-1)
+
+
+class TestSizeLimits:
+    def test_natural_digits(self):
+        largest = nat(10 ** MAX_NUMERAL_DIGITS - 1)
+        top = 10 ** (MAX_NUMERAL_DIGITS - 1)
+        assert power(nat(10), nat(MAX_NUMERAL_DIGITS - 1)) == nat(top)
+        assert mul(largest, ONE) == largest
+        for make in (lambda: add(largest, ONE),  # a tail
+                     lambda: add(mul(OMEGA, largest), OMEGA),  # a coefficient
+                     lambda: mul(largest, nat(2)),
+                     lambda: power(nat(10), nat(MAX_NUMERAL_DIGITS)),
+                     lambda: power(nat(2), add(OMEGA, nat(4 * MAX_NUMERAL_DIGITS))),
+                     lambda: power(nat(9), power(nat(9), nat(9)))):
+            with pytest.raises(OrdinalError, match="digits"):
+                make()
+
+    def test_summands_of_a_power(self):
+        w_plus_1 = add(OMEGA, ONE)
+        assert len(power(w_plus_1, nat(MAX_SUMMANDS)).summands) == MAX_SUMMANDS
+        # without a finite tail the power keeps the base's summand count
+        assert len(power(OMEGA, nat(10 ** 50)).summands) == 1
+        for exponent in (nat(MAX_SUMMANDS + 1), add(OMEGA, nat(99999999999))):
+            with pytest.raises(OrdinalError, match="summands"):
+                power(w_plus_1, exponent)
+        with pytest.raises(OrdinalError, match="summands"):
+            mul(power(w_plus_1, nat(MAX_SUMMANDS)), w_plus_1)
