@@ -10,6 +10,8 @@ import re
 from dataclasses import dataclass
 
 _BUILTIN_RE = re.compile(r"^w_([1-9][0-9]*)$")
+# names the cardinal grammar reads as constants
+_RESERVED = {"w": "omega", "c": "the continuum", "h": "the distributivity number"}
 
 
 class AtomError(ValueError):
@@ -29,36 +31,27 @@ class CardinalAtom:
     def regular(self) -> bool:
         return not self.singular
 
-    @property
-    def cofinality_name(self) -> str | None:
-        if not self.singular:
-            return None
-        return self.declared_cofinality.name if self.declared_cofinality else "w"
-
     def __repr__(self) -> str:
         return f"CardinalAtom({self.name!r})"
 
 
 class AtomRegistry:
-    """Append-only registry; user declarations freeze before computation starts.
+    """Append-only registry of declared atoms.
 
     Builtin ``w_k`` atoms materialize lazily on first reference (they are
-    deterministic and cannot conflict with each other), even after freeze.
+    deterministic and cannot conflict with each other), also while computing.
     """
 
     def __init__(self) -> None:
         self._by_name: dict[str, CardinalAtom] = {}
         self._by_rank: dict[int, CardinalAtom] = {}
-        self._frozen = False
 
     def declare(self, name: str, rank: int, singular: bool = False,
                 cofinality: str | None = None) -> CardinalAtom:
-        if self._frozen:
-            raise AtomError("atom registry is frozen; declare atoms before computing")
         if not re.match(r"^[A-Za-z_][A-Za-z0-9_]*$", name):
             raise AtomError(f"bad atom name {name!r}")
-        if name == "w":
-            raise AtomError("'w' denotes omega and cannot be redeclared")
+        if name in _RESERVED:
+            raise AtomError(f"{name!r} denotes {_RESERVED[name]} and cannot be redeclared")
         if rank < 1:
             raise AtomError("atom rank must be a positive integer")
         if name in self._by_name:
@@ -115,6 +108,3 @@ class AtomRegistry:
 
     def atoms(self) -> list[CardinalAtom]:
         return sorted(self._by_name.values(), key=lambda a: a.rank)
-
-    def freeze(self) -> None:
-        self._frozen = True

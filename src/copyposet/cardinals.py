@@ -667,10 +667,10 @@ def _run_rules(fb: FactBase) -> None:
             add(op, l, r_, rule, prem)
 
     done = 0
-    for _ in range(100):
+    for round_no in range(100):
         delta = list(rels)[done:]
         done += len(delta)
-        _node_rules(fb, emit)
+        _node_rules(fb, emit, round_no == 0)
         for key in delta:
             op, a, b = key
             prem = (key,)
@@ -730,31 +730,39 @@ def _run_rules(fb: FactBase) -> None:
     raise HypothesisError("closure did not reach a fixpoint within bounds")
 
 
-def _node_rules(fb: FactBase, emit) -> None:
-    """The arithmetic rules, one pass over the universe."""
+def _node_rules(fb: FactBase, emit, first: bool) -> None:
+    """The arithmetic rules, one pass over the universe. The rules that read no
+    stored relation conclude the same in every round, so only the first runs them;
+    on each node they come before the others, as the stored order depends on it."""
     uni, registry = fb.universe, fb.registry
     ma_axioms = any(h.kind == "MA" for h in fb.hyps)
     for x in fb.nodes[:len(uni)]:
-        if x.kind == "pow2":
-            emit("lt", x.args[0], x, "cantor")
-            cf_node = CardinalExpr("cf", args=(x,))
-            if cf_node in uni:
-                emit("lt", x.args[0], cf_node, "koenig")
-        if x.kind == "pow2lt":
-            emit("le", x.args[0], x, "weakpow-above")
-            p = pow2_of(x.args[0])
-            emit("le", x, p, "weakpow-below")
-        if x.kind == "succ":
-            emit("lt", x.args[0], x, "succ-above")
-        if x.kind == "atom" and x.atom.builtin_index is not None and x.atom.builtin_index > 1:
-            prev = atom_expr(registry.builtin(x.atom.builtin_index - 1))
-            emit("lt", prev, x, "atom-order")
-        if x.kind == "cf":
-            emit("le", x, x.args[0], "cf-below")
-        if x.kind == "cc_cp":
+        kind = x.kind
+        if first:
+            if kind == "pow2":
+                emit("lt", x.args[0], x, "cantor")
+                cf_node = CardinalExpr("cf", args=(x,))
+                if cf_node in uni:
+                    emit("lt", x.args[0], cf_node, "koenig")
+            elif kind == "pow2lt":
+                emit("le", x.args[0], x, "weakpow-above")
+                emit("le", x, pow2_of(x.args[0]), "weakpow-below")
+            elif kind == "succ":
+                emit("lt", x.args[0], x, "succ-above")
+            elif kind == "atom" and (x.atom.builtin_index or 0) > 1:
+                prev = atom_expr(registry.builtin(x.atom.builtin_index - 1))
+                emit("lt", prev, x, "atom-order")
+            elif kind == "cf":
+                emit("le", x, x.args[0], "cf-below")
+            elif kind == "cc_cp":
+                arg = x.args[0]
+                emit("le", succ_of(succ_of(arg, registry), registry), x, "F2.6a")
+                emit("le", x, succ_of(pow2_of(arg), registry), "F2.6a")
+            elif kind == "exp":
+                emit("le", x.args[0], x, "exp-base")
+                emit("le", pow2_of(x.args[1]), x, "exp-above-pow2")
+        if kind == "cc_cp":
             arg = x.args[0]
-            emit("le", succ_of(succ_of(arg, registry), registry), x, "F2.6a")
-            emit("le", x, succ_of(pow2_of(arg), registry), "F2.6a")
             weak = pow2lt_of(arg, registry)
             k_tree = _rel_key("eq", weak, arg)
             if fb.holds("eq", weak, arg):
@@ -762,11 +770,8 @@ def _node_rules(fb: FactBase, emit) -> None:
             k_pinch = _rel_key("eq", pow2_of(arg), succ_of(arg, registry))
             if fb.holds("eq", pow2_of(arg), succ_of(arg, registry)):
                 emit("eq", x, succ_of(pow2_of(arg), registry), "cc-pinch", k_pinch)
-        if x.kind == "exp":
+        elif kind == "exp":
             base, ex = x.args
-            emit("le", base, x, "exp-base")
-            p_ex = pow2_of(ex)
-            emit("le", p_ex, x, "exp-above-pow2")
             p_base = pow2_of(base)
             k_le = _rel_key("le", ex, base)
             if fb.holds("le", ex, base):
@@ -781,8 +786,7 @@ def _node_rules(fb: FactBase, emit) -> None:
                 if fb.holds("eq", weak, base):
                     emit("eq", x, pow2_of(base), "singular-weakpow",
                          _rel_key("eq", weak, base))
-        # MA: 2^x = c for aleph0 <= x < c
-        if x.kind == "pow2" and ma_axioms:
+        elif kind == "pow2" and ma_axioms:  # MA: 2^x = c for aleph0 <= x < c
             arg = x.args[0]
             if fb.holds("lt", arg, CONTINUUM):
                 emit("eq", x, CONTINUUM, "MA", _rel_key("lt", arg, CONTINUUM))

@@ -307,11 +307,17 @@ def _run_batch(path: str) -> int:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     worst = 0
-    for line in lines:
+    for number, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        worst = max(worst, _run_one(shlex.split(line)))
+        try:
+            argv = shlex.split(line)
+        except ValueError as exc:  # an unbalanced quote
+            print(f"error: line {number}: {exc}", file=sys.stderr)
+            worst = max(worst, _USAGE_ERROR)
+            continue
+        worst = max(worst, _run_one(argv))
     return worst
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .terms import (
     OMEGA, OrdinalTerm, OrdinalError, compare, omega_power, pretty, term_to_obj,
 )
-from .cardinals import CardinalExpr, render_expr
+from .cardinals import CardinalExpr, render_expr, render_rel
 
 
 @dataclass(frozen=True)
@@ -154,12 +154,26 @@ def rp_refine(delta: OrdinalTerm, n: int) -> PosetExpr:
 class Step:
     rule: str
     instantiation: tuple = ()  # ((name, value), ...)
-    premises: tuple = ()       # strings: "assume: ...", "fact: ...", "case: ..."
+    # ("closure", rel) | ("fact", ForcingFact) | ("case", delta, label)
+    # | ("subfact", delta0, ForcingFact): a fact of the analysis of w^delta0
+    premises: tuple = ()
 
     def to_obj(self) -> dict:
         return {"rule": self.rule,
                 "instantiation": {k: v for k, v in self.instantiation},
-                "premises": list(self.premises)}
+                "premises": [premise_text(p) for p in self.premises]}
+
+
+def premise_text(p: tuple) -> str:
+    if p[0] == "closure":
+        return f"closure: {render_rel(p[1])}"
+    if p[0] == "fact":
+        return f"fact: {fact_text(p[1])}"
+    if p[0] == "case":
+        return f"case({pretty(p[1])}) = {p[2]}"
+    if p[0] == "subfact":
+        return f"subfact(w^({pretty(p[1])})): {fact_text(p[2])}"
+    raise AssertionError(p[0])
 
 
 @dataclass(frozen=True)

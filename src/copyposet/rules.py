@@ -21,8 +21,8 @@ from .cardinals import (
     closure, exp_of, pow2_of, pow2lt_of, render_expr, render_rel, succ_of,
 )
 from .forcing import (
-    ForcingFact, PosetExpr, Step, col, cp, factorize, fact_text, iteration,
-    poset_to_obj, product, render_poset, rp_refine, sq_copies,
+    ForcingFact, PosetExpr, Step, col, cp, factorize, iteration, poset_to_obj,
+    product, render_poset, ro, rp_refine, sq_copies,
 )
 
 SCHEMA_VERSION = 1
@@ -257,51 +257,43 @@ class _Engine:
 
     # -- fact plumbing ----------------------------------------------------------
 
-    def _res(self, o) -> str:
-        if isinstance(o, CardinalExpr):
-            return render_expr(self.fb.resolve(o))
-        if isinstance(o, PosetExpr):
-            return render_poset(resolve_poset(o, self.fb))
-        return str(o)
+    def fact_key(self, kind: str, operands: tuple) -> tuple:
+        """Facts are one fact when their kinds and resolved operands are equal."""
+        fb = self.fb
+        return (kind, tuple(fb.resolve(o) if isinstance(o, CardinalExpr)
+                            else resolve_poset(o, fb) if isinstance(o, PosetExpr)
+                            else o for o in operands))
 
     def emit(self, kind: str, operands: tuple, steps: tuple) -> ForcingFact:
-        key = (kind, tuple(self._res(o) for o in operands))
-        if key in self.facts:
-            return self.facts[key]
-        resolved = []
-        for i, o in enumerate(operands):
-            if isinstance(o, (CardinalExpr, PosetExpr)):
-                r = self._res(o)
-                if r != (render_expr(o) if isinstance(o, CardinalExpr) else render_poset(o)):
-                    resolved.append((i, r))
-        fact = ForcingFact(kind, operands, steps, tuple(resolved))
-        self.facts[key] = fact
+        key = self.fact_key(kind, operands)
+        fact = self.facts.get(key)
+        if fact is None:
+            resolved = tuple(
+                (i, render_expr(r) if isinstance(r, CardinalExpr) else render_poset(r))
+                for i, (o, r) in enumerate(zip(operands, key[1])) if r != o)
+            fact = self.facts[key] = ForcingFact(kind, operands, steps, resolved)
         return fact
 
     def has_fact(self, kind: str, operands: tuple) -> ForcingFact | None:
-        return self.facts.get((kind, tuple(self._res(o) for o in operands)))
+        return self.facts.get(self.fact_key(kind, operands))
 
     def entail(self, op: str, lhs: CardinalExpr, rhs: CardinalExpr) -> str:
         return self.fb.entails_rel(op, lhs, rhs)
 
-    def check(self, rule_id: str, premises: list[tuple[str, CardinalExpr, CardinalExpr]],
-              block: bool = True) -> tuple[bool, list[str]]:
-        """All premises must entail yes; unknowns are recorded when block is set."""
+    def check(self, rule_id: str, rels: list) -> tuple | None:
+        """The closure premises of the rels when all entail yes; None when one does
+        not, and the unknown ones are recorded as blocking the rule."""
         unknown = []
-        used = []
-        for (op, l, r) in premises:
-            s = self.entail(op, l, r)
+        for r in rels:
+            s = self.entail(*r)
             if s == "no":
-                return False, []
+                return None
             if s == "unknown":
-                unknown.append(render_rel((op, l, r)))
-            else:
-                used.append(f"closure: {render_rel((op, l, r))}")
+                unknown.append(render_rel(r))
         if unknown:
-            if block:
-                self.blocked.append((rule_id, unknown))
-            return False, []
-        return True, used
+            self.blocked.append((rule_id, unknown))
+            return None
+        return tuple(("closure", r) for r in rels)
 
     # -- the pipeline -----------------------------------------------------------
 
@@ -311,12 +303,8 @@ class _Engine:
         for d in self.deltas:
             self._factor_conditional(d)
         self._product_level()
-        deduped = []
-        for entry in self.blocked:
-            norm = (entry[0], tuple(entry[1]))
-            if norm not in {(e[0], tuple(e[1])) for e in deduped}:
-                deduped.append(entry)
-        self.blocked = deduped
+        self.blocked = [(rid, list(ps)) for rid, ps in
+                        dict.fromkeys((rid, tuple(ps)) for rid, ps in self.blocked)]
         ro_fact = self._pick_conclusion()
         resolutions = {}
         for e in (CONTINUUM, DIST_H, pow2_of(self.w1)):
@@ -337,7 +325,7 @@ class _Engine:
     def _case_step(self, d: OrdinalTerm, rule: str) -> Step:
         rep = self.reports[d]
         return Step(rule, (("delta", pretty(d)), ("kappa", pretty(rep.kappa))),
-                    (f"case({pretty(d)}) = {rep.label}",))
+                    (("case", d, rep.label),))
 
     def _factor_core(self, d: OrdinalTerm) -> None:
         rep = self.reports[d]
@@ -357,8 +345,7 @@ class _Engine:
                           (F, iteration(cp(ALEPH0), "w-distributive")),
                           (self._case_step(d, tag),))
             self.emit("Collapses", (F, CONTINUUM, DIST_H),
-                      (Step("F2.6b", (("poset", render_poset(F)),),
-                            (f"fact: {fact_text(ce_fact)}",)),))
+                      (Step("F2.6b", (("poset", render_poset(F)),), (("fact", ce_fact),)),))
             # identification for a singular atom of countable cofinality
             a = _delta_atom(d)
             if (a is not None and a.singular and a.declared_cofinality is None
@@ -368,8 +355,8 @@ class _Engine:
                                   (self._case_step(d, "sq-cp-ident"),))
                 self.emit("Collapses", (F, exp_of(ae, ALEPH0), self.w1),
                           (Step("F2.6c", (("kappa", a.name),),
-                                (f"fact: {fact_text(ident)}",
-                                 f"closure: {render_rel(('eq', pow2_of(ae), pow2_of(ae)))}")),))
+                                (("fact", ident),
+                                 ("closure", ("eq", pow2_of(ae), pow2_of(ae))))),))
             return
         kappa_e = _term_card(rep.kappa)
         if label == "C":
@@ -377,13 +364,13 @@ class _Engine:
             ce_fact = self.emit("CompletelyEmbeds", (cp(lam_e), F),
                                 (self._case_step(d, "T4.7C"),))
             self.emit("Collapses", (F, self.w2, ALEPH0),
-                      (Step("T4.7C", (), (f"fact: {fact_text(ce_fact)}",)),))
+                      (Step("T4.7C", (), (("fact", ce_fact),)),))
             return
         tag = f"T4.7{label}"
         ce_fact = self.emit("CompletelyEmbeds", (cp(kappa_e), F),
                             (self._case_step(d, tag),))
         self.emit("Collapses", (F, self.w2, ALEPH0),
-                  (Step(tag, (), (f"fact: {fact_text(ce_fact)}",)),))
+                  (Step(tag, (), (("fact", ce_fact),)),))
         a = _delta_atom(d)
         if a is not None:
             self.emit("ForcingEquivalent", (F, cp(atom_expr(a))),
@@ -400,10 +387,10 @@ class _Engine:
         a = _delta_atom(d)
 
         if self._countable(d):
-            ok, used = self.check("T1.1b", [("eq", DIST_H, self.w1)])
-            if ok:
+            used = self.check("T1.1b", [("eq", DIST_H, self.w1)])
+            if used is not None:
                 self.emit("RoIso", (F, cp(ALEPH0)),
-                          (Step("T1.1b", (("delta", pretty(d)),), tuple(used)),))
+                          (Step("T1.1b", (("delta", pretty(d)),), used),))
 
         self._rule_t410(d, F, label)
 
@@ -430,26 +417,25 @@ class _Engine:
             return
         prem = [("lt", DIST_H, CONTINUUM), ("eq", CONTINUUM, self.w2),
                 ("eq", pow2_of(self.w1), CONTINUUM)]
-        ok, used = self.check("T4.10", prem)
-        if not ok:
+        used = self.check("T4.10", prem)
+        if used is None:
             return
         header = self.emit("RoIso", (cp(ALEPH0), col(self.w1, CONTINUUM)),
-                           (Step("T4.10", (), tuple(used)),))
+                           (Step("T4.10", (), used),))
         inst = (("delta", pretty(d)), ("case", label))
         if self._countable(d):
             sub = self.has_fact("RoIso", (F, cp(ALEPH0)))
             if sub is not None:
                 self.emit("RoIso", (F, col(self.w1, CONTINUUM)),
-                          (Step("roiso-trans", inst,
-                                (f"fact: {fact_text(sub)}", f"fact: {fact_text(header)}")),
-                           Step("T4.10", inst, tuple(used))))
+                          (Step("roiso-trans", inst, (("fact", sub), ("fact", header))),
+                           Step("T4.10", inst, used)))
             return
         if label in ("A", "B"):
             self.emit("RoIso", (F, col(self.w1, CONTINUUM)),
-                      (Step("T4.10", inst, tuple(used) + (f"case({pretty(d)}) = {label}",)),))
+                      (Step("T4.10", inst, used + (("case", d, label),)),))
         elif label in ("D", "E"):
             self.emit("RoIso", (F, col(ALEPH0, CONTINUUM)),
-                      (Step("T4.10", inst, tuple(used) + (f"case({pretty(d)}) = {label}",)),))
+                      (Step("T4.10", inst, used + (("case", d, label),)),))
 
     def _rule_t52(self, d, F, kappa_e, ce) -> None:
         eq1 = ("eq", pow2_of(kappa_e), pow2_of(ce))
@@ -469,11 +455,10 @@ class _Engine:
         if unknown:
             self.blocked.append(("T5.2", unknown))
             return
-        used = [f"closure: {render_rel(eq1)}",
-                f"closure: {render_rel(d2a if s2a == 'yes' else d2b)}"]
         self.emit("RoIso", (F, col(ALEPH0, pow2_of(ce))),
                   (Step("T5.2", (("delta", pretty(d)),),
-                        (f"case({pretty(d)}) = {self.reports[d].label}",) + tuple(used)),))
+                        (("case", d, self.reports[d].label), ("closure", eq1),
+                         ("closure", d2a if s2a == "yes" else d2b))),))
 
     def _rule_t54(self, d, F, a) -> None:
         if a.declared_cofinality is None:
@@ -482,23 +467,20 @@ class _Engine:
         cfe = atom_expr(a.declared_cofinality)
         prem = [("lt", pow2_of(cfe), ae), ("lt", cfe, pow2_of(cfe)),
                 ("lt", ALEPH0, cfe), ("eq", pow2_of(ae), succ_of(ae, self.registry))]
-        ok, used = self.check("T5.4", prem)
-        if not ok:
+        used = self.check("T5.4", prem)
+        if used is None:
             return
         ident = self.has_fact("ForcingEquivalent", (F, cp(ae)))
         emb = self.emit("CompletelyEmbeds",
-                        (col(ALEPH0, succ_of(ae, self.registry)),
-                         PosetExpr("ro", args=(cp(ae),))),
-                        (Step("F2.6d", (("kappa", a.name),), tuple(used)),))
+                        (col(ALEPH0, succ_of(ae, self.registry)), ro(cp(ae))),
+                        (Step("F2.6d", (("kappa", a.name),), used),))
         coll = self.emit("Collapses", (F, pow2_of(ae), ALEPH0),
                          (Step("F2.6d", (("kappa", a.name),),
-                               (f"fact: {fact_text(emb)}",) +
-                               ((f"fact: {fact_text(ident)}",) if ident else ()) +
-                               tuple(used)),))
+                               (("fact", emb),) + ((("fact", ident),) if ident else ()) +
+                               used),))
         self.emit("RoIso", (F, col(ALEPH0, pow2_of(ae))),
-                  (Step("T5.4", (("kappa", a.name),),
-                        (f"fact: {fact_text(coll)}",) + tuple(used)),
-                   Step("F5.1", (("lambda", "w"),), (f"fact: {fact_text(coll)}",))))
+                  (Step("T5.4", (("kappa", a.name),), (("fact", coll),) + used),
+                   Step("F5.1", (("lambda", "w"),), (("fact", coll),))))
 
     def _rule_ex53(self, d, F, a) -> None:
         ae = atom_expr(a)
@@ -506,15 +488,15 @@ class _Engine:
         target = succ_of(pow2_of(ae), self.registry)
         s_eq = self.entail("eq", ccx, target)
         if s_eq == "yes":
-            used = (f"closure: {render_rel(('eq', ccx, target))}",)
             self.emit("RoIso", (F, col(ALEPH0, pow2_of(ae))),
-                      (Step("Ex5.3", (("kappa", a.name),), used),))
+                      (Step("Ex5.3", (("kappa", a.name),),
+                            (("closure", ("eq", ccx, target)),)),))
             return
         s_lt = self.entail("le", ccx, pow2_of(ae))
         if s_lt == "yes":
-            used = (f"closure: {render_rel(('le', ccx, pow2_of(ae)))}",)
             self.emit("RoNotIso", (F, col(ALEPH0, pow2_of(ae))),
-                      (Step("Ex5.3", (("kappa", a.name),), used),))
+                      (Step("Ex5.3", (("kappa", a.name),),
+                            (("closure", ("le", ccx, pow2_of(ae))),)),))
             return
         if s_eq == "unknown":
             self.blocked.append(("Ex5.3", [render_rel(("eq", ccx, target))]))
@@ -527,24 +509,24 @@ class _Engine:
         if ce is not None:
             candidates.append(pow2_of(ce))
         emb = self.has_fact("CompletelyEmbeds", (cp(rho), F))
-        seen = set()
+        seen = {ALEPH0}
         for x in candidates:
-            rx = self._res(x)
-            if rx in seen or rx == "w":
+            rx = self.fb.resolve(x)
+            if rx in seen:
                 continue
             seen.add(rx)
             if self.entail("lt", x, ccx) == "yes":
                 self.emit("Collapses", (F, x, ALEPH0),
                           (Step("F2.6e", (("kappa", render_expr(rho)),),
-                                ((f"fact: {fact_text(emb)}",) if emb else ()) +
-                                (f"closure: {render_rel(('lt', x, ccx))}",)),))
+                                ((("fact", emb),) if emb else ()) +
+                                (("closure", ("lt", x, ccx)),)),))
         # chain-condition preservation needs the poset to *be* CP(kappa)
         if a is not None and self.has_fact("ForcingEquivalent", (F, cp(atom_expr(a)))):
             res = self.fb.resolve(ccx)
             if res != ccx and res.kind in ("atom", "succ"):
                 self.emit("Preserves", (F, f">= {render_expr(res)}"),
                           (Step("Ex5.3", (("cc", render_expr(res)),),
-                                (f"closure: {render_rel(('eq', ccx, res))}",)),))
+                                (("closure", ("eq", ccx, res)),)),))
 
     def _rule_f51(self, d, F, ce) -> None:
         target = pow2_of(ce)
@@ -558,8 +540,7 @@ class _Engine:
             if self.entail("eq", frm, target) == "yes":
                 self.emit("RoIso", (F, col(ALEPH0, target)),
                           (Step("F5.1", (("lambda", "w"), ("size", render_expr(target))),
-                                (f"fact: {fact_text(fact)}",
-                                 f"closure: {render_rel(('eq', frm, target))}")),))
+                                (("fact", fact), ("closure", ("eq", frm, target)))),))
                 return
         # lambda = w_1 route: sigma-closed plus a collapse of 2^|delta| to w_1
         if compare(d, from_atom(self.registry.builtin(1))) < 0:
@@ -584,9 +565,8 @@ class _Engine:
                 continue
             self.emit("RoIso", (F, col(self.w1, target)),
                       (Step("F5.1", (("lambda", "w_1"), ("size", render_expr(target))),
-                            (f"fact: {fact_text(sig)}", f"fact: {fact_text(fact)}",
-                             f"closure: {render_rel(('eq', frm, target))}",
-                             f"closure: {render_rel(('eq', to, self.w1))}")),))
+                            (("fact", sig), ("fact", fact), ("closure", ("eq", frm, target)),
+                             ("closure", ("eq", to, self.w1)))),))
             return
 
     def _rule_t56(self, d, F) -> None:
@@ -631,28 +611,25 @@ class _Engine:
         fe = self.emit("ForcingEquivalent", (F, refined),
                        (Step("F5.5a", (("delta", pretty(d0)), ("n", str(n))), ()),))
         inner_rule = "F5.5b" if route == "collapse-to-w" else "F5.5c"
-        sub_tag = f"subfact(w^({pretty(d0)}))"
         self.emit("RoIso", (F, col(self.w1, target)),
-                  (Step("F5.5a", (("delta", pretty(d0)), ("n", str(n))),
-                        (f"fact: {fact_text(fe)}",)),
+                  (Step("F5.5a", (("delta", pretty(d0)), ("n", str(n))), (("fact", fe),)),
                    Step(inner_rule, (("kappa", render_expr(target)),),
-                        (f"{sub_tag}: {fact_text(witness)}",)),
+                        (("subfact", d0, witness),)),
                    Step("T5.6", (("route", route),),
-                        (f"{sub_tag}: {fact_text(witness)}",) +
-                        ((f"{sub_tag}: {fact_text(sub_sigma)}",) if sub_sigma and
+                        (("subfact", d0, witness),) +
+                        ((("subfact", d0, sub_sigma),) if sub_sigma and
                          route == "sigma-closed-collapse-to-w1" else ()))))
 
     def _rule_t58(self, d, F, a) -> None:
         ae = atom_expr(a)
         prem = [("eq", exp_of(ae, ALEPH0), pow2_of(ae))]
-        ok, used = self.check("T5.8", prem)
-        if not ok:
+        used = self.check("T5.8", prem)
+        if used is None:
             return
         coll = self.has_fact("Collapses", (F, exp_of(ae, ALEPH0), self.w1))
         self.emit("RoIso", (F, col(self.w1, pow2_of(ae))),
-                  (Step("F2.6c", (("mu", a.name),),
-                        ((f"fact: {fact_text(coll)}",) if coll else ())),
-                   Step("T5.8", (("mu", a.name),), tuple(used))))
+                  (Step("F2.6c", (("mu", a.name),), (("fact", coll),) if coll else ()),
+                   Step("T5.8", (("mu", a.name),), used)))
 
     # -- product level ----------------------------------------------------------
 
@@ -665,7 +642,7 @@ class _Engine:
         if all(lbl in ("A", "B") for lbl in labels.values()):
             for d in self.deltas:
                 factor_facts.append(self.has_fact("SigmaClosed", (self._factor_poset(d),)))
-            prem = tuple(f"fact: {fact_text(f)}" for f in factor_facts if f)
+            prem = tuple(("fact", f) for f in factor_facts if f)
             self.emit("SigmaClosed", (self.whole,),
                       (Step("T4.9a", (("k", str(k)),), prem),))
             self.emit("CompletelyEmbeds", (product([(cp(ALEPH0), k)]), self.whole),
@@ -692,7 +669,7 @@ class _Engine:
                          and _term_card(self.reports[d].lam) == rho)))))
             self.emit("CompletelyEmbeds", (cp(rho), self.whole),
                       (Step("T4.9b", (("lambda", render_expr(rho)),),
-                            (f"fact: {fact_text(emb)}",) if emb else ()),))
+                            (("fact", emb),) if emb else ()),))
         self.emit("Collapses", (self.whole, self.w2, ALEPH0),
                   (Step("T4.9b", (), ()),))
         if cae is None:
@@ -704,18 +681,16 @@ class _Engine:
             if s == "yes":
                 self.emit("RoIso", (self.whole, col(ALEPH0, pow2_of(cae))),
                           (Step("T4.9b", (("lambda", render_expr(rho)),),
-                                (f"closure: {render_rel(('eq', ccx, target))}",)),))
+                                (("closure", ("eq", ccx, target)),)),))
                 return
             if s == "unknown":
                 self.blocked.append(("T4.9b", [render_rel(("eq", ccx, target))]))
 
     def _pick_conclusion(self) -> ForcingFact | None:
-        whole_key = self._res(self.whole)
+        whole = resolve_poset(self.whole, self.fb)
         best = None
-        for fact in self.facts.values():
-            if fact.kind != "RoIso":
-                continue
-            if self._res(fact.operands[0]) != whole_key:
+        for (kind, operands), fact in self.facts.items():
+            if kind != "RoIso" or operands[0] != whole:
                 continue
             rhs = fact.operands[1]
             if isinstance(rhs, PosetExpr) and rhs.kind == "col":

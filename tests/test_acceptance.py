@@ -14,9 +14,9 @@ from copyposet.terms import OMEGA, add, cnf_base, compare, mul, nat, power
 from copyposet.rules import analyze
 from copyposet.finsets import (
     contains_copy, embed_subset, fp_bool, full_set, fuse_chain, level_set, make,
-    random_infinite_rank1, random_set, reduction, subset_mod_ideal,
+    reduction, subset_mod_ideal,
 )
-from conftest import make_atoms, random_term
+from conftest import make_atoms, random_infinite_rank1, random_set, random_term
 from golden_scenarios import GOLDEN_DIR, SCENARIOS, run_scenario, snapshot
 
 

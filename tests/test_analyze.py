@@ -1,13 +1,26 @@
-import re
-
 import pytest
 
+from copyposet import rules
 from copyposet.atoms import AtomRegistry
 from copyposet.parser import parse_term
 from copyposet.classify import classify_exponent
-from copyposet.cardinals import entails, parse_hypotheses, parse_hypothesis_line
-from copyposet.forcing import fact_text, render_poset
-from copyposet.rules import _Engine, analyze
+from copyposet.cardinals import entails, parse_hypotheses, rel
+from copyposet.forcing import fact_text, premise_text, render_poset
+from copyposet.rules import _Engine, analyze, rule_table
+from copyposet.terms import OMEGA, power
+from golden_scenarios import SCENARIOS as GOLDEN, scenario_inputs
+
+# inputs beyond the golden battery that the replay and the catalog coverage run
+# over: (alpha, hypothesis lines, card declarations first)
+SCENARIOS = [
+    ("w^(w_1)", "cc(CP(w_1)) = w_3\nw_3 < 2^w_1"),
+    ("w^(w_1)", "CH"),
+    ("w^(w_1*w + w_1)", "h < c\nc = w_2\n2^w_1 = w_2"),
+    ("w^(mu+1)", "card mu rank 50 singular cf w\n2^mu = succ(mu)"),
+    ("w^(w_2*w_1 + w_2)", ""),  # case C
+    ("w^(w_1*w + w_1)*2 + w^(w_1+1)", ""),  # a product of case A and B factors
+    ("w^(w_1)*2 + w^(w+1)", "cc(CP(w_1)) = succ(2^w_1)"),
+]
 
 
 def _run(alpha_text, hyp_text=""):
@@ -69,54 +82,82 @@ def test_monotone_in_hypotheses():
     alpha2 = parse_term(alpha_text, registry2)
     engine2 = _Engine(alpha2, hyps2, registry2)
     a2 = engine2.run()
-    keys2 = {(f.kind, tuple(engine2._res(o) for o in f.operands)) for f in a2.facts}
+    keys2 = {engine2.fact_key(f.kind, f.operands) for f in a2.facts}
     for f in a1.facts:
-        key = (f.kind, tuple(engine2._res(o) for o in f.operands))
-        assert key in keys2, f"lost fact {fact_text(f)}"
+        assert engine2.fact_key(f.kind, f.operands) in keys2, f"lost fact {fact_text(f)}"
+
+
+def _replay_inputs():
+    """(alpha, hypotheses, registry) of every golden scenario and of SCENARIOS."""
+    for name, *_rest in GOLDEN:
+        yield scenario_inputs(name)
+    for alpha_text, hyp_text in SCENARIOS:
+        registry = AtomRegistry()
+        hyps = parse_hypotheses(hyp_text, registry)
+        yield parse_term(alpha_text, registry), hyps, registry
+
+
+def _fact_id(f):
+    return f.kind, f.operands, f.resolved
+
+
+def _replay(alpha, hyps, registry) -> None:
+    report = analyze(alpha, hyps, registry)
+    facts = {_fact_id(f) for f in report.facts}
+    sub_facts: dict = {}
+    for fact in report.facts:
+        assert fact.trace, f"untraced fact {fact_text(fact)}"
+        for step in fact.trace:
+            for premise in step.premises:
+                text = premise_text(premise)
+                if premise[0] == "closure":
+                    assert entails(hyps, rel(*premise[1]), registry) == "yes", text
+                elif premise[0] == "case":
+                    assert classify_exponent(premise[1]).label == premise[2], text
+                elif premise[0] == "subfact":
+                    delta0 = premise[1]
+                    if delta0 not in sub_facts:
+                        sub = analyze(power(OMEGA, delta0), hyps, registry)
+                        sub_facts[delta0] = {_fact_id(f) for f in sub.facts}
+                    assert _fact_id(premise[2]) in sub_facts[delta0], text
+                else:
+                    assert premise[0] == "fact" and _fact_id(premise[1]) in facts, text
 
 
 def test_trace_replay():
-    scenarios = [
-        ("w^(w_1)", "cc(CP(w_1)) = w_3\nw_3 < 2^w_1", ""),
-        ("w^(w_1)", "CH", ""),
-        ("w^(w_1*w + w_1)", "h < c\nc = w_2\n2^w_1 = w_2", ""),
-        ("w^(mu+1)", "2^mu = succ(mu)", "card mu rank 50 singular cf w\n"),
-    ]
-    case_re = re.compile(r"^case\((.*)\) = ([A-E])$")
-    sub_re = re.compile(r"^subfact\(w\^\((.*)\)\): (.*)$")
-    for alpha_text, hyp_text, decls in scenarios:
-        registry = AtomRegistry()
-        hyps = parse_hypotheses(decls + hyp_text, registry)
-        alpha = parse_term(alpha_text, registry)
-        report = analyze(alpha, hyps, registry)
-        texts = {fact_text(f) for f in report.facts}
-        sub_reports: dict[str, set] = {}
-        for fact in report.facts:
-            assert fact.trace, f"untraced fact {fact_text(fact)}"
-            for step in fact.trace:
-                for premise in step.premises:
-                    if premise.startswith("closure: "):
-                        rel = parse_hypothesis_line(premise[len("closure: "):],
-                                                    registry)
-                        assert entails(hyps, rel, registry) == "yes", premise
-                    elif premise.startswith("case("):
-                        m = case_re.match(premise)
-                        assert m, premise
-                        delta = parse_term(m.group(1), registry)
-                        assert classify_exponent(delta).label == m.group(2)
-                    elif premise.startswith("subfact("):
-                        m = sub_re.match(premise)
-                        assert m, premise
-                        if m.group(1) not in sub_reports:
-                            from copyposet.terms import power, OMEGA
-                            sub_alpha = power(OMEGA, parse_term(m.group(1), registry))
-                            sub = analyze(sub_alpha, hyps, registry)
-                            sub_reports[m.group(1)] = {fact_text(f) for f in sub.facts}
-                        assert m.group(2) in sub_reports[m.group(1)], premise
-                    elif premise.startswith("fact: "):
-                        assert premise[len("fact: "):] in texts, premise
-                    else:
-                        pytest.fail(f"unknown premise form {premise!r}")
+    """Every premise of every step holds: closure relations are entailed by the
+    hypotheses, case labels are the classifier's, and facts are in the report (or,
+    for a subfact, in a fresh analysis of w^delta0)."""
+    for alpha, hyps, registry in _replay_inputs():
+        _replay(alpha, hyps, registry)
+
+
+# catalog results no step names: the factorization (T3.2) and general embedding and
+# collapse theorems whose instances the engine states through T4.7 and T4.9
+DOCUMENTATION_ONLY = {"T3.2", "T4.6", "T4.8", "F2.5"}
+# catalog results the closure applies, named in relation provenance, not in steps
+CLOSURE_RULES = {"F2.4", "F2.6a"}
+
+
+def test_catalog_coverage(monkeypatch):
+    """Every step names a catalog rule, and every catalog rule is named by some step
+    over the replay inputs, is a closure rule that some closure applies, or is
+    documentation only."""
+    closures = []
+    real = rules.closure
+
+    def recording(*args, **kwargs):
+        closures.append(real(*args, **kwargs))
+        return closures[-1]
+
+    monkeypatch.setattr(rules, "closure", recording)
+    fired = {step.rule for alpha, hyps, registry in _replay_inputs()
+             for f in analyze(alpha, hyps, registry).facts for step in f.trace}
+    applied = {rule for fb in closures for rule, _premises in fb.rels.values()}
+    ids = {r.id for r in rule_table()}
+    assert fired <= ids
+    assert CLOSURE_RULES <= applied
+    assert ids - fired == CLOSURE_RULES | DOCUMENTATION_ONLY
 
 
 def test_blocked_rules_reported_not_assumed():

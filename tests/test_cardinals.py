@@ -387,3 +387,27 @@ def test_contradiction_chain_shape(monkeypatch, alpha_text, text):
         other = "lt" if last[0] == "eq" else "eq"
         assert {(other, last[1], last[2]), (other, last[2], last[1])} & earlier
 
+
+
+# the per-node rules that read no stored relation
+STATIC_NODE_RULES = {"cantor", "koenig", "weakpow-above", "weakpow-below", "succ-above",
+                     "atom-order", "cf-below", "F2.6a", "exp-base", "exp-above-pow2"}
+
+
+@pytest.mark.parametrize("name", ["saturate_8", "t58_mu_d", "ex53_negative"])
+def test_static_node_rules_fire_once(monkeypatch, name):
+    """A node rule that reads no stored relation concludes the same in every round,
+    so no closure may try one of its relations twice."""
+    tried = []
+    real = cardinals._node_rules
+
+    def recording(fb, emit, *rest):
+        def recording_emit(op, lhs, rhs, rule, *prem):
+            if rule in STATIC_NODE_RULES and lhs in fb.universe and rhs in fb.universe:
+                tried.append((fb, op, lhs, rhs, rule))
+            emit(op, lhs, rhs, rule, *prem)
+        real(fb, recording_emit, *rest)
+
+    monkeypatch.setattr(cardinals, "_node_rules", recording)
+    rules.analyze(*_problem(name))
+    assert tried and len(tried) == len(set(tried))

@@ -4,7 +4,10 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import copyposet
+from copyposet.atoms import AtomError, AtomRegistry
 from copyposet.cli import main
 from golden_scenarios import SCENARIOS
 from test_cardinals import CONTRADICTIONS
@@ -231,6 +234,25 @@ def test_batch_survives_bad_line(tmp_path, capsys):
     code, out, _ = run(capsys, "--batch", str(f))
     assert code == 2
     assert out.splitlines() == ["less"]
+
+
+def test_batch_survives_unbalanced_quote(tmp_path, capsys):
+    f = tmp_path / "batch.txt"
+    f.write_text('norm "w+1\nnorm w\n')
+    code, out, err = run(capsys, "--batch", str(f))
+    assert code == 2
+    assert out.splitlines() == ["w"]
+    assert err.startswith("error: line 1: ") and "Traceback" not in err
+
+
+def test_reserved_atom_names_exit_2(capsys):
+    """c and h read as the continuum and h in every expression, like w as omega."""
+    for name in ("w", "c", "h"):
+        with pytest.raises(AtomError, match="cannot be redeclared"):
+            AtomRegistry().declare(name, 50)
+        for argv in (["--card", f"{name} rank 50"], ["--assume", f"card {name} rank 50"]):
+            code, out, err = run(capsys, "analyze", f"w^{name}", *argv)
+            assert code == 2 and not out and "cannot be redeclared" in err
 
 
 def test_no_command_usage(capsys):

@@ -3,12 +3,12 @@ import random
 import pytest
 
 from copyposet.finsets import (
-    FinPresError, contains_copy, criterion_report, embed_subset,
-    embed_subset_or_empty, empty_set, fp_bool, from_indices, from_obj,
-    full_set, fuse_chain, level_set, make, next_index, order_type,
-    random_set, reduction, subset_mod_ideal, to_obj,
+    FinPresError, contains_copy, criterion_report, embed_subset, empty_set, fp_bool,
+    from_indices, from_obj, full_set, fuse_chain, level_set, make, next_index,
+    order_type, reduction, subset_mod_ideal, to_obj,
 )
 from copyposet.terms import OMEGA, nat, power
+from conftest import embed_subset_or_empty, random_set
 
 W2 = power(OMEGA, nat(2))
 W3 = power(OMEGA, nat(3))
