@@ -11,7 +11,7 @@ from .classify import CaseReport, SequenceSchema, classify_exponent, \
     fundamental_description, instantiate
 from .cardinals import (
     CardinalExpr, Hypothesis, FactBase, HypothesisError, ContradictionError,
-    closure, entails, gch_exp, cohen_transfer, parse_hypotheses,
+    closure, entails, cohen_transfer, parse_hypotheses,
     parse_hypothesis_line, parse_cardinal_expr,
 )
 from .forcing import PosetExpr, ForcingFact, factorize, rp_refine

@@ -488,24 +488,6 @@ def _gch_ground(theta: CardinalExpr, mu: CardinalExpr,
     return succ_of(mu, registry)
 
 
-def gch_exp(theta: CardinalExpr, mu: CardinalExpr, registry: AtomRegistry,
-            facts: "FactBase | None" = None) -> CardinalExpr | None:
-    """GCH exponentiation theta^mu; None marks an unresolvable ordering."""
-    rigid = _gch_ground(theta, mu, registry)
-    if rigid is not None:
-        return rigid
-    if facts is None:
-        return None
-    cth = cf_of(theta)
-    if facts.entails_rel("lt", mu, cth) == "yes":
-        return theta
-    if facts.entails_rel("le", cth, mu) == "yes" and facts.entails_rel("le", mu, theta) == "yes":
-        return succ_of(theta, registry)
-    if facts.entails_rel("le", theta, mu) == "yes":
-        return succ_of(mu, registry)
-    return None
-
-
 @dataclass(frozen=True)
 class CohenTransfer:
     value: CardinalExpr
@@ -542,7 +524,9 @@ def closure(hyps: Iterable[Hypothesis], registry: AtomRegistry,
     hyps = tuple(hyps)
     fb = FactBase(registry, hyps)
 
-    # universe: subexpressions, standard constants, registered atoms
+    # universe: subexpressions, standard constants, declared atoms; a builtin the
+    # registry holds enters only through an expression, so the closure is a function
+    # of the hypotheses, the expressions and the declarations alone
     uni: set[CardinalExpr] = {ALEPH0, CONTINUUM, DIST_H, atom_expr(registry.builtin(1))}
     for h in hyps:
         if h.kind == "rel":
@@ -556,8 +540,7 @@ def closure(hyps: Iterable[Hypothesis], registry: AtomRegistry,
             uni.add(atom_expr(h.kappa))
     for e in extra_exprs:
         uni.update(subexprs(e))
-    for a in registry.atoms():
-        uni.add(atom_expr(a))
+    uni.update(atom_expr(a) for a in registry.atoms() if a.builtin_index is None)
 
     gch = any(h.kind == "GCH" for h in hyps)
     if gch:

@@ -156,24 +156,6 @@ class AnalysisReport:
         return obj
 
 
-def _term_card(t: OrdinalTerm) -> CardinalExpr | None:
-    """The cardinal expression of a cofinality-like term (omega or an atom)."""
-    if t == OMEGA:
-        return ALEPH0
-    if t.tail == 0 and len(t.summands) == 1 and t.summands[0][1] == 1:
-        e = t.summands[0][0]
-        if not isinstance(e, OrdinalTerm):
-            return atom_expr(e)
-    return None
-
-
-def _card_expr(t: OrdinalTerm) -> CardinalExpr | None:
-    cv = cardinality(t)
-    if cv.kind == "finite":
-        return None
-    return ALEPH0 if cv.kind == "aleph0" else atom_expr(cv.atom)
-
-
 def _delta_atom(delta: OrdinalTerm):
     """The atom a when delta is the ordinal of a cardinal atom, else None."""
     if delta.tail == 0 and len(delta.summands) == 1 and delta.summands[0][1] == 1:
@@ -181,6 +163,21 @@ def _delta_atom(delta: OrdinalTerm):
         if not isinstance(e, OrdinalTerm):
             return e
     return None
+
+
+def _term_card(t: OrdinalTerm) -> CardinalExpr | None:
+    """The cardinal expression of a cofinality-like term (omega or an atom)."""
+    if t == OMEGA:
+        return ALEPH0
+    a = _delta_atom(t)
+    return None if a is None else atom_expr(a)
+
+
+def _card_expr(t: OrdinalTerm) -> CardinalExpr | None:
+    cv = cardinality(t)
+    if cv.kind == "finite":
+        return None
+    return ALEPH0 if cv.kind == "aleph0" else atom_expr(cv.atom)
 
 
 def resolve_poset(p: PosetExpr, fb: FactBase) -> PosetExpr:
@@ -198,7 +195,8 @@ def resolve_poset(p: PosetExpr, fb: FactBase) -> PosetExpr:
 
 
 class _Engine:
-    def __init__(self, alpha: OrdinalTerm, hyps, registry: AtomRegistry):
+    def __init__(self, alpha: OrdinalTerm, hyps, registry: AtomRegistry,
+                 fb: FactBase | None = None):
         if compare(alpha, OMEGA) < 0:
             raise OrdinalError("analysis requires alpha >= w")
         self.registry = registry
@@ -217,7 +215,8 @@ class _Engine:
             self.mults[d] = self.mults.get(d, 0) + c
         self.reports: dict[OrdinalTerm, CaseReport] = {
             d: classify_exponent(d) for d in self.deltas}
-        self.fb = closure(self.hyps, registry, extra_exprs=self._candidates())
+        # the T5.6 sub-analysis passes its parent's closure, which contains its own
+        self.fb = fb or closure(self.hyps, registry, extra_exprs=self._candidates())
         self.facts: dict[tuple, ForcingFact] = {}
         self.blocked: list[tuple[str, list[str]]] = []
         self.notes: list[str] = []
@@ -503,8 +502,9 @@ class _Engine:
 
     def _rule_f26e(self, d, F, rho, a, ce) -> None:
         ccx = cc_cp_of(rho)
-        candidates: list[CardinalExpr] = [
-            atom_expr(x) for x in self.registry.atoms()]
+        # the universe's atoms in skey order: an atom outside it entails no relation
+        fb = self.fb
+        candidates = [x for x in fb.nodes[:len(fb.universe)] if x.kind == "atom"]
         candidates += [CONTINUUM, pow2_of(rho)]
         if ce is not None:
             candidates.append(pow2_of(ce))
@@ -543,7 +543,7 @@ class _Engine:
                                 (("fact", fact), ("closure", ("eq", frm, target)))),))
                 return
         # lambda = w_1 route: sigma-closed plus a collapse of 2^|delta| to w_1
-        if compare(d, from_atom(self.registry.builtin(1))) < 0:
+        if self._countable(d):
             return
         sig = self.has_fact("SigmaClosed", (F,))
         if sig is None:
@@ -574,7 +574,7 @@ class _Engine:
         d0 = OrdinalTerm(d.summands, 0)
         if n < 1 or d0.is_zero() or not d0.is_limit():
             return
-        if compare(d0, from_atom(self.registry.builtin(1))) < 0:
+        if self._countable(d0):
             return
         ce0 = _card_expr(d0)
         if ce0 is None:
@@ -582,8 +582,10 @@ class _Engine:
         target = pow2_of(ce0)
         sub = self._sub_cache.get(d0)
         if sub is None:
-            sub = analyze(omega_power(canon_exp(d0)), self.hyps, self.registry)
-            self._sub_cache[d0] = sub
+            # the parent's candidates include d0's, so its closure contains the one
+            # of w^d0 under the same hypotheses: the sub-analysis runs on it
+            sub = self._sub_cache[d0] = _Engine(
+                omega_power(canon_exp(d0)), self.hyps, self.registry, self.fb).run()
         subF = self._factor_poset(d0)
         route = None
         witness = None

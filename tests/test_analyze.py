@@ -9,6 +9,7 @@ from copyposet.forcing import fact_text, premise_text, render_poset
 from copyposet.rules import _Engine, analyze, rule_table
 from copyposet.terms import OMEGA, power
 from golden_scenarios import SCENARIOS as GOLDEN, scenario_inputs
+from test_cardinals import T56_PRODUCT
 
 # inputs beyond the golden battery that the replay and the catalog coverage run
 # over: (alpha, hypothesis lines, card declarations first)
@@ -20,6 +21,7 @@ SCENARIOS = [
     ("w^(w_2*w_1 + w_2)", ""),  # case C
     ("w^(w_1*w + w_1)*2 + w^(w_1+1)", ""),  # a product of case A and B factors
     ("w^(w_1)*2 + w^(w+1)", "cc(CP(w_1)) = succ(2^w_1)"),
+    T56_PRODUCT,  # T5.6 over a closure larger than its sub-problem's own
 ]
 
 

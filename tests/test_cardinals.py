@@ -7,12 +7,12 @@ from copyposet import cardinals, rules
 from copyposet.atoms import AtomRegistry
 from copyposet.cardinals import (
     ALEPH0, CONTINUUM, DIST_H, CardinalExpr, ContradictionError, Hypothesis,
-    HypothesisError, atom_expr, cc_cp_of, cf_of, closure, cohen_transfer, entails,
-    exp_of, gch_exp, parse_cardinal_expr, parse_hypotheses, parse_hypothesis_line,
+    HypothesisError, _gch_ground, atom_expr, cc_cp_of, cf_of, closure, cohen_transfer,
+    entails, exp_of, parse_cardinal_expr, parse_hypotheses, parse_hypothesis_line,
     pow2_of, pow2lt_of, rel, render_expr, render_rel, succ_of,
 )
 from copyposet.parser import parse_term
-from golden_scenarios import scenario_inputs
+from golden_scenarios import scenario_inputs, snapshot
 
 
 @pytest.fixture
@@ -194,15 +194,17 @@ class TestClosure:
 
 
 class TestGchExp:
+    """theta^mu under GCH, from declarations alone (the ground of cohen_transfer)."""
+
     def test_examples(self, reg):
         w5, w1 = reg.builtin(5), reg.builtin(1)
         mu = reg.declare("w_omega", 100, singular=True)
-        assert gch_exp(atom_expr(w5), atom_expr(w1), reg) == atom_expr(w5)
-        assert gch_exp(atom_expr(w1), atom_expr(w1), reg) == _w(reg, 2)
-        assert gch_exp(atom_expr(mu), ALEPH0, reg) == succ_of(atom_expr(mu), reg)
+        assert _gch_ground(atom_expr(w5), atom_expr(w1), reg) == atom_expr(w5)
+        assert _gch_ground(atom_expr(w1), atom_expr(w1), reg) == _w(reg, 2)
+        assert _gch_ground(atom_expr(mu), ALEPH0, reg) == succ_of(atom_expr(mu), reg)
 
     def test_unknown_marker(self, reg):
-        assert gch_exp(DIST_H, _w(reg, 2), reg) is None
+        assert _gch_ground(DIST_H, _w(reg, 2), reg) is None
 
 
 class TestCohenTransfer:
@@ -268,18 +270,29 @@ class TestT58Arithmetic:
 
 # -- the closure engine: fixpoint, work and contradiction chains ------------------
 
+# a T5.6 problem whose sub-problems, w^(w_2) and w^(w_1), need fewer nodes (21 each)
+# than it (27)
+T56_PRODUCT = ("w^(w_2+1) + w^(w_1+1)", "2^w_1 = w_2\n2^w_2 = w_3")
+
+
 def _problem(name):
-    """(alpha, hypotheses, registry) of a golden scenario or ``saturate_k``."""
-    if not name.startswith("saturate_"):
+    """(alpha, hypotheses, registry) of a golden scenario, ``saturate_k`` or
+    ``t56_product``."""
+    if name == "t56_product":
+        alpha_text, text = T56_PRODUCT
+    elif name.startswith("saturate_"):
+        k = int(name.split("_")[1])
+        alpha_text, text = "w^(w_1+1)", f"GCH\n2^w_1 = w_2\nw_{k} < 2^w_{k}"
+    else:
         return scenario_inputs(name)
-    k = int(name.split("_")[1])
     registry = AtomRegistry()
-    hyps = parse_hypotheses(f"GCH\n2^w_1 = w_2\nw_{k} < 2^w_{k}", registry)
-    return parse_term("w^(w_1+1)", registry), hyps, registry
+    hyps = parse_hypotheses(text, registry)
+    return parse_term(alpha_text, registry), hyps, registry
 
 
 def _analyze_closures(monkeypatch, name):
-    """Every FactBase that `analyze` builds for the problem, the T5.6 sub-closure included."""
+    """Every FactBase that `analyze` builds for the problem: one, which the T5.6
+    sub-analysis shares."""
     built = []
     real = rules.closure
 
@@ -298,18 +311,20 @@ def _fixpoint_digest(closures) -> str:
 
 
 # sha256 of the sorted relations of every closure `analyze` runs, in call order;
-# generated with the round-by-round naive engine the semi-naive one replaced
+# generated with the round-by-round naive engine the semi-naive one replaced. The
+# T5.6 sub-analysis builds no closure of its own (it runs on its parent's), so each
+# problem pins one closure
 FIXPOINT_DIGESTS = {
     "ex53_negative": "0d9edebfb95f35e219dc4e5ea4f228d250a76df6da4fb2c9ddbb7b337b634742",
-    "ex57_cohen": "f511b0951e07c86c457b0544d8cf01771ef70d3a2e7a7c91b3061ee693b7c986",
-    "saturate_2": "5908b80ddffac5b4ffc5382b63018c9a3297722b170adc5fb2983fbb14af6182",
-    "saturate_3": "8eb915118cfd53bab3db96f1d238e91973685067df2e050f48aadf881782ff26",
-    "saturate_4": "7645393a79454f3bdf8d670303702dd6939f739d62e0a09150b09931667ea8ad",
-    "saturate_5": "1e4a4d3711e43766987912c7ef5043db9401aadc29a0c12b8806ed3d61bf949a",
-    "saturate_6": "079102e9f5c69601f8730292f986c8c7e48d91376daae768e5d41a2f030ee413",
-    "saturate_7": "fac2af4dd3bc16e9dad3ce1fe56bd7e64bf151cdf2e49eed509e21e3131fa778",
-    "saturate_8": "a566fea50a6c2b007e4e38719e0fdd3ce75cf0e5918f3374242d287aa843c78c",
-    "t410_case_a": "7bedc9f69d55024636f804445a49a467b0a31d403d5cf9ad76f31f6d9ab49759",
+    "ex57_cohen": "18888db8a9bb52133bea4a28dc3557e4fa3ab262e31f1ba91dbb01f5dfc5b806",
+    "saturate_2": "645cdab0117ea72b1fcaa6974b686e63676f961e49111a5339d85254ee2af22b",
+    "saturate_3": "2576fec836250b9a771aff1a360e884053b5b64c151eb53493b08cb1505de0f9",
+    "saturate_4": "493e2714aeada5b00ebb18142f104235ab48f9e06dfeeac5ef138162c958fd17",
+    "saturate_5": "436d56f54ef18805be85b4153467610ea4b875dd184b1a9dbb2eac95b33f1f92",
+    "saturate_6": "c6359f7834f58839b5d03b0b4535603b94d65c6a5af8498b713633945ecfa405",
+    "saturate_7": "c81d58180a87fb121b8167da0bfad79b682dc0b55da9b7fe65d373a59715aab6",
+    "saturate_8": "598853ce0fbfec1e8bd9eafbe08b7de7388953b8c23ae1dc835144ed7b63b82b",
+    "t410_case_a": "88a3efe88fc3e5f750790d4cdc8fb29ea5fbfc486cf161394e6a6c839b7b2862",
     "t410_case_b": "464493a1b6cb6596240dd5de69f4a1fadb216219b309ca37d61c1770833ad9c0",
     "t410_case_d": "88a3efe88fc3e5f750790d4cdc8fb29ea5fbfc486cf161394e6a6c839b7b2862",
     "t410_case_e": "464493a1b6cb6596240dd5de69f4a1fadb216219b309ca37d61c1770833ad9c0",
@@ -317,8 +332,8 @@ FIXPOINT_DIGESTS = {
     "t52_ch": "a73ef3249ce20cb9f52341bd2fb6a8a79bb5b20af74cebf2d6a822db888ccc05",
     "t52_power_pinch": "7c6e4b47f6eebe32359260644c816fbdcd7aacf72ecfe6078cac171fbd169945",
     "t54_singular": "5c542cf05f5d24ca8c725bd87419960495339ba3bb2561f52db6485c13e9aee5",
-    "t56_n1": "d07ef1888a01d9a29957cc4d70b80516b7ef3533168e2a59b29f495ec52cc386",
-    "t56_n2": "d07ef1888a01d9a29957cc4d70b80516b7ef3533168e2a59b29f495ec52cc386",
+    "t56_n1": "7c6e4b47f6eebe32359260644c816fbdcd7aacf72ecfe6078cac171fbd169945",
+    "t56_n2": "7c6e4b47f6eebe32359260644c816fbdcd7aacf72ecfe6078cac171fbd169945",
     "t58_mu_a": "187b10dd6387133605426eb5ff6a62b386540a2a814dcb07e63a72daf4a024bd",
     "t58_mu_b": "3156174da5ce0f617b9d58e08d87b136992047979b289a4b0e8979f2a217b3fb",
     "t58_mu_c": "d08ff80ee0c6ae88dde0cbaa5c9c446960d6ea9540e906754c16073917c2fb0a",
@@ -332,8 +347,8 @@ def test_fixpoint_pinned(monkeypatch, name):
 
 
 def test_closure_work_bound(monkeypatch):
-    """Semi-naive rounds: each closure of the densest saturate problem makes at most
-    10 FactBase.add calls per relation it keeps (the naive rounds made ~90)."""
+    """Semi-naive rounds: the one closure of the densest saturate problem makes at
+    most 10 FactBase.add calls per relation it keeps (the naive rounds made ~90)."""
     calls = {}
     real_add = cardinals.FactBase.add
 
@@ -343,9 +358,54 @@ def test_closure_work_bound(monkeypatch):
 
     monkeypatch.setattr(cardinals.FactBase, "add", counting)
     closures = _analyze_closures(monkeypatch, "saturate_8")
-    assert len(closures) == 2
+    assert len(closures) == 1
     for fb in closures:
         assert calls[fb] <= 10 * len(fb.rels)
+
+
+@pytest.mark.parametrize("name,nodes", [("t54_singular", 26), ("saturate_8", 32)])
+def test_results_do_not_depend_on_registry_history(name, nodes):
+    """25 analyses on one registry close over the same universe and report the same:
+    a closure reads no builtin that an earlier analysis materialized."""
+    alpha, hyps, registry = _problem(name)
+    runs = []
+    for _ in range(25):
+        engine = rules._Engine(alpha, hyps, registry)
+        runs.append((len(engine.fb.universe), snapshot(engine.run())))
+    assert runs == [(nodes, runs[0][1])] * 25
+
+
+# the problems whose analysis runs a T5.6 sub-analysis
+T56_PROBLEMS = ["ex57_cohen", "t410_case_a", "t56_n1", "t56_n2", "t56_product",
+                *(f"saturate_{k}" for k in range(2, 9))]
+
+
+@pytest.mark.parametrize("name", T56_PROBLEMS)
+def test_t56_sub_analysis_shares_the_closure(monkeypatch, name):
+    """The sub-analysis of w^delta0 runs on its parent's FactBase, and loses nothing
+    by it: a fresh closure of the sub-problem lies inside the parent's, universe and
+    relations alike."""
+    engines = []
+    real_init = rules._Engine.__init__
+
+    def recording(self, *args):
+        real_init(self, *args)
+        engines.append(self)
+
+    monkeypatch.setattr(rules._Engine, "__init__", recording)
+    alpha, hyps, registry = _problem(name)
+    rules.analyze(alpha, hyps, registry)
+    parent, *subs = engines
+    sizes = []
+    for sub in subs:
+        assert sub.fb is parent.fb
+        fresh = rules._Engine(sub.alpha, hyps, registry).fb
+        assert fresh.universe <= parent.fb.universe
+        assert fresh.rels.keys() <= parent.fb.rels.keys()
+        sizes.append(len(fresh.universe))
+    assert sizes
+    if name == "t56_product":  # both sub-problems, w^(w_2) and w^(w_1)
+        assert (sizes, len(parent.fb.universe)) == ([21, 21], 27)
 
 
 # the `derive` benchmark's contradictory sets, and Cantor's theorem broken outright

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import copyposet
-from copyposet.atoms import AtomError, AtomRegistry
+from copyposet.atoms import MAX_BUILTIN_INDEX, AtomError, AtomRegistry
 from copyposet.cli import main
 from golden_scenarios import SCENARIOS
 from test_cardinals import CONTRADICTIONS
@@ -253,6 +253,23 @@ def test_reserved_atom_names_exit_2(capsys):
         for argv in (["--card", f"{name} rank 50"], ["--assume", f"card {name} rank 50"]):
             code, out, err = run(capsys, "analyze", f"w^{name}", *argv)
             assert code == 2 and not out and "cannot be redeclared" in err
+
+
+def test_builtin_index_limit(capsys):
+    """Input may name builtins up to w_200 (MAX_BUILTIN_INDEX); past it, in an
+    expression, a hypothesis or a declaration, is a usage error without a traceback."""
+    code, out, err = run(capsys, "analyze", "w^w", "--assume", f"w_{MAX_BUILTIN_INDEX} < c")
+    assert code == 0 and out and not err
+    past = f"w_{MAX_BUILTIN_INDEX + 1}"
+    for argv in (["analyze", f"w^{past}"], ["analyze", "w^w", "--assume", f"{past} < c"],
+                 ["analyze", "w^w", "--card", f"{past} rank {MAX_BUILTIN_INDEX + 1}"],
+                 ["cmp", "w", "w_" + "9" * 5000]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out and "largest builtin" in err and "Traceback" not in err
+    # user atoms carry any rank, and the engine materializes w_201 above w_200
+    code, _out, _err = run(capsys, "analyze", "w^mu", "--card", "mu rank 5000",
+                           "--assume", f"succ(w_{MAX_BUILTIN_INDEX}) < mu")
+    assert code == 0
 
 
 def test_no_command_usage(capsys):
