@@ -14,7 +14,7 @@ from .cardinals import (
     closure, entails, cohen_transfer, parse_hypotheses,
     parse_hypothesis_line, parse_cardinal_expr,
 )
-from .forcing import PosetExpr, ForcingFact, factorize, rp_refine
+from .forcing import PosetExpr, ForcingFact, fact_text, factorize, rp_refine
 from .rules import AnalysisReport, analyze, rule_table, rule_lookup
 
 __version__ = "0.1.0"

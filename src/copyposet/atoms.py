@@ -7,7 +7,8 @@ else only through their declared rank.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+
+from .values import Value, init
 
 _BUILTIN_RE = re.compile(r"^w_([1-9][0-9]*)$")
 # the largest k of a w_k name in input: w_k puts w_1..w_k and ~k^2/2 atom-order
@@ -34,14 +35,38 @@ def _written_builtin(name: str) -> int | None:
     return int(digits)
 
 
-@dataclass(frozen=True)
-class CardinalAtom:
-    name: str
-    rank: int
-    singular: bool = False
-    # for singular atoms: the regular atom of the declared cofinality, or None for omega
-    declared_cofinality: "CardinalAtom | None" = None
-    builtin_index: int | None = None
+class CardinalAtom(Value):
+    __slots__ = ("name", "rank", "singular", "declared_cofinality", "builtin_index",
+                 "_hash")
+
+    def __init__(self, name: str, rank: int, singular: bool = False,
+                 declared_cofinality: CardinalAtom | None = None,
+                 builtin_index: int | None = None) -> None:
+        init(self, "name", name)
+        init(self, "rank", rank)
+        init(self, "singular", singular)
+        # for singular atoms: the regular atom of the declared cofinality, or None for omega
+        init(self, "declared_cofinality", declared_cofinality)
+        init(self, "builtin_index", builtin_index)
+        # every CardinalExpr lookup hashes its atom: the hash is computed once
+        init(self, "_hash", hash((name, rank, singular, declared_cofinality, builtin_index)))
+
+    def _values(self) -> tuple:
+        return (self.name, self.rank, self.singular, self.declared_cofinality,
+                self.builtin_index)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self is other or (
+                self._hash == other._hash
+                and (self.name, self.rank, self.singular, self.declared_cofinality,
+                     self.builtin_index)
+                == (other.name, other.rank, other.singular, other.declared_cofinality,
+                    other.builtin_index))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def regular(self) -> bool:

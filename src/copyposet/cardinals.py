@@ -8,12 +8,12 @@ Every derived relation carries a provenance chain for auditing.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable, Optional
+from collections.abc import Iterable
 
 from .atoms import AtomRegistry, CardinalAtom
 from .parser import ParseError, TokenStream, parse_declaration, tokenize
+from .values import Value, init
 
 
 class HypothesisError(ValueError):
@@ -93,7 +93,7 @@ def succ_of(x: CardinalExpr, registry: AtomRegistry) -> CardinalExpr:
     return CardinalExpr("succ", args=(x,))
 
 
-def pred_of(x: CardinalExpr, registry: AtomRegistry) -> Optional[CardinalExpr]:
+def pred_of(x: CardinalExpr, registry: AtomRegistry) -> CardinalExpr | None:
     """The y with succ(y) = x, when x is recognizably a successor cardinal."""
     if x.kind == "succ":
         return x.args[0]
@@ -198,14 +198,21 @@ def rigid_compare(a: CardinalExpr, b: CardinalExpr) -> int | None:
 
 # -- hypotheses ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Hypothesis:
-    kind: str  # rel | GCH | CH | MA | CohenModel
-    op: str | None = None  # eq | lt | le
-    lhs: CardinalExpr | None = None
-    rhs: CardinalExpr | None = None
-    mu: CardinalExpr | None = None
-    kappa: CardinalAtom | None = None
+class Hypothesis(Value):
+    __slots__ = ("kind", "op", "lhs", "rhs", "mu", "kappa")
+
+    def __init__(self, kind: str, op: str | None = None, lhs: CardinalExpr | None = None,
+                 rhs: CardinalExpr | None = None, mu: CardinalExpr | None = None,
+                 kappa: CardinalAtom | None = None) -> None:
+        init(self, "kind", kind)  # rel | GCH | CH | MA | CohenModel
+        init(self, "op", op)  # eq | lt | le
+        init(self, "lhs", lhs)
+        init(self, "rhs", rhs)
+        init(self, "mu", mu)
+        init(self, "kappa", kappa)
+
+    def _values(self) -> tuple:
+        return (self.kind, self.op, self.lhs, self.rhs, self.mu, self.kappa)
 
     def render(self) -> str:
         if self.kind == "rel":
@@ -488,10 +495,15 @@ def _gch_ground(theta: CardinalExpr, mu: CardinalExpr,
     return succ_of(mu, registry)
 
 
-@dataclass(frozen=True)
-class CohenTransfer:
-    value: CardinalExpr
-    continuum: CardinalExpr  # the emitted extension fact: c equals this
+class CohenTransfer(Value):
+    __slots__ = ("value", "continuum")
+
+    def __init__(self, value: CardinalExpr, continuum: CardinalExpr) -> None:
+        init(self, "value", value)
+        init(self, "continuum", continuum)  # the emitted extension fact: c equals this
+
+    def _values(self) -> tuple:
+        return (self.value, self.continuum)
 
 
 def cohen_transfer(kappa: CardinalAtom, expr: CardinalExpr,

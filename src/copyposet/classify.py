@@ -14,8 +14,7 @@ before they are returned.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from .atoms import CardinalAtom
 from .terms import (
@@ -23,18 +22,30 @@ from .terms import (
     cofinality, canon_exp, exp_term, from_atom, omega_power, divmod_power, pretty,
     term_to_obj,
 )
+from .values import Value, init
 
 
-@dataclass(frozen=True)
-class SequenceSchema:
-    """Strictly increasing schema t(var) for var below range_, with sup as stated."""
-    var: str
-    range_: OrdinalTerm
-    expr: str
-    symbolic_only: bool = False
-    route: str | None = None
-    _build: Optional[Callable[[OrdinalTerm], OrdinalTerm]] = field(
-        default=None, compare=False, repr=False)
+class SequenceSchema(Value):
+    """Strictly increasing schema t(var) for var below range_, with sup as stated.
+
+    ``_build`` computes t(var); it takes no part in equality or hashing."""
+    __slots__ = ("var", "range_", "expr", "symbolic_only", "route", "_build")
+
+    def __init__(self, var: str, range_: OrdinalTerm, expr: str,
+                 symbolic_only: bool = False, route: str | None = None,
+                 _build: Callable[[OrdinalTerm], OrdinalTerm] | None = None) -> None:
+        init(self, "var", var)
+        init(self, "range_", range_)
+        init(self, "expr", expr)
+        init(self, "symbolic_only", symbolic_only)
+        init(self, "route", route)
+        init(self, "_build", _build)
+
+    def _values(self) -> tuple:
+        return (self.var, self.range_, self.expr, self.symbolic_only, self.route)
+
+    def __reduce__(self):
+        return SequenceSchema, (*self._values(), self._build)
 
     def to_obj(self) -> dict:
         obj = {"expr": self.expr, "var": self.var, "range": term_to_obj(self.range_),
@@ -53,13 +64,20 @@ def instantiate(schema: SequenceSchema, index: int | OrdinalTerm) -> OrdinalTerm
     return schema._build(it)
 
 
-@dataclass(frozen=True)
-class CaseReport:
-    label: str
-    kappa: OrdinalTerm
-    theta: OrdinalTerm | None = None
-    lam: OrdinalTerm | None = None
-    schema: SequenceSchema | None = None
+class CaseReport(Value):
+    __slots__ = ("label", "kappa", "theta", "lam", "schema")
+
+    def __init__(self, label: str, kappa: OrdinalTerm, theta: OrdinalTerm | None = None,
+                 lam: OrdinalTerm | None = None,
+                 schema: SequenceSchema | None = None) -> None:
+        init(self, "label", label)
+        init(self, "kappa", kappa)
+        init(self, "theta", theta)
+        init(self, "lam", lam)
+        init(self, "schema", schema)
+
+    def _values(self) -> tuple:
+        return (self.label, self.kappa, self.theta, self.lam, self.schema)
 
     def to_obj(self) -> dict:
         obj = {"label": self.label,

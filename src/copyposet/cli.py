@@ -2,8 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import json
-import shlex
 import sys
 
 from .atoms import AtomError, AtomRegistry
@@ -18,7 +16,9 @@ from .cardinals import (
 )
 from .forcing import factorize, poset_to_obj, render_poset, fact_text
 from .rules import SCHEMA_VERSION, analyze, rule_lookup, rule_table
-from . import finsets
+
+# json, shlex and the finite lab (finsets) are imported where they are used, so a
+# one-shot text command does not load them
 
 _USAGE_ERROR = 2
 _DOMAIN_ERROR = 1
@@ -26,6 +26,10 @@ _DOMAIN_ERROR = 1
 
 class _CliInputError(ValueError):
     """Bad command-line input (exit status 2)."""
+
+
+class _CliDomainError(ValueError):
+    """A precondition of the finite lab violated (exit status 1)."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,6 +113,8 @@ def _load_registry_and_hyps(ns) -> tuple[AtomRegistry, list[Hypothesis]]:
 
 
 def _load_set(literal: str) -> finsets.FinPresSet:
+    import json
+    from . import finsets
     text = literal
     if literal.startswith("@"):
         try:
@@ -127,6 +133,7 @@ def _load_set(literal: str) -> finsets.FinPresSet:
 
 def _emit(ns, text_lines, obj) -> None:
     if ns.format == "json":
+        import json
         obj = {"schema_version": SCHEMA_VERSION, **obj}
         print(json.dumps(obj, indent=2, sort_keys=True))
     else:
@@ -232,6 +239,15 @@ def _cp_notes(t) -> list[str]:
 
 
 def _dispatch_copies(ns) -> int:
+    from . import finsets
+    try:
+        return _run_copies(ns, finsets)
+    except finsets.FinPresError as exc:
+        raise _CliDomainError(str(exc)) from exc
+
+
+def _run_copies(ns, finsets) -> int:
+    import json
     sub = ns.subcommand
     if sub == "type":
         a = _load_set(ns.set)
@@ -267,7 +283,8 @@ def _dispatch_copies(ns) -> int:
     return 0
 
 
-def _run_one(argv) -> int:
+def _run_one(argv, batch_line: int | None = None) -> int:
+    """Run one command line; ``batch_line`` numbers a line of a batch file."""
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
@@ -275,6 +292,9 @@ def _run_one(argv) -> int:
         # argparse reports usage errors itself; keep batch runs alive
         return int(exc.code or 0)
     if ns.batch:
+        if batch_line is not None:
+            print(f"error: line {batch_line}: --batch cannot be nested", file=sys.stderr)
+            return _USAGE_ERROR
         return _run_batch(ns.batch)
     if not ns.command:
         parser.print_usage(sys.stderr)
@@ -295,12 +315,13 @@ def _run_one(argv) -> int:
     except AtomError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
-    except (OrdinalError, finsets.FinPresError) as exc:
+    except (OrdinalError, _CliDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _DOMAIN_ERROR
 
 
 def _run_batch(path: str) -> int:
+    import shlex
     try:
         lines = open(path, encoding="utf-8").read().splitlines()
     except OSError as exc:
@@ -317,7 +338,7 @@ def _run_batch(path: str) -> int:
             print(f"error: line {number}: {exc}", file=sys.stderr)
             worst = max(worst, _USAGE_ERROR)
             continue
-        worst = max(worst, _run_one(argv))
+        worst = max(worst, _run_one(argv, number))
     return worst
 
 

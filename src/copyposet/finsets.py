@@ -9,21 +9,26 @@ structural equality and every operation returns canonical values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 
 from .terms import ZERO, OMEGA, OrdinalTerm, add, mul, nat
+from .values import Value, init
 
 
 class FinPresError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FinPresSet:
-    rank: int
-    prefix: tuple  # bits (0/1) at rank 1, FinPresSet children above
-    period: tuple  # nonempty; same element type as prefix
+class FinPresSet(Value):
+    __slots__ = ("rank", "prefix", "period")
+
+    def __init__(self, rank: int, prefix: tuple, period: tuple) -> None:
+        init(self, "rank", rank)
+        init(self, "prefix", prefix)  # bits (0/1) at rank 1, FinPresSet children above
+        init(self, "period", period)  # nonempty; same element type as prefix
+
+    def _values(self) -> tuple:
+        return (self.rank, self.prefix, self.period)
 
     def block(self, i: int):
         if i < len(self.prefix):
@@ -137,10 +142,16 @@ def contains_copy(a: FinPresSet, m: int) -> bool:
     return any(sub(b) for b in a.period)
 
 
-@dataclass(frozen=True)
-class CriterionReport:
-    levels: tuple  # ((m, S_m as rank-1 FinPresSet, infinite?), ...) for m < rank
-    verdict: bool
+class CriterionReport(Value):
+    __slots__ = ("levels", "verdict")
+
+    def __init__(self, levels: tuple, verdict: bool) -> None:
+        # ((m, S_m as rank-1 FinPresSet, infinite?), ...) for m < rank
+        init(self, "levels", levels)
+        init(self, "verdict", verdict)
+
+    def _values(self) -> tuple:
+        return (self.levels, self.verdict)
 
     def to_obj(self) -> dict:
         return {"levels": [{"m": m, "indices": to_obj(s), "infinite": inf}

@@ -6,28 +6,48 @@ sq(P(w^(delta+n))) through iterated reduced powers of the quotient algebra.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .terms import (
     OMEGA, OrdinalTerm, OrdinalError, compare, omega_power, pretty, term_to_obj,
 )
 from .cardinals import CardinalExpr, render_expr, render_rel
+from .values import Value, init
 
 
-@dataclass(frozen=True)
-class PosetExpr:
-    kind: str
-    # copy: alpha | sq: arg | prod: factors (expr, mult) | cp: kappa | col: (lam, kappa)
-    # rp: (n, base) | quot: delta (the algebra P(w^delta)/I) | pos: arg | iter: (first, tag)
-    # ro: arg
-    alpha: OrdinalTerm | None = None
-    delta: OrdinalTerm | None = None
-    kappa: CardinalExpr | None = None
-    lam: CardinalExpr | None = None
-    n: int | None = None
-    args: tuple = ()
-    factors: tuple = ()  # ((PosetExpr, multiplicity), ...)
-    tag: str | None = None
+class PosetExpr(Value):
+    # kind -> fields: copy: alpha | sq: arg | prod: factors ((PosetExpr, multiplicity),
+    # ...) | cp: kappa | col: (lam, kappa) | rp: (n, base) | quot: delta (the algebra
+    # P(w^delta)/I) | pos: arg | iter: (first, tag) | ro: arg
+    __slots__ = ("kind", "alpha", "delta", "kappa", "lam", "n", "args", "factors", "tag")
+
+    def __init__(self, kind: str, alpha: OrdinalTerm | None = None,
+                 delta: OrdinalTerm | None = None, kappa: CardinalExpr | None = None,
+                 lam: CardinalExpr | None = None, n: int | None = None, args: tuple = (),
+                 factors: tuple = (), tag: str | None = None) -> None:
+        init(self, "kind", kind)
+        init(self, "alpha", alpha)
+        init(self, "delta", delta)
+        init(self, "kappa", kappa)
+        init(self, "lam", lam)
+        init(self, "n", n)
+        init(self, "args", args)
+        init(self, "factors", factors)
+        init(self, "tag", tag)
+
+    def _values(self) -> tuple:
+        return (self.kind, self.alpha, self.delta, self.kappa, self.lam, self.n, self.args,
+                self.factors, self.tag)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.kind, self.alpha, self.delta, self.kappa, self.lam, self.n,
+                     self.args, self.factors, self.tag)
+                    == (other.kind, other.alpha, other.delta, other.kappa, other.lam,
+                        other.n, other.args, other.factors, other.tag))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.alpha, self.delta, self.kappa, self.lam, self.n,
+                     self.args, self.factors, self.tag))
 
     def __repr__(self) -> str:
         return f"<{render_poset(self)}>"
@@ -150,13 +170,18 @@ def rp_refine(delta: OrdinalTerm, n: int) -> PosetExpr:
     return positive_part(reduced_power(n, quotient_algebra(delta)))
 
 
-@dataclass(frozen=True)
-class Step:
-    rule: str
-    instantiation: tuple = ()  # ((name, value), ...)
-    # ("closure", rel) | ("fact", ForcingFact) | ("case", delta, label)
-    # | ("subfact", delta0, ForcingFact): a fact of the analysis of w^delta0
-    premises: tuple = ()
+class Step(Value):
+    __slots__ = ("rule", "instantiation", "premises")
+
+    def __init__(self, rule: str, instantiation: tuple = (), premises: tuple = ()) -> None:
+        init(self, "rule", rule)
+        init(self, "instantiation", instantiation)  # ((name, value), ...)
+        # ("closure", rel) | ("fact", ForcingFact) | ("case", delta, label)
+        # | ("subfact", delta0, ForcingFact): a fact of the analysis of w^delta0
+        init(self, "premises", premises)
+
+    def _values(self) -> tuple:
+        return (self.rule, self.instantiation, self.premises)
 
     def to_obj(self) -> dict:
         return {"rule": self.rule,
@@ -176,13 +201,20 @@ def premise_text(p: tuple) -> str:
     raise AssertionError(p[0])
 
 
-@dataclass(frozen=True)
-class ForcingFact:
-    kind: str  # SigmaClosed | CompletelyEmbeds | Collapses | RoIso | RoNotIso
-    #            | ForcingEquivalent | Preserves
-    operands: tuple = ()       # PosetExpr / CardinalExpr / str operands
-    trace: tuple = ()          # Steps
-    resolved: tuple = ()       # ((position, resolved text), ...) for display
+class ForcingFact(Value):
+    __slots__ = ("kind", "operands", "trace", "resolved")
+
+    def __init__(self, kind: str, operands: tuple = (), trace: tuple = (),
+                 resolved: tuple = ()) -> None:
+        # SigmaClosed | CompletelyEmbeds | Collapses | RoIso | RoNotIso
+        # | ForcingEquivalent | Preserves
+        init(self, "kind", kind)
+        init(self, "operands", operands)  # PosetExpr / CardinalExpr / str operands
+        init(self, "trace", trace)  # Steps
+        init(self, "resolved", resolved)  # ((position, resolved text), ...) for display
+
+    def _values(self) -> tuple:
+        return (self.kind, self.operands, self.trace, self.resolved)
 
     def key(self) -> tuple:
         return (self.kind, tuple(_operand_text(o) for o in self.operands))

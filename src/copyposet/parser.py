@@ -10,11 +10,10 @@ on the spot, so the result is always canonical. The relation operators
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .atoms import AtomRegistry, AtomError
 from .terms import (MAX_NUMERAL_DIGITS, OrdinalTerm, OMEGA, add, mul, power, nat,
                     from_atom)
+from .values import Value, init
 
 
 class ParseError(ValueError):
@@ -31,11 +30,25 @@ class ParseError(ValueError):
 MAX_NESTING = 100
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "num" | "name" | "op" | "end"
-    text: str
-    pos: int
+class Token(Value):
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int) -> None:
+        init(self, "kind", kind)  # "num" | "name" | "op" | "end"
+        init(self, "text", text)
+        init(self, "pos", pos)
+
+    def _values(self) -> tuple:
+        return (self.kind, self.text, self.pos)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.pos == other.pos and self.text == other.text
+                    and self.kind == other.kind)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.text, self.pos))
 
 
 def tokenize(text: str) -> list[Token]:

@@ -8,8 +8,6 @@ premises can be replayed against the closure and the classifier.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .atoms import AtomRegistry
 from .terms import (
     OMEGA, OrdinalTerm, OrdinalError, compare, cardinality, from_atom,
@@ -24,15 +22,21 @@ from .forcing import (
     ForcingFact, PosetExpr, Step, col, cp, factorize, iteration, poset_to_obj,
     product, render_poset, ro, rp_refine, sq_copies,
 )
+from .values import Value, init
 
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class RuleInfo:
-    id: str
-    premises: str
-    conclusion: str
+class RuleInfo(Value):
+    __slots__ = ("id", "premises", "conclusion")
+
+    def __init__(self, id: str, premises: str, conclusion: str) -> None:
+        init(self, "id", id)
+        init(self, "premises", premises)
+        init(self, "conclusion", conclusion)
+
+    def _values(self) -> tuple:
+        return (self.id, self.premises, self.conclusion)
 
 
 _CATALOG = [
@@ -123,16 +127,29 @@ def rule_lookup(rule_id: str) -> RuleInfo | None:
     return _CATALOG_BY_ID.get(rule_id)
 
 
-@dataclass
-class AnalysisReport:
-    alpha: OrdinalTerm
-    hypotheses: tuple
-    factorization: PosetExpr
-    notes: list
-    facts: list
-    ro_conclusion: ForcingFact | None
-    blocked: list  # (rule_id, [premise strings])
-    resolutions: dict  # rendered expr -> rendered resolution
+class AnalysisReport(Value):
+    """The outcome of ``analyze``; unlike the other values it is mutable and unhashable."""
+    __slots__ = ("alpha", "hypotheses", "factorization", "notes", "facts",
+                 "ro_conclusion", "blocked", "resolutions")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, alpha: OrdinalTerm, hypotheses: tuple, factorization: PosetExpr,
+                 notes: list, facts: list, ro_conclusion: ForcingFact | None,
+                 blocked: list, resolutions: dict) -> None:
+        self.alpha = alpha
+        self.hypotheses = hypotheses
+        self.factorization = factorization
+        self.notes = notes
+        self.facts = facts
+        self.ro_conclusion = ro_conclusion
+        self.blocked = blocked  # (rule_id, [premise strings])
+        self.resolutions = resolutions  # rendered expr -> rendered resolution
+
+    def _values(self) -> tuple:
+        return (self.alpha, self.hypotheses, self.factorization, self.notes, self.facts,
+                self.ro_conclusion, self.blocked, self.resolutions)
 
     def to_obj(self) -> dict:
         obj = {

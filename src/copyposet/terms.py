@@ -8,10 +8,8 @@ bare atom does. The cardinal ``a`` *as an ordinal* is the term ``[(a, 1)], 0``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
-
 from .atoms import CardinalAtom
+from .values import Value, init
 
 
 class OrdinalError(ValueError):
@@ -53,10 +51,23 @@ def _summand_bound(count: int) -> None:
         raise OrdinalError(f"term of more than {MAX_SUMMANDS} summands")
 
 
-@dataclass(frozen=True)
-class OrdinalTerm:
-    summands: tuple = ()
-    tail: int = 0
+class OrdinalTerm(Value):
+    __slots__ = ("summands", "tail")
+
+    def __init__(self, summands: tuple = (), tail: int = 0) -> None:
+        init(self, "summands", summands)
+        init(self, "tail", tail)
+
+    def _values(self) -> tuple:
+        return (self.summands, self.tail)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.tail == other.tail and self.summands == other.summands
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.summands, self.tail))
 
     def is_zero(self) -> bool:
         return not self.summands and self.tail == 0
@@ -98,7 +109,7 @@ class OrdinalTerm:
         return f"<{pretty(self)}>"
 
 
-Exponent = Union[CardinalAtom, OrdinalTerm]
+Exponent = CardinalAtom | OrdinalTerm
 
 ZERO = OrdinalTerm()
 ONE = OrdinalTerm((), 1)
@@ -326,11 +337,16 @@ def cofinality(a: OrdinalTerm) -> OrdinalTerm:
     return _cof_of_power(e)
 
 
-@dataclass(frozen=True)
-class CardinalityValue:
-    kind: str  # "finite" | "aleph0" | "atom"
-    n: int = 0
-    atom: CardinalAtom | None = None
+class CardinalityValue(Value):
+    __slots__ = ("kind", "n", "atom")
+
+    def __init__(self, kind: str, n: int = 0, atom: CardinalAtom | None = None) -> None:
+        init(self, "kind", kind)  # "finite" | "aleph0" | "atom"
+        init(self, "n", n)
+        init(self, "atom", atom)
+
+    def _values(self) -> tuple:
+        return (self.kind, self.n, self.atom)
 
     def key(self) -> tuple:
         if self.kind == "finite":
@@ -378,11 +394,17 @@ def is_indecomposable(a: OrdinalTerm) -> bool:
 
 # -- base-kappa normal form ---------------------------------------------------
 
-@dataclass(frozen=True)
-class BaseCNF:
-    base: CardinalAtom
-    digits: tuple  # ((xi, zeta), ...) with xi, zeta OrdinalTerms, zeta < base
-    remainder: OrdinalTerm
+class BaseCNF(Value):
+    __slots__ = ("base", "digits", "remainder")
+
+    def __init__(self, base: CardinalAtom, digits: tuple, remainder: OrdinalTerm) -> None:
+        init(self, "base", base)
+        # ((xi, zeta), ...) with xi, zeta OrdinalTerms, zeta < base
+        init(self, "digits", digits)
+        init(self, "remainder", remainder)
+
+    def _values(self) -> tuple:
+        return (self.base, self.digits, self.remainder)
 
     def recompose(self) -> OrdinalTerm:
         base_ord = from_atom(self.base)

@@ -1,5 +1,11 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import copyposet
 from copyposet import rules
 from copyposet.atoms import AtomRegistry
 from copyposet.parser import parse_term
@@ -218,3 +224,17 @@ def test_report_json_shape():
     assert "ro_conclusion" in obj
     for fact in obj["facts"]:
         assert {"kind", "operands", "pretty", "trace"} <= set(fact)
+
+
+def test_readme_library_example():
+    """The README's Library snippet runs and prints the line its closing comment shows."""
+    root = pathlib.Path(copyposet.__file__).resolve().parent.parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library", 1)[1]
+    snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
+    promised = snippet.rstrip().splitlines()[-1]
+    assert promised.startswith("# ")
+    done = subprocess.run([sys.executable, "-c", snippet], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [promised[2:]]

@@ -2,6 +2,7 @@ import gc
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from copyposet import cardinals, rules
 from copyposet.atoms import AtomRegistry
@@ -22,6 +23,30 @@ def reg():
 
 def _w(reg, k):
     return atom_expr(reg.builtin(k))
+
+
+_ROUNDTRIP_REG = AtomRegistry()
+_ROUNDTRIP_REG.declare("nu", 40)
+_ROUNDTRIP_REG.declare("mu", 50, singular=True)
+_ROUNDTRIP_REG.declare("lam", 60, singular=True, cofinality="nu")
+
+
+def _hypotheses(reg):
+    """Hypotheses over w, c, h, w_1..w_3 and the atoms nu, mu, lam of ``reg``, built
+    with the normalizing constructors the parser uses."""
+    leaves = st.sampled_from([ALEPH0, CONTINUUM, DIST_H] + [
+        atom_expr(reg.lookup(name)) for name in ("w_1", "w_2", "w_3", "nu", "mu", "lam")])
+    unary = {"succ": lambda x: succ_of(x, reg), "cf": cf_of, "pow2": pow2_of,
+             "pow2lt": lambda x: pow2lt_of(x, reg), "cc": cc_cp_of}
+    exprs = st.recursive(leaves, lambda inner: st.one_of(
+        st.builds(lambda f, x: unary[f](x), st.sampled_from(sorted(unary)), inner),
+        st.builds(exp_of, inner, inner)), max_leaves=6)
+    regular = st.sampled_from([reg.lookup(name) for name in ("w_1", "w_2", "w_3", "nu")])
+    return st.one_of(
+        st.builds(rel, st.sampled_from(["eq", "lt", "le"]), exprs, exprs),
+        st.sampled_from([Hypothesis("GCH"), Hypothesis("CH")]),
+        st.builds(lambda mu: Hypothesis("MA", mu=mu), exprs),
+        st.builds(lambda kappa: Hypothesis("CohenModel", kappa=kappa), regular))
 
 
 class TestGrammar:
@@ -73,6 +98,12 @@ class TestGrammar:
                      "c >= w_2", "GCH", "CH", "MA mu=mu", "CohenModel(w_5)"):
             h = parse_hypothesis_line(text, reg)
             assert parse_hypothesis_line(h.render(), reg) == h
+
+    @settings(max_examples=200, deadline=None)
+    @given(_hypotheses(_ROUNDTRIP_REG))
+    def test_render_roundtrip_property(self, h):
+        """Every hypothesis the constructors can build reads back from its rendering."""
+        assert parse_hypothesis_line(h.render(), _ROUNDTRIP_REG) == h
 
     def test_bad_input(self, reg):
         with pytest.raises(HypothesisError):

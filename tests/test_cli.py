@@ -1,8 +1,10 @@
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -243,6 +245,65 @@ def test_batch_survives_unbalanced_quote(tmp_path, capsys):
     assert code == 2
     assert out.splitlines() == ["w"]
     assert err.startswith("error: line 1: ") and "Traceback" not in err
+
+
+def test_batch_does_not_nest(tmp_path, capsys, monkeypatch):
+    """A line that gives --batch, even the batch file itself, is a usage error of
+    that line; the batch goes on."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "other.batch").write_text("norm w*2\n")
+    (tmp_path / "self.batch").write_text("--batch self.batch\nnorm w+1\n"
+                                         "--batch=other.batch\n")
+    code, out, err = run(capsys, "--batch", "self.batch")
+    assert code == 2
+    assert out.splitlines() == ["w + 1"]
+    assert err.splitlines() == ["error: line 1: --batch cannot be nested",
+                                "error: line 3: --batch cannot be nested"]
+
+
+def test_batch_lines_are_isolated(tmp_path, capsys):
+    """A line's --card and --assume do not reach the next line: each line reads like
+    the same command run on its own."""
+    lines = ['analyze "w^(w_1+1)" --assume "2^w_1 = w_2"', 'analyze "w^(w_1+1)"',
+             'norm "mu + 1" --card "mu rank 5"', 'norm "mu + 1"',
+             'analyze "w^(w_1+1)" --assume "2^w_1 = w_2" --format json',
+             'analyze "w^(w_1+1)" --format json']
+    f = tmp_path / "batch.txt"
+    f.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "--batch", str(f))
+    alone = [run(capsys, *shlex.split(line)) for line in lines]
+    assert code == max(c for c, _o, _e in alone) == 2
+    assert (out, err) == ("".join(o for _c, o, _e in alone), "".join(e for _c, _o, e in alone))
+    assert "undeclared atom 'mu'" in alone[3][2]
+    assert alone[0][1] != alone[1][1] and "undetermined" in alone[1][1]
+
+
+def test_one_shot_imports(tmp_path):
+    """A one-shot text command loads neither dataclasses and inspect nor json, shlex
+    or the finite lab; `copies` imports the lab when it runs and keeps its exit
+    statuses (0, 2 for a bad literal, 1 for a domain error)."""
+    script = tmp_path / "one_shot.py"
+    script.write_text(textwrap.dedent("""
+        import sys
+        before = set(sys.modules)
+        from copyposet.cli import main
+        status = main(["rules", "T5.2"])
+        loaded = set(sys.modules) - before
+        lazy = ("dataclasses", "inspect", "copyposet.finsets", "json", "shlex")
+        print("loaded:", status, *sorted(m for m in lazy if m in loaded))
+        finite = '{"prefix": "111", "period": "0"}'
+        for argv in (["copies", "type", '{"prefix": "", "period": "10"}'],
+                     ["copies", "type", "{not json"],
+                     ["copies", "embed", finite, "--rank", "2"]):
+            print("status:", main(argv))
+    """))
+    src = str(pathlib.Path(copyposet.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("T5.2: ")
+    assert lines[1:] == ["loaded: 0", "w", "status: 0", "status: 2", "status: 1"]
+    assert "Traceback" not in done.stderr
 
 
 def test_reserved_atom_names_exit_2(capsys):
