@@ -1,8 +1,9 @@
 """Cardinal atoms and the per-session registry.
 
 Atoms name uncountable initial ordinals. The builtin family ``w_1, w_2, ...``
-carries the aleph_k scale (rank k); user atoms are ordered against everything
-else only through their declared rank.
+carries the aleph_k scale (rank k): ``builtin(k)`` is the one value of w_k, and
+computing builds the builtins it needs from it without any registry. User atoms
+are ordered against everything else only through their declared rank.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from .values import Value, init
 _BUILTIN_RE = re.compile(r"^w_([1-9][0-9]*)$")
 # the largest k of a w_k name in input: w_k puts w_1..w_k and ~k^2/2 atom-order
 # relations in a closure (analyze "w^w" --assume "w_200 < c" takes ~0.5 s on a
-# 2-vCPU Xeon); the engine itself still materializes w_{k+1} for a w_k at the limit
+# 2-vCPU Xeon); the engine itself still builds w_{k+1} for a w_k at the limit
 MAX_BUILTIN_INDEX = 200
 # names the cardinal grammar reads as constants
 _RESERVED = {"w": "omega", "c": "the continuum", "h": "the distributivity number"}
@@ -76,11 +77,24 @@ class CardinalAtom(Value):
         return f"CardinalAtom({self.name!r})"
 
 
-class AtomRegistry:
-    """Append-only registry of declared atoms.
+_BUILTINS: dict[int, CardinalAtom] = {}
 
-    Builtin ``w_k`` atoms materialize lazily on first reference (they are
-    deterministic and cannot conflict with each other), also while computing.
+
+def builtin(k: int) -> CardinalAtom:
+    """The atom w_k (aleph_k)."""
+    atom = _BUILTINS.get(k)
+    if atom is None:
+        if k < 1:
+            raise AtomError("builtin atoms start at w_1")
+        atom = _BUILTINS[k] = CardinalAtom(f"w_{k}", k, builtin_index=k)
+    return atom
+
+
+class AtomRegistry:
+    """Append-only registry of the atoms input declares or names.
+
+    A ``w_k`` name enters on its first lookup, and its rank is then taken;
+    computing never changes the registry.
     """
 
     def __init__(self) -> None:
@@ -123,26 +137,16 @@ class AtomRegistry:
         self._by_rank[rank] = atom
         return atom
 
-    def builtin(self, k: int) -> CardinalAtom:
-        """The atom w_k (aleph_k), materializing it if needed."""
-        if k < 1:
-            raise AtomError("builtin atoms start at w_1")
-        name = f"w_{k}"
-        atom = self._by_name.get(name)
-        if atom is not None:
-            return atom
-        if k in self._by_rank:
-            raise AtomError(
-                f"cannot use {name}: rank {k} is taken by {self._by_rank[k].name!r}")
-        atom = CardinalAtom(name, k, builtin_index=k)
-        self._by_name[name] = atom
-        self._by_rank[k] = atom
-        return atom
-
     def lookup(self, name: str) -> CardinalAtom | None:
-        """The atom a name in input denotes; a ``w_k`` name materializes w_k."""
+        """The atom a name in input denotes; a ``w_k`` name registers w_k."""
         k = _written_builtin(name)
-        return self._by_name.get(name) if k is None else self.builtin(k)
+        atom = self._by_name.get(name)
+        if atom is None and k is not None:
+            if k in self._by_rank:
+                raise AtomError(
+                    f"cannot use {name}: rank {k} is taken by {self._by_rank[k].name!r}")
+            atom = self._by_name[name] = self._by_rank[k] = builtin(k)
+        return atom
 
     def atoms(self) -> list[CardinalAtom]:
         return sorted(self._by_name.values(), key=lambda a: a.rank)

@@ -11,7 +11,7 @@ import weakref
 from operator import attrgetter
 from collections.abc import Iterable
 
-from .atoms import AtomRegistry, CardinalAtom
+from .atoms import AtomError, AtomRegistry, CardinalAtom, builtin
 from .parser import ParseError, TokenStream, parse_declaration, tokenize
 from .values import Value, init
 
@@ -85,21 +85,24 @@ def atom_expr(a: CardinalAtom) -> CardinalExpr:
     return CardinalExpr("atom", atom=a)
 
 
-def succ_of(x: CardinalExpr, registry: AtomRegistry) -> CardinalExpr:
+W1 = atom_expr(builtin(1))
+
+
+def succ_of(x: CardinalExpr) -> CardinalExpr:
     if x.kind == "aleph0":
-        return atom_expr(registry.builtin(1))
+        return W1
     if x.kind == "atom" and x.atom.builtin_index is not None:
-        return atom_expr(registry.builtin(x.atom.builtin_index + 1))
+        return atom_expr(builtin(x.atom.builtin_index + 1))
     return CardinalExpr("succ", args=(x,))
 
 
-def pred_of(x: CardinalExpr, registry: AtomRegistry) -> CardinalExpr | None:
+def pred_of(x: CardinalExpr) -> CardinalExpr | None:
     """The y with succ(y) = x, when x is recognizably a successor cardinal."""
     if x.kind == "succ":
         return x.args[0]
     if x.kind == "atom" and x.atom.builtin_index is not None:
         k = x.atom.builtin_index
-        return ALEPH0 if k == 1 else atom_expr(registry.builtin(k - 1))
+        return ALEPH0 if k == 1 else atom_expr(builtin(k - 1))
     return None
 
 
@@ -123,7 +126,7 @@ def pow2_of(x: CardinalExpr) -> CardinalExpr:
     return CardinalExpr("pow2", args=(x,))
 
 
-def pow2lt_of(x: CardinalExpr, registry: AtomRegistry) -> CardinalExpr:
+def pow2lt_of(x: CardinalExpr) -> CardinalExpr:
     """Weak power 2^{<x}; collapses through successor steps."""
     if x.kind == "aleph0":
         return ALEPH0
@@ -131,7 +134,7 @@ def pow2lt_of(x: CardinalExpr, registry: AtomRegistry) -> CardinalExpr:
         return pow2_of(x.args[0])
     if x.kind == "atom" and x.atom.builtin_index is not None:
         k = x.atom.builtin_index
-        return pow2_of(ALEPH0 if k == 1 else atom_expr(registry.builtin(k - 1)))
+        return pow2_of(ALEPH0 if k == 1 else atom_expr(builtin(k - 1)))
     return CardinalExpr("pow2lt", args=(x,))
 
 
@@ -234,8 +237,7 @@ def rel(op: str, lhs: CardinalExpr, rhs: CardinalExpr) -> Hypothesis:
 # names and shapes of a hypothesis line onto the constructors above.
 
 _CONSTANTS = {"w": ALEPH0, "c": CONTINUUM, "h": DIST_H}
-_FUNCTIONS = {"cf": lambda x, _registry: cf_of(x), "succ": succ_of,
-              "cc": lambda x, _registry: cc_cp_of(x)}
+_FUNCTIONS = {"cf": cf_of, "succ": succ_of, "cc": cc_cp_of}
 # relation token -> (op, operands swapped): ``>`` and ``>=`` mirror ``<`` and ``<=``
 _RELATIONS = {"=": ("eq", False), "<": ("lt", False), "<=": ("le", False),
               ">": ("lt", True), ">=": ("le", True)}
@@ -266,7 +268,7 @@ class _HypothesisParser(TokenStream):
             self.expect("op", "^", what="'^' after 2")
             if self.at("op", "<"):
                 self.advance()
-                return pow2lt_of(self.nested(self.primary), self.registry)
+                return pow2lt_of(self.nested(self.primary))
             return pow2_of(self.nested(self.primary))
         if tok.kind != "name":
             raise ParseError("expected a cardinal expression", tok.pos)
@@ -282,7 +284,7 @@ class _HypothesisParser(TokenStream):
             else:
                 arg = self.nested(self.expr)
             self.expect("op", ")")
-            return _FUNCTIONS[tok.text](arg, self.registry)
+            return _FUNCTIONS[tok.text](arg)
         found = self.registry.lookup(tok.text)
         if found is None:
             raise ParseError(f"undeclared atom {tok.text!r} in cardinal expression", tok.pos)
@@ -367,31 +369,21 @@ def render_rel(r: Rel) -> str:
 
 
 class FactBase:
-    def __init__(self, registry: AtomRegistry, hyps: tuple[Hypothesis, ...]):
-        self.registry = registry
+    def __init__(self, hyps: tuple[Hypothesis, ...], universe: set[CardinalExpr]):
         self.hyps = hyps
-        self.universe: set[CardinalExpr] = set()
+        self.universe = universe
         self.rels: dict[Rel, tuple[str, tuple]] = {}
-        self.gch = False
-        # indices over rels: equality neighbours in insertion order, and an id per
-        # expression with bit rows, bit j of above[op][i] and bit i of below[op][j]
-        # marking the key (op, nodes[i], nodes[j])
+        # indices over rels: equality neighbours in insertion order, and ids 0..n-1
+        # for the universe in skey order with bit rows, bit j of above[op][i] and bit
+        # i of below[op][j] marking the key (op, nodes[i], nodes[j]); every le/lt
+        # relation lies inside the universe
         self.eq_nbrs: dict[CardinalExpr, dict[CardinalExpr, None]] = {}
-        self.ids: dict[CardinalExpr, int] = {}
-        self.nodes: list[CardinalExpr] = []
-        self.above: dict[str, list[int]] = {"le": [], "lt": []}
-        self.below: dict[str, list[int]] = {"le": [], "lt": []}
+        self.nodes = sorted(universe, key=_SKEY)
+        self.ids = {x: i for i, x in enumerate(self.nodes)}
+        self.above = {op: [0] * len(self.nodes) for op in ("le", "lt")}
+        self.below = {op: [0] * len(self.nodes) for op in ("le", "lt")}
 
     # -- storage
-
-    def node_id(self, x: CardinalExpr) -> int:
-        i = self.ids.get(x)
-        if i is None:
-            i = self.ids[x] = len(self.nodes)
-            self.nodes.append(x)
-            for rows in (*self.above.values(), *self.below.values()):
-                rows.append(0)
-        return i
 
     def add(self, op: str, lhs: CardinalExpr, rhs: CardinalExpr,
             rule: str, premises: tuple = ()) -> bool:
@@ -414,13 +406,7 @@ class FactBase:
                         f"derived both equality and strict order for {render_rel(key)}",
                         self.chain(known, key))
             return True
-        ids = self.ids
-        i = ids.get(lhs)
-        if i is None:
-            i = self.node_id(lhs)
-        j = ids.get(rhs)
-        if j is None:
-            j = self.node_id(rhs)
+        i, j = self.ids[lhs], self.ids[rhs]
         self.above[op][i] |= 1 << j
         self.below[op][j] |= 1 << i
         if op == "lt":
@@ -480,8 +466,7 @@ class FactBase:
         return sorted(self.rels, key=lambda k: (k[0], k[1].skey, k[2].skey))
 
 
-def _gch_ground(theta: CardinalExpr, mu: CardinalExpr,
-                registry: AtomRegistry) -> CardinalExpr | None:
+def _gch_ground(theta: CardinalExpr, mu: CardinalExpr) -> CardinalExpr | None:
     """theta^mu under GCH, decided from declarations alone (rigid atoms)."""
     cth = cf_of(theta)
     k_mu_cf = rigid_compare(mu, cth)
@@ -491,8 +476,8 @@ def _gch_ground(theta: CardinalExpr, mu: CardinalExpr,
     if k_mu_cf < 0:
         return theta
     if k_mu_th <= 0:
-        return succ_of(theta, registry)
-    return succ_of(mu, registry)
+        return succ_of(theta)
+    return succ_of(mu)
 
 
 class CohenTransfer(Value):
@@ -506,8 +491,7 @@ class CohenTransfer(Value):
         return (self.value, self.continuum)
 
 
-def cohen_transfer(kappa: CardinalAtom, expr: CardinalExpr,
-                   registry: AtomRegistry) -> CohenTransfer:
+def cohen_transfer(kappa: CardinalAtom, expr: CardinalExpr) -> CohenTransfer:
     """Extension value of theta^mu (or 2^mu) after adding Fn(kappa,2) over a GCH ground."""
     kexpr = atom_expr(kappa)
     if expr.kind == "c":
@@ -524,7 +508,7 @@ def cohen_transfer(kappa: CardinalAtom, expr: CardinalExpr,
         theta = kexpr if m < 0 else theta
     else:
         raise HypothesisError("transfer applies to expressions 2^mu or theta^mu")
-    value = _gch_ground(theta, mu, registry)
+    value = _gch_ground(theta, mu)
     if value is None:
         raise HypothesisError(
             f"cannot order {render_expr(mu)} against {render_expr(theta)} / its cofinality")
@@ -534,12 +518,11 @@ def cohen_transfer(kappa: CardinalAtom, expr: CardinalExpr,
 def closure(hyps: Iterable[Hypothesis], registry: AtomRegistry,
             extra_exprs: Iterable[CardinalExpr] = ()) -> FactBase:
     hyps = tuple(hyps)
-    fb = FactBase(registry, hyps)
 
-    # universe: subexpressions, standard constants, declared atoms; a builtin the
-    # registry holds enters only through an expression, so the closure is a function
-    # of the hypotheses, the expressions and the declarations alone
-    uni: set[CardinalExpr] = {ALEPH0, CONTINUUM, DIST_H, atom_expr(registry.builtin(1))}
+    # universe: subexpressions, standard constants, declared atoms; a builtin enters
+    # only through an expression, so the closure is a function of the hypotheses,
+    # the expressions and the declarations alone
+    uni: set[CardinalExpr] = {ALEPH0, CONTINUUM, DIST_H, W1}
     for h in hyps:
         if h.kind == "rel":
             uni.update(subexprs(h.lhs))
@@ -554,78 +537,77 @@ def closure(hyps: Iterable[Hypothesis], registry: AtomRegistry,
         uni.update(subexprs(e))
     uni.update(atom_expr(a) for a in registry.atoms() if a.builtin_index is None)
 
-    gch = any(h.kind == "GCH" for h in hyps)
-    if gch:
+    if any(h.kind == "GCH" for h in hyps):
         for x in list(uni):
             if x.kind in ("aleph0", "atom", "succ"):
                 uni.add(pow2_of(x))
 
     # one bounded derived layer
     for x in list(uni):
-        uni.add(succ_of(x, registry))
+        uni.add(succ_of(x))
         if x.kind in ("pow2", "exp"):
             uni.add(CardinalExpr("cf", args=(x,)))
         if x.kind == "cc_cp":
             arg = x.args[0]
             uni.add(pow2_of(arg))
-            uni.add(succ_of(succ_of(arg, registry), registry))
-            uni.add(succ_of(pow2_of(arg), registry))
+            uni.add(succ_of(succ_of(arg)))
+            uni.add(succ_of(pow2_of(arg)))
         if x.kind == "atom" and x.atom.builtin_index is not None:
             for k in range(1, x.atom.builtin_index):
-                uni.add(atom_expr(registry.builtin(k)))
+                uni.add(atom_expr(builtin(k)))
 
     cohens = [h for h in hyps if h.kind == "CohenModel"]
     for h in cohens:
         for x in list(uni):
             if x.kind in ("pow2", "exp"):
                 try:
-                    uni.update(subexprs(cohen_transfer(h.kappa, x, registry).value))
+                    uni.update(subexprs(cohen_transfer(h.kappa, x).value))
                 except HypothesisError:
                     pass
 
-    fb.universe = uni
-    fb.gch = gch
-    # ids 0..n-1 in skey order; the seeds walk the universe in that order, so the
-    # stored order (and the provenance it picks) does not follow the set's hashing
-    order = sorted(uni, key=_SKEY)
-    for x in order:
-        fb.node_id(x)
+    # the seeds walk the universe in skey order, so the stored order (and the
+    # provenance it picks) does not follow the set's hashing
+    fb = FactBase(hyps, uni)
+    order = fb.nodes
+    atoms_in = [x for x in order if x.kind == "atom"]
+    for a, b in zip(atoms_in, atoms_in[1:]):
+        if a.atom.rank == b.atom.rank:  # a builtin the problem needs, and a declared atom
+            w, user = (a, b) if a.atom.builtin_index is not None else (b, a)
+            raise AtomError(f"cannot use {w.atom.name}: rank {w.atom.rank} is taken by "
+                            f"{user.atom.name!r}")
 
     # seed facts
-    atoms_in = [x for x in order if x.kind == "atom"]
     for x in order:
         fb.add("le", ALEPH0, x, "infinite-floor")
     for i, a in enumerate(atoms_in):
         fb.add("lt", ALEPH0, a, "atom-order")
         for b in atoms_in[i + 1:]:
             fb.add("lt", a, b, "atom-order")
-    w1 = atom_expr(registry.builtin(1))
-    if w1 in uni:
-        fb.add("le", w1, DIST_H, "h-bounds")
+    fb.add("le", W1, DIST_H, "h-bounds")
     fb.add("le", DIST_H, CONTINUUM, "h-bounds")
 
     for h in hyps:
         if h.kind == "rel":
             fb.add(h.op, h.lhs, h.rhs, "hypothesis")
         elif h.kind == "CH":
-            fb.add("eq", CONTINUUM, w1, "CH")
+            fb.add("eq", CONTINUUM, W1, "CH")
         elif h.kind == "GCH":
             for x in order:
                 if x.kind in ("aleph0", "atom", "succ"):
-                    fb.add("eq", pow2_of(x), succ_of(x, registry), "GCH")
+                    fb.add("eq", pow2_of(x), succ_of(x), "GCH")
                 if x.kind == "atom" and x.atom.singular:
-                    w = pow2lt_of(x, registry)
+                    w = pow2lt_of(x)
                     if w in uni:
                         fb.add("eq", w, x, "GCH")
         elif h.kind == "MA":
             fb.add("lt", h.mu, CONTINUUM, "MA")
         elif h.kind == "CohenModel":
             fb.add("eq", CONTINUUM, atom_expr(h.kappa), "F2.4")
-            fb.add("eq", DIST_H, w1, "cohen-h")
+            fb.add("eq", DIST_H, W1, "cohen-h")
             for x in order:
                 if x.kind in ("pow2", "exp"):
                     try:
-                        tr = cohen_transfer(h.kappa, x, registry)
+                        tr = cohen_transfer(h.kappa, x)
                     except HypothesisError:
                         continue
                     fb.add("eq", x, tr.value, "F2.4")
@@ -641,11 +623,9 @@ def _run_rules(fb: FactBase) -> None:
     Every stored le/lt relation lies inside the universe: the hypotheses' operands
     are in it, and the rules below only store images that are."""
     uni = fb.universe
-    registry = fb.registry
     rels, ids, nodes, add = fb.rels, fb.ids, fb.nodes, fb.add
     above, below = fb.above, fb.below
-    in_uni = (1 << len(uni)) - 1  # closure gave the universe the ids below len(uni)
-    exps = [x for x in nodes[:len(uni)] if x.kind == "exp"]
+    exps = [x for x in nodes if x.kind == "exp"]
     images: dict[CardinalExpr, tuple] = {}
 
     def lift(x):
@@ -653,8 +633,8 @@ def _run_rules(fb: FactBase) -> None:
         ``images`` once per closure; an image outside the universe is None, as no rule
         may store it."""
         images[x] = tuple(y if y in uni else None
-                          for y in (succ_of(x, registry), pow2_of(x), cf_of(x),
-                                    pow2lt_of(x, registry), cc_cp_of(x), pred_of(x, registry)))
+                          for y in (succ_of(x), pow2_of(x), cf_of(x), pow2lt_of(x),
+                                    cc_cp_of(x), pred_of(x)))
         return images[x]
 
     def emit(op, l, r_, rule, *prem):
@@ -708,13 +688,13 @@ def _run_rules(fb: FactBase) -> None:
             for other in ("le", "lt") if op == "le" else ("le",):
                 out = "le" if op == other == "le" else "lt"
                 rule = "le-trans" if out == "le" else "order-trans"
-                mask = above[other][ib] & ~above[out][ia] & in_uni
+                mask = above[other][ib] & ~above[out][ia]
                 while mask:
                     low = mask & -mask
                     mask ^= low
                     c = nodes[low.bit_length() - 1]
                     add(out, a, c, rule, (key, (other, b, c)))
-                mask = below[other][ia] & ~below[out][ib] & in_uni
+                mask = below[other][ia] & ~below[out][ib]
                 while mask:
                     low = mask & -mask
                     mask ^= low
@@ -729,9 +709,9 @@ def _node_rules(fb: FactBase, emit, first: bool) -> None:
     """The arithmetic rules, one pass over the universe. The rules that read no
     stored relation conclude the same in every round, so only the first runs them;
     on each node they come before the others, as the stored order depends on it."""
-    uni, registry = fb.universe, fb.registry
+    uni = fb.universe
     ma_axioms = any(h.kind == "MA" for h in fb.hyps)
-    for x in fb.nodes[:len(uni)]:
+    for x in fb.nodes:
         kind = x.kind
         if first:
             if kind == "pow2":
@@ -744,27 +724,24 @@ def _node_rules(fb: FactBase, emit, first: bool) -> None:
                 emit("le", x, pow2_of(x.args[0]), "weakpow-below")
             elif kind == "succ":
                 emit("lt", x.args[0], x, "succ-above")
-            elif kind == "atom" and (x.atom.builtin_index or 0) > 1:
-                prev = atom_expr(registry.builtin(x.atom.builtin_index - 1))
-                emit("lt", prev, x, "atom-order")
             elif kind == "cf":
                 emit("le", x, x.args[0], "cf-below")
             elif kind == "cc_cp":
                 arg = x.args[0]
-                emit("le", succ_of(succ_of(arg, registry), registry), x, "F2.6a")
-                emit("le", x, succ_of(pow2_of(arg), registry), "F2.6a")
+                emit("le", succ_of(succ_of(arg)), x, "F2.6a")
+                emit("le", x, succ_of(pow2_of(arg)), "F2.6a")
             elif kind == "exp":
                 emit("le", x.args[0], x, "exp-base")
                 emit("le", pow2_of(x.args[1]), x, "exp-above-pow2")
         if kind == "cc_cp":
             arg = x.args[0]
-            weak = pow2lt_of(arg, registry)
+            weak = pow2lt_of(arg)
             k_tree = _rel_key("eq", weak, arg)
             if fb.holds("eq", weak, arg):
-                emit("eq", x, succ_of(pow2_of(arg), registry), "cc-tree", k_tree)
-            k_pinch = _rel_key("eq", pow2_of(arg), succ_of(arg, registry))
-            if fb.holds("eq", pow2_of(arg), succ_of(arg, registry)):
-                emit("eq", x, succ_of(pow2_of(arg), registry), "cc-pinch", k_pinch)
+                emit("eq", x, succ_of(pow2_of(arg)), "cc-tree", k_tree)
+            k_pinch = _rel_key("eq", pow2_of(arg), succ_of(arg))
+            if fb.holds("eq", pow2_of(arg), succ_of(arg)):
+                emit("eq", x, succ_of(pow2_of(arg)), "cc-pinch", k_pinch)
         elif kind == "exp":
             base, ex = x.args
             p_base = pow2_of(base)
@@ -777,7 +754,7 @@ def _node_rules(fb: FactBase, emit, first: bool) -> None:
             # T5.8(b): for singular x of countable cofinality, 2^{<x}=x gives x^w = 2^x
             if (ex == ALEPH0 and base.kind == "atom" and base.atom.singular
                     and cf_of(base) == ALEPH0):
-                weak = pow2lt_of(base, registry)
+                weak = pow2lt_of(base)
                 if fb.holds("eq", weak, base):
                     emit("eq", x, pow2_of(base), "singular-weakpow",
                          _rel_key("eq", weak, base))

@@ -22,6 +22,10 @@ from .rules import SCHEMA_VERSION, analyze, rule_lookup, rule_table
 
 _USAGE_ERROR = 2
 _DOMAIN_ERROR = 1
+# written out, as argparse wraps a generated usage line differently across versions
+_USAGE = """%(prog)s [-h] [--batch PATH]
+                 {norm,cmp,cof,card,cnfbase,classify,factorize,analyze,rules,copies}
+                 ..."""
 
 
 class _CliInputError(ValueError):
@@ -41,11 +45,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="inline hypothesis line")
     common.add_argument("--assume-file", action="append", default=[], metavar="PATH")
 
-    top = argparse.ArgumentParser(prog="copyposet",
+    top = argparse.ArgumentParser(prog="copyposet", usage=_USAGE,
                                   description="poset-of-copies workbench")
     top.add_argument("--batch", metavar="PATH",
                      help="run one sub-invocation per line of PATH")
-    sub = top.add_subparsers(dest="command")
+    sub = top.add_subparsers(dest="command", prog="copyposet")
 
     p = sub.add_parser("norm", parents=[common], help="normalize an ordinal expression")
     p.add_argument("expr")
@@ -98,7 +102,8 @@ def _load_registry_and_hyps(ns) -> tuple[AtomRegistry, list[Hypothesis]]:
     hyps: list[Hypothesis] = []
     for path in ns.assume_file:
         try:
-            text = open(path, encoding="utf-8").read()
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
         except OSError as exc:
             raise _CliInputError(f"cannot read {path}: {exc}") from exc
         for line in text.splitlines():
@@ -118,7 +123,8 @@ def _load_set(literal: str) -> finsets.FinPresSet:
     text = literal
     if literal.startswith("@"):
         try:
-            text = open(literal[1:], encoding="utf-8").read()
+            with open(literal[1:], encoding="utf-8") as f:
+                text = f.read()
         except OSError as exc:
             raise _CliInputError(f"cannot read {literal[1:]}: {exc}") from exc
     try:
@@ -323,7 +329,8 @@ def _run_one(argv, batch_line: int | None = None) -> int:
 def _run_batch(path: str) -> int:
     import shlex
     try:
-        lines = open(path, encoding="utf-8").read().splitlines()
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().splitlines()
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return _USAGE_ERROR

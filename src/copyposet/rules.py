@@ -8,14 +8,14 @@ premises can be replayed against the closure and the classifier.
 """
 from __future__ import annotations
 
-from .atoms import AtomRegistry
+from .atoms import AtomRegistry, builtin
 from .terms import (
     OMEGA, OrdinalTerm, OrdinalError, compare, cardinality, from_atom,
     omega_power, canon_exp, pretty, term_to_obj,
 )
 from .classify import CaseReport, classify_exponent
 from .cardinals import (
-    ALEPH0, CONTINUUM, DIST_H, CardinalExpr, FactBase, atom_expr, cc_cp_of,
+    ALEPH0, CONTINUUM, DIST_H, W1, CardinalExpr, FactBase, atom_expr, cc_cp_of,
     closure, exp_of, pow2_of, pow2lt_of, render_expr, render_rel, succ_of,
 )
 from .forcing import (
@@ -212,16 +212,15 @@ def resolve_poset(p: PosetExpr, fb: FactBase) -> PosetExpr:
 
 
 class _Engine:
-    def __init__(self, alpha: OrdinalTerm, hyps, registry: AtomRegistry,
+    def __init__(self, alpha: OrdinalTerm, hyps, registry: AtomRegistry | None,
                  fb: FactBase | None = None):
         if compare(alpha, OMEGA) < 0:
             raise OrdinalError("analysis requires alpha >= w")
-        self.registry = registry
         self.alpha = alpha
         self.hyps = tuple(hyps)
         self.has_hyps = bool(self.hyps)
-        self.w1 = atom_expr(registry.builtin(1))
-        self.w2 = atom_expr(registry.builtin(2))
+        self.w1 = W1
+        self.w2 = atom_expr(builtin(2))
         self.whole = factorize(alpha)
         self.deltas = []  # distinct exponents in CNF order
         self.mults: dict[OrdinalTerm, int] = {}
@@ -250,16 +249,14 @@ class _Engine:
         for d in seen_deltas:
             ce = _card_expr(d)
             if ce is not None:
-                out += [ce, pow2_of(ce), succ_of(pow2_of(ce), self.registry)]
+                out += [ce, pow2_of(ce), succ_of(pow2_of(ce))]
             rep = None
             if not d.is_zero():
                 rep = self.reports[d] if d in self.reports else classify_exponent(d)
             rep_kappa = _term_card(rep.kappa) if rep is not None else None
             if rep_kappa is not None and rep_kappa != ALEPH0:
-                out += [rep_kappa, pow2_of(rep_kappa),
-                        pow2lt_of(rep_kappa, self.registry),
-                        succ_of(rep_kappa, self.registry), cc_cp_of(rep_kappa),
-                        succ_of(pow2_of(rep_kappa), self.registry)]
+                out += [rep_kappa, pow2_of(rep_kappa), pow2lt_of(rep_kappa),
+                        succ_of(rep_kappa), cc_cp_of(rep_kappa), succ_of(pow2_of(rep_kappa))]
             if rep is not None and rep.lam is not None:
                 le = _term_card(rep.lam)
                 if le is not None and le != ALEPH0:
@@ -268,7 +265,7 @@ class _Engine:
             if a is not None:
                 ae = atom_expr(a)
                 out += [ae, exp_of(ae, ALEPH0), pow2_of(ae),
-                        succ_of(ae, self.registry), pow2lt_of(ae, self.registry)]
+                        succ_of(ae), pow2lt_of(ae)]
         return out
 
     # -- fact plumbing ----------------------------------------------------------
@@ -336,7 +333,7 @@ class _Engine:
         return sq_copies(omega_power(canon_exp(d)))
 
     def _countable(self, d: OrdinalTerm) -> bool:
-        return compare(d, from_atom(self.registry.builtin(1))) < 0
+        return compare(d, from_atom(builtin(1))) < 0
 
     def _case_step(self, d: OrdinalTerm, rule: str) -> Step:
         rep = self.reports[d]
@@ -429,7 +426,7 @@ class _Engine:
             self._rule_t56(d, F)
 
     def _rule_t410(self, d, F, label) -> None:
-        if compare(d, from_atom(self.registry.builtin(2))) >= 0:
+        if compare(d, from_atom(builtin(2))) >= 0:
             return
         prem = [("lt", DIST_H, CONTINUUM), ("eq", CONTINUUM, self.w2),
                 ("eq", pow2_of(self.w1), CONTINUUM)]
@@ -458,8 +455,8 @@ class _Engine:
         s1 = self.entail(*eq1)
         if s1 == "no":
             return
-        d2a = ("eq", pow2lt_of(kappa_e, self.registry), kappa_e)
-        d2b = ("eq", pow2_of(kappa_e), succ_of(kappa_e, self.registry))
+        d2a = ("eq", pow2lt_of(kappa_e), kappa_e)
+        d2b = ("eq", pow2_of(kappa_e), succ_of(kappa_e))
         s2a, s2b = self.entail(*d2a), self.entail(*d2b)
         if s2a == "no" and s2b == "no":
             return
@@ -482,13 +479,13 @@ class _Engine:
         ae = atom_expr(a)
         cfe = atom_expr(a.declared_cofinality)
         prem = [("lt", pow2_of(cfe), ae), ("lt", cfe, pow2_of(cfe)),
-                ("lt", ALEPH0, cfe), ("eq", pow2_of(ae), succ_of(ae, self.registry))]
+                ("lt", ALEPH0, cfe), ("eq", pow2_of(ae), succ_of(ae))]
         used = self.check("T5.4", prem)
         if used is None:
             return
         ident = self.has_fact("ForcingEquivalent", (F, cp(ae)))
         emb = self.emit("CompletelyEmbeds",
-                        (col(ALEPH0, succ_of(ae, self.registry)), ro(cp(ae))),
+                        (col(ALEPH0, succ_of(ae)), ro(cp(ae))),
                         (Step("F2.6d", (("kappa", a.name),), used),))
         coll = self.emit("Collapses", (F, pow2_of(ae), ALEPH0),
                          (Step("F2.6d", (("kappa", a.name),),
@@ -501,7 +498,7 @@ class _Engine:
     def _rule_ex53(self, d, F, a) -> None:
         ae = atom_expr(a)
         ccx = cc_cp_of(ae)
-        target = succ_of(pow2_of(ae), self.registry)
+        target = succ_of(pow2_of(ae))
         s_eq = self.entail("eq", ccx, target)
         if s_eq == "yes":
             self.emit("RoIso", (F, col(ALEPH0, pow2_of(ae))),
@@ -521,7 +518,7 @@ class _Engine:
         ccx = cc_cp_of(rho)
         # the universe's atoms in skey order: an atom outside it entails no relation
         fb = self.fb
-        candidates = [x for x in fb.nodes[:len(fb.universe)] if x.kind == "atom"]
+        candidates = [x for x in fb.nodes if x.kind == "atom"]
         candidates += [CONTINUUM, pow2_of(rho)]
         if ce is not None:
             candidates.append(pow2_of(ce))
@@ -602,7 +599,7 @@ class _Engine:
             # the parent's candidates include d0's, so its closure contains the one
             # of w^d0 under the same hypotheses: the sub-analysis runs on it
             sub = self._sub_cache[d0] = _Engine(
-                omega_power(canon_exp(d0)), self.hyps, self.registry, self.fb).run()
+                omega_power(canon_exp(d0)), self.hyps, None, self.fb).run()
         subF = self._factor_poset(d0)
         route = None
         witness = None
@@ -693,7 +690,7 @@ class _Engine:
                   (Step("T4.9b", (), ()),))
         if cae is None:
             return
-        target = succ_of(pow2_of(cae), self.registry)
+        target = succ_of(pow2_of(cae))
         for rho in rhos:
             ccx = cc_cp_of(rho)
             s = self.entail("eq", ccx, target)

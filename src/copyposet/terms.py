@@ -81,30 +81,6 @@ class OrdinalTerm(Value):
     def is_limit(self) -> bool:
         return bool(self.summands) and self.tail == 0
 
-    def __lt__(self, other: "OrdinalTerm") -> bool:
-        return compare(self, other) < 0
-
-    def __le__(self, other: "OrdinalTerm") -> bool:
-        return compare(self, other) <= 0
-
-    def __gt__(self, other: "OrdinalTerm") -> bool:
-        return compare(self, other) > 0
-
-    def __ge__(self, other: "OrdinalTerm") -> bool:
-        return compare(self, other) >= 0
-
-    def __add__(self, other: "OrdinalTerm") -> "OrdinalTerm":
-        return add(self, other)
-
-    def __mul__(self, other: "OrdinalTerm") -> "OrdinalTerm":
-        return mul(self, other)
-
-    def __pow__(self, other: "OrdinalTerm") -> "OrdinalTerm":
-        return power(self, other)
-
-    def __str__(self) -> str:
-        return pretty(self)
-
     def __repr__(self) -> str:
         return f"<{pretty(self)}>"
 

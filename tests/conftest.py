@@ -17,7 +17,7 @@ def registry() -> AtomRegistry:
 
 
 def make_atoms(registry: AtomRegistry, count: int = 3):
-    return [registry.builtin(k + 1) for k in range(count)]
+    return [registry.lookup(f"w_{k + 1}") for k in range(count)]
 
 
 def random_term(rng: random.Random, atoms, depth: int = 4) -> OrdinalTerm:

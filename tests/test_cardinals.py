@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from copyposet import cardinals, rules
-from copyposet.atoms import AtomRegistry
+from copyposet.atoms import AtomRegistry, builtin
 from copyposet.cardinals import (
     ALEPH0, CONTINUUM, DIST_H, CardinalExpr, ContradictionError, Hypothesis,
     HypothesisError, _gch_ground, atom_expr, cc_cp_of, cf_of, closure, cohen_transfer,
@@ -13,7 +13,7 @@ from copyposet.cardinals import (
     pow2_of, pow2lt_of, rel, render_expr, render_rel, succ_of,
 )
 from copyposet.parser import parse_term
-from golden_scenarios import scenario_inputs, snapshot
+from golden_scenarios import SCENARIOS, scenario_inputs, snapshot
 
 
 @pytest.fixture
@@ -22,7 +22,7 @@ def reg():
 
 
 def _w(reg, k):
-    return atom_expr(reg.builtin(k))
+    return atom_expr(reg.lookup(f"w_{k}"))
 
 
 _ROUNDTRIP_REG = AtomRegistry()
@@ -36,8 +36,8 @@ def _hypotheses(reg):
     with the normalizing constructors the parser uses."""
     leaves = st.sampled_from([ALEPH0, CONTINUUM, DIST_H] + [
         atom_expr(reg.lookup(name)) for name in ("w_1", "w_2", "w_3", "nu", "mu", "lam")])
-    unary = {"succ": lambda x: succ_of(x, reg), "cf": cf_of, "pow2": pow2_of,
-             "pow2lt": lambda x: pow2lt_of(x, reg), "cc": cc_cp_of}
+    unary = {"succ": succ_of, "cf": cf_of, "pow2": pow2_of, "pow2lt": pow2lt_of,
+             "cc": cc_cp_of}
     exprs = st.recursive(leaves, lambda inner: st.one_of(
         st.builds(lambda f, x: unary[f](x), st.sampled_from(sorted(unary)), inner),
         st.builds(exp_of, inner, inner)), max_leaves=6)
@@ -83,7 +83,7 @@ class TestGrammar:
         assert parse_cardinal_expr("2^<w_1", reg) == CONTINUUM
         assert parse_cardinal_expr("2^<w_2", reg) == pow2_of(_w(reg, 1))
         mu = reg.declare("mu", 50, singular=True)
-        assert parse_cardinal_expr("2^<mu", reg) == pow2lt_of(atom_expr(mu), reg)
+        assert parse_cardinal_expr("2^<mu", reg) == pow2lt_of(atom_expr(mu))
 
     def test_card_lines_declare(self, reg):
         hyps = parse_hypotheses("card mu rank 50 singular cf w\n2^mu = succ(mu)", reg)
@@ -216,10 +216,23 @@ class TestClosure:
         assert fb.entails_rel("le", _w(reg, 3), ccx) == "yes"  # w_3 = w_1++ <= cc
         assert fb.entails_rel("lt", _w(reg, 2), ccx) == "yes"
 
+    def test_exp_congruence(self, reg):
+        hyps = parse_hypotheses("c = w_2\nc^w <= w_5\nw_2^w <= w_5", reg)
+        fb = closure(hyps, reg)
+        key = ("eq", exp_of(_w(reg, 2), ALEPH0), exp_of(CONTINUUM, ALEPH0))
+        assert fb.rels[key] == ("congruence", (("eq", _w(reg, 2), CONTINUUM),))
+
+    def test_gch_singular_seed(self):
+        """Under GCH a singular atom is its own weak power: mu = 2^<mu."""
+        alpha, hyps, reg = _parsed("w^mu", "card mu rank 100 singular cf w\nGCH")
+        fb = rules._Engine(alpha, hyps, reg).fb
+        mu = atom_expr(reg.lookup("mu"))
+        assert fb.rels[("eq", mu, pow2lt_of(mu))] == ("GCH", ())
+
     def test_cc_pinch_from_power_hypothesis(self, reg):
         hyps = parse_hypotheses("2^w_1 = w_2", reg)
         ccx = cc_cp_of(_w(reg, 1))
-        target = succ_of(pow2_of(_w(reg, 1)), reg)
+        target = succ_of(pow2_of(_w(reg, 1)))
         fb = closure(hyps, reg, extra_exprs=[ccx, target])
         assert fb.entails_rel("eq", ccx, target) == "yes"
 
@@ -228,37 +241,40 @@ class TestGchExp:
     """theta^mu under GCH, from declarations alone (the ground of cohen_transfer)."""
 
     def test_examples(self, reg):
-        w5, w1 = reg.builtin(5), reg.builtin(1)
+        w5, w1 = reg.lookup("w_5"), reg.lookup("w_1")
         mu = reg.declare("w_omega", 100, singular=True)
-        assert _gch_ground(atom_expr(w5), atom_expr(w1), reg) == atom_expr(w5)
-        assert _gch_ground(atom_expr(w1), atom_expr(w1), reg) == _w(reg, 2)
-        assert _gch_ground(atom_expr(mu), ALEPH0, reg) == succ_of(atom_expr(mu), reg)
+        assert _gch_ground(atom_expr(w5), atom_expr(w1)) == atom_expr(w5)
+        assert _gch_ground(atom_expr(w1), atom_expr(w1)) == _w(reg, 2)
+        assert _gch_ground(atom_expr(mu), ALEPH0) == succ_of(atom_expr(mu))
+
+    def test_exponent_above_cofinality(self, reg):
+        assert _gch_ground(_w(reg, 1), _w(reg, 2)) == _w(reg, 3)
 
     def test_unknown_marker(self, reg):
-        assert _gch_ground(DIST_H, _w(reg, 2), reg) is None
+        assert _gch_ground(DIST_H, _w(reg, 2)) is None
 
 
 class TestCohenTransfer:
     def test_example_values(self, reg):
-        w5 = reg.builtin(5)
-        tr = cohen_transfer(w5, pow2_of(_w(reg, 1)), reg)
+        w5 = reg.lookup("w_5")
+        tr = cohen_transfer(w5, pow2_of(_w(reg, 1)))
         assert tr.value == atom_expr(w5)
         assert tr.continuum == atom_expr(w5)
-        tr2 = cohen_transfer(reg.builtin(2), pow2_of(ALEPH0), reg)
+        tr2 = cohen_transfer(reg.lookup("w_2"), pow2_of(ALEPH0))
         assert tr2.value == _w(reg, 2)
 
     def test_singular_below_kappa(self, reg):
         mu = reg.declare("w_omega", 100, singular=True)
         kreg = reg.declare("kreg", 200)
-        tr = cohen_transfer(kreg, exp_of(atom_expr(mu), ALEPH0), reg)
+        tr = cohen_transfer(kreg, exp_of(atom_expr(mu), ALEPH0))
         assert tr.value == atom_expr(kreg)
 
     def test_unresolvable(self, reg):
         with pytest.raises(HypothesisError):
-            cohen_transfer(reg.builtin(2), exp_of(DIST_H, ALEPH0), reg)
+            cohen_transfer(reg.lookup("w_2"), exp_of(DIST_H, ALEPH0))
 
     def test_emits_continuum_in_closure(self, reg):
-        w5 = reg.builtin(5)
+        w5 = reg.lookup("w_5")
         fb = closure([Hypothesis("CohenModel", kappa=w5)], reg,
                      extra_exprs=[pow2_of(_w(reg, 1))])
         assert fb.entails_rel("eq", CONTINUUM, atom_expr(w5)) == "yes"
@@ -306,19 +322,22 @@ class TestT58Arithmetic:
 T56_PRODUCT = ("w^(w_2+1) + w^(w_1+1)", "2^w_1 = w_2\n2^w_2 = w_3")
 
 
+def _parsed(alpha_text, text):
+    """(alpha, hypotheses, registry) read from fresh input."""
+    registry = AtomRegistry()
+    hyps = parse_hypotheses(text, registry)
+    return parse_term(alpha_text, registry), hyps, registry
+
+
 def _problem(name):
     """(alpha, hypotheses, registry) of a golden scenario, ``saturate_k`` or
     ``t56_product``."""
     if name == "t56_product":
-        alpha_text, text = T56_PRODUCT
-    elif name.startswith("saturate_"):
+        return _parsed(*T56_PRODUCT)
+    if name.startswith("saturate_"):
         k = int(name.split("_")[1])
-        alpha_text, text = "w^(w_1+1)", f"GCH\n2^w_1 = w_2\nw_{k} < 2^w_{k}"
-    else:
-        return scenario_inputs(name)
-    registry = AtomRegistry()
-    hyps = parse_hypotheses(text, registry)
-    return parse_term(alpha_text, registry), hyps, registry
+        return _parsed("w^(w_1+1)", f"GCH\n2^w_1 = w_2\nw_{k} < 2^w_{k}")
+    return scenario_inputs(name)
 
 
 def _analyze_closures(monkeypatch, name):
@@ -397,13 +416,29 @@ def test_closure_work_bound(monkeypatch):
 @pytest.mark.parametrize("name,nodes", [("t54_singular", 26), ("saturate_8", 32)])
 def test_results_do_not_depend_on_registry_history(name, nodes):
     """25 analyses on one registry close over the same universe and report the same:
-    a closure reads no builtin that an earlier analysis materialized."""
+    an analysis leaves nothing in the registry for the next one to read."""
     alpha, hyps, registry = _problem(name)
     runs = []
     for _ in range(25):
         engine = rules._Engine(alpha, hyps, registry)
         runs.append((len(engine.fb.universe), snapshot(engine.run())))
     assert runs == [(nodes, runs[0][1])] * 25
+
+
+@pytest.mark.parametrize("name", [s[0] for s in SCENARIOS] +
+                         [f"saturate_{k}" for k in range(2, 9)])
+def test_computing_leaves_the_registry_as_it_was(name):
+    """analyze, closure and entails read the registry and never add to it, not even
+    the builtins they build (w^(w_1+1) needs w_2 = succ(w_1), cc(CP(w_3)) needs w_5)."""
+    alpha, hyps, registry = _problem(name)
+    before = registry.atoms()
+    rules.analyze(alpha, hyps, registry)
+    assert registry.atoms() == before
+    closure(hyps, registry)
+    assert registry.atoms() == before
+    w3 = atom_expr(builtin(3))
+    assert entails(hyps, rel("lt", w3, cc_cp_of(w3)), registry) == "yes"
+    assert registry.atoms() == before
 
 
 # the problems whose analysis runs a T5.6 sub-analysis
@@ -482,7 +517,7 @@ def test_contradiction_chain_shape(monkeypatch, alpha_text, text):
 
 # the per-node rules that read no stored relation
 STATIC_NODE_RULES = {"cantor", "koenig", "weakpow-above", "weakpow-below", "succ-above",
-                     "atom-order", "cf-below", "F2.6a", "exp-base", "exp-above-pow2"}
+                     "cf-below", "F2.6a", "exp-base", "exp-above-pow2"}
 
 
 @pytest.mark.parametrize("name", ["saturate_8", "t58_mu_d", "ex53_negative"])

@@ -31,7 +31,7 @@ def test_case_b_witnesses(registry):
     assert add(rep.theta, rep.kappa) == delta
     # t(n) = w_2*(n+1), range w
     assert rep.schema.range_ == OMEGA
-    w2 = from_atom(registry.builtin(2))
+    w2 = from_atom(registry.lookup("w_2"))
     for n in range(4):
         from copyposet.terms import mul
         assert instantiate(rep.schema, n) == mul(w2, nat(n + 1))
@@ -40,7 +40,7 @@ def test_case_b_witnesses(registry):
 def test_case_c_witnesses(registry):
     delta = parse_term("w_2*w_1 + w_2", registry)
     rep = classify_exponent(delta)
-    assert rep.lam == from_atom(registry.builtin(1))
+    assert rep.lam == from_atom(registry.lookup("w_1"))
     assert rep.theta == parse_term("w_2*w_1", registry)
     assert rep.schema.range_ == rep.lam
     for n in range(3):
@@ -81,7 +81,7 @@ def test_fundamental_examples(registry):
     assert s2.range_ == OMEGA
     assert [pretty(instantiate(s2, n)) for n in range(3)] == ["w_2", "w_2*2", "w_2*3"]
     s3 = fundamental_description(parse_term("w_2*w_2", registry))
-    assert s3.range_ == from_atom(registry.builtin(2))
+    assert s3.range_ == from_atom(registry.lookup("w_2"))
     assert pretty(instantiate(s3, 0)) == "w_2"
     assert pretty(instantiate(s3, 1)) == "w_2*2"
 

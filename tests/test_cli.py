@@ -97,7 +97,7 @@ def test_classify_json_schema_reparses(capsys):
     from copyposet.terms import nat, mul, from_atom
     registry = AtomRegistry()
     t1 = parse_term(schema["expr"], registry, env={schema["var"]: nat(1)})
-    assert t1 == mul(from_atom(registry.builtin(2)), nat(2))
+    assert t1 == mul(from_atom(registry.lookup("w_2")), nat(2))
 
 
 def test_parse_error_exit_2(capsys):
@@ -202,6 +202,15 @@ def test_copies_subcommands(capsys):
     assert code == 0
     code, out, _ = run(capsys, "copies", "reduce", embedded)
     assert code == 0 and json.loads(out)["period"] == "10"
+
+
+def test_copies_set_from_file(tmp_path, capsys):
+    f = tmp_path / "full2.json"
+    f.write_text(json.dumps({"prefix": [], "tail": [{"prefix": "", "period": "1"}]}))
+    code, out, _ = run(capsys, "copies", "type", f"@{f}")
+    assert (code, out.strip()) == (0, "w^2")
+    code, out, err = run(capsys, "copies", "type", f"@{tmp_path / 'missing.json'}")
+    assert code == 2 and not out and err.startswith("error: cannot read")
 
 
 def test_copies_bad_literal(capsys):
@@ -327,7 +336,7 @@ def test_builtin_index_limit(capsys):
                  ["cmp", "w", "w_" + "9" * 5000]):
         code, out, err = run(capsys, *argv)
         assert code == 2 and not out and "largest builtin" in err and "Traceback" not in err
-    # user atoms carry any rank, and the engine materializes w_201 above w_200
+    # user atoms carry any rank, and the engine builds w_201 above w_200
     code, _out, _err = run(capsys, "analyze", "w^mu", "--card", "mu rank 5000",
                            "--assume", f"succ(w_{MAX_BUILTIN_INDEX}) < mu")
     assert code == 0
@@ -336,3 +345,30 @@ def test_builtin_index_limit(capsys):
 def test_no_command_usage(capsys):
     code, _out, _err = run(capsys)
     assert code == 2
+
+
+def test_usage_lines_are_pinned(capsys):
+    """The top-level usage text is written out, so every supported Python prints
+    the same lines."""
+    code, out, err = run(capsys, "frobnicate", "w")
+    assert code == 2 and not out
+    assert err.splitlines()[:3] == [
+        "usage: copyposet [-h] [--batch PATH]",
+        "                 {norm,cmp,cof,card,cnfbase,classify,factorize,analyze,rules,copies}",
+        "                 ..."]
+    assert err.splitlines()[3].startswith("copyposet: error: argument command: invalid choice")
+
+
+def test_rank_rule_reads_the_closure_universe(capsys):
+    """A user atom may not share its rank with a builtin the problem's closure holds
+    (w^w_1 brings w_1..w_3 into it), and may take the rank of a builtin that only
+    the rules build outside it."""
+    code, out, err = run(capsys, "analyze", "w^w_1", "--card", "mu rank 3")
+    assert (code, out, err) == (2, "", "error: cannot use w_3: rank 3 is taken by 'mu'\n")
+    outputs = []
+    for rank in (4, 100):
+        code, out, err = run(capsys, "analyze", "w^w_1", "--card", f"mu rank {rank}",
+                             "--format", "json")
+        assert code == 0 and not err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]

@@ -18,7 +18,7 @@ def test_simple_normal_form(registry):
 
 def test_atom_product_normalizes(registry):
     t = parse_term("w_2*w + w_2", registry)
-    w2 = from_atom(registry.builtin(2))
+    w2 = from_atom(registry.lookup("w_2"))
     assert t == add(mul(w2, OMEGA), w2)
     assert t.summands[0][0] == add(w2, ONE)
 
@@ -55,7 +55,7 @@ def test_preamble_regular_atom(registry):
 def test_variable_environment(registry):
     env = {"i": nat(3)}
     assert parse_term("w_2*(i+1)", registry, env=env) == mul(
-        from_atom(registry.builtin(2)), nat(4))
+        from_atom(registry.lookup("w_2")), nat(4))
 
 
 def test_trailing_input(registry):

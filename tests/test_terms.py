@@ -21,7 +21,7 @@ def terms(draw, depth: int = 4):
 
 
 def _w(k: int, registry: AtomRegistry):
-    return from_atom(registry.builtin(k))
+    return from_atom(registry.lookup(f"w_{k}"))
 
 
 class TestExamples:
@@ -104,14 +104,14 @@ class TestCardinality:
 
 class TestBaseCNF:
     def test_base_itself(self, registry):
-        w2 = registry.builtin(2)
+        w2 = registry.lookup("w_2")
         b = cnf_base(from_atom(w2), w2)
         assert b.digits == ((ONE, ONE),)
         assert b.remainder == ZERO
 
     def test_mixed_digit(self, registry):
         # frozen via the recomposition oracle
-        w2 = registry.builtin(2)
+        w2 = registry.lookup("w_2")
         t = add(mul(from_atom(w2), OMEGA), from_atom(w2))
         b = cnf_base(t, w2)
         assert b.digits == ((ONE, add(OMEGA, ONE)),)
@@ -119,7 +119,7 @@ class TestBaseCNF:
         assert b.recompose() == t
 
     def test_below_base(self, registry):
-        w2 = registry.builtin(2)
+        w2 = registry.lookup("w_2")
         t = add(add(mul(power(OMEGA, nat(3)), nat(2)), OMEGA), nat(4))
         b = cnf_base(t, w2)
         assert b.digits == ()
@@ -129,7 +129,7 @@ class TestBaseCNF:
     @given(terms(), st.integers(1, 3))
     def test_recompose_random(self, t, k):
         registry = AtomRegistry()
-        base = registry.builtin(k)
+        base = registry.lookup(f"w_{k}")
         b = cnf_base(t, base)
         assert b.recompose() == t
         base_ord = from_atom(base)

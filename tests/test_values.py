@@ -38,7 +38,7 @@ def _report() -> AnalysisReport:
 
 
 def _transfer(reg) -> CohenTransfer:
-    return cohen_transfer(reg.lookup("w_3"), parse_cardinal_expr("2^w_1", reg), reg)
+    return cohen_transfer(reg.lookup("w_3"), parse_cardinal_expr("2^w_1", reg))
 
 
 _SET = {"prefix": [], "tail": [{"prefix": "01", "period": "10"}]}
