@@ -52,10 +52,6 @@ class CardinalAtom(Value):
         # every CardinalExpr lookup hashes its atom: the hash is computed once
         init(self, "_hash", hash((name, rank, singular, declared_cofinality, builtin_index)))
 
-    def _values(self) -> tuple:
-        return (self.name, self.rank, self.singular, self.declared_cofinality,
-                self.builtin_index)
-
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self is other or (

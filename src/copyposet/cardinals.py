@@ -214,9 +214,6 @@ class Hypothesis(Value):
         init(self, "mu", mu)
         init(self, "kappa", kappa)
 
-    def _values(self) -> tuple:
-        return (self.kind, self.op, self.lhs, self.rhs, self.mu, self.kappa)
-
     def render(self) -> str:
         if self.kind == "rel":
             sym = {"eq": "=", "lt": "<", "le": "<="}[self.op]
@@ -462,9 +459,6 @@ class FactBase:
                 return x
             x = best
 
-    def relations(self) -> list[Rel]:
-        return sorted(self.rels, key=lambda k: (k[0], k[1].skey, k[2].skey))
-
 
 def _gch_ground(theta: CardinalExpr, mu: CardinalExpr) -> CardinalExpr | None:
     """theta^mu under GCH, decided from declarations alone (rigid atoms)."""
@@ -480,19 +474,9 @@ def _gch_ground(theta: CardinalExpr, mu: CardinalExpr) -> CardinalExpr | None:
     return succ_of(mu)
 
 
-class CohenTransfer(Value):
-    __slots__ = ("value", "continuum")
-
-    def __init__(self, value: CardinalExpr, continuum: CardinalExpr) -> None:
-        init(self, "value", value)
-        init(self, "continuum", continuum)  # the emitted extension fact: c equals this
-
-    def _values(self) -> tuple:
-        return (self.value, self.continuum)
-
-
-def cohen_transfer(kappa: CardinalAtom, expr: CardinalExpr) -> CohenTransfer:
-    """Extension value of theta^mu (or 2^mu) after adding Fn(kappa,2) over a GCH ground."""
+def cohen_transfer(kappa: CardinalAtom, expr: CardinalExpr) -> CardinalExpr:
+    """Extension value of theta^mu (or 2^mu) after adding Fn(kappa,2) over a GCH ground,
+    computed in the ground model."""
     kexpr = atom_expr(kappa)
     if expr.kind == "c":
         # 2^w in normalized form
@@ -512,7 +496,7 @@ def cohen_transfer(kappa: CardinalAtom, expr: CardinalExpr) -> CohenTransfer:
     if value is None:
         raise HypothesisError(
             f"cannot order {render_expr(mu)} against {render_expr(theta)} / its cofinality")
-    return CohenTransfer(value, kexpr)
+    return value
 
 
 def closure(hyps: Iterable[Hypothesis], registry: AtomRegistry,
@@ -556,14 +540,18 @@ def closure(hyps: Iterable[Hypothesis], registry: AtomRegistry,
             for k in range(1, x.atom.builtin_index):
                 uni.add(atom_expr(builtin(k)))
 
-    cohens = [h for h in hyps if h.kind == "CohenModel"]
-    for h in cohens:
-        for x in list(uni):
-            if x.kind in ("pow2", "exp"):
-                try:
-                    uni.update(subexprs(cohen_transfer(h.kappa, x).value))
-                except HypothesisError:
-                    pass
+    # the Cohen transfers add succ nodes and builtins only, so every CohenModel line
+    # meets the same 2^ and ^ nodes, here and in the seeds
+    transfers: dict[tuple, CardinalExpr] = {}  # (kappa, node) -> the node's value
+    for h in hyps:
+        if h.kind == "CohenModel":
+            for x in list(uni):
+                if x.kind in ("pow2", "exp"):
+                    try:
+                        value = transfers[h.kappa, x] = cohen_transfer(h.kappa, x)
+                    except HypothesisError:
+                        continue
+                    uni.update(subexprs(value))
 
     # the seeds walk the universe in skey order, so the stored order (and the
     # provenance it picks) does not follow the set's hashing
@@ -605,12 +593,9 @@ def closure(hyps: Iterable[Hypothesis], registry: AtomRegistry,
             fb.add("eq", CONTINUUM, atom_expr(h.kappa), "F2.4")
             fb.add("eq", DIST_H, W1, "cohen-h")
             for x in order:
-                if x.kind in ("pow2", "exp"):
-                    try:
-                        tr = cohen_transfer(h.kappa, x)
-                    except HypothesisError:
-                        continue
-                    fb.add("eq", x, tr.value, "F2.4")
+                value = transfers.get((h.kappa, x))
+                if value is not None:
+                    fb.add("eq", x, value, "F2.4")
 
     _run_rules(fb)
     return fb

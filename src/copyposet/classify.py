@@ -41,9 +41,6 @@ class SequenceSchema(Value):
         init(self, "route", route)
         init(self, "_build", _build)
 
-    def _values(self) -> tuple:
-        return (self.var, self.range_, self.expr, self.symbolic_only, self.route)
-
     def __reduce__(self):
         return SequenceSchema, (*self._values(), self._build)
 
@@ -75,9 +72,6 @@ class CaseReport(Value):
         init(self, "theta", theta)
         init(self, "lam", lam)
         init(self, "schema", schema)
-
-    def _values(self) -> tuple:
-        return (self.label, self.kappa, self.theta, self.lam, self.schema)
 
     def to_obj(self) -> dict:
         obj = {"label": self.label,

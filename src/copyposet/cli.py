@@ -75,7 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rules", parents=[common], help="rule catalog")
     p.add_argument("rule_id", nargs="?")
 
-    cop = sub.add_parser("copies", parents=[common], help="finitely presented sets lab")
+    # the lab's options follow its subcommand: argparse would overwrite an option
+    # given before it with the subcommand's default
+    cop = sub.add_parser("copies", help="finitely presented sets lab")
     csub = cop.add_subparsers(dest="subcommand", required=True)
     c = csub.add_parser("type", parents=[common])
     c.add_argument("set")
@@ -104,7 +106,7 @@ def _load_registry_and_hyps(ns) -> tuple[AtomRegistry, list[Hypothesis]]:
         try:
             with open(path, encoding="utf-8") as f:
                 text = f.read()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
             raise _CliInputError(f"cannot read {path}: {exc}") from exc
         for line in text.splitlines():
             h = parse_hypothesis_line(line, registry)
@@ -125,12 +127,14 @@ def _load_set(literal: str) -> finsets.FinPresSet:
         try:
             with open(literal[1:], encoding="utf-8") as f:
                 text = f.read()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
             raise _CliInputError(f"cannot read {literal[1:]}: {exc}") from exc
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise _CliInputError(f"bad set literal: {exc}") from exc
+    except RecursionError as exc:  # the decoder recurses once per nesting level
+        raise _CliInputError("bad set literal: nested too deeply") from exc
     try:
         return finsets.from_obj(obj)
     except finsets.FinPresError as exc:
@@ -211,7 +215,8 @@ def _dispatch(ns) -> int:
             lines.append("conclusion: undetermined")
             for rid, prems in report.blocked:
                 lines.append(f"  blocked {rid}: unknown " + "; ".join(prems))
-        _emit(ns, lines, report.to_obj())
+        # the report's JSON object is large for a long alpha: built only when printed
+        _emit(ns, lines, report.to_obj() if ns.format == "json" else None)
     elif cmd == "rules":
         if ns.rule_id:
             info = rule_lookup(ns.rule_id)
@@ -331,7 +336,7 @@ def _run_batch(path: str) -> int:
     try:
         with open(path, encoding="utf-8") as f:
             lines = f.read().splitlines()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     worst = 0

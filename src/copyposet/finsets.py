@@ -19,6 +19,10 @@ class FinPresError(ValueError):
     pass
 
 
+MAX_RANK = 3
+_RANK_LIMIT = f"ranks above {MAX_RANK} are not supported"
+
+
 class FinPresSet(Value):
     __slots__ = ("rank", "prefix", "period")
 
@@ -26,9 +30,6 @@ class FinPresSet(Value):
         init(self, "rank", rank)
         init(self, "prefix", prefix)  # bits (0/1) at rank 1, FinPresSet children above
         init(self, "period", period)  # nonempty; same element type as prefix
-
-    def _values(self) -> tuple:
-        return (self.rank, self.prefix, self.period)
 
     def block(self, i: int):
         if i < len(self.prefix):
@@ -86,10 +87,8 @@ def full_set(rank: int) -> FinPresSet:
     return make(rank, (), (full_set(rank - 1),))
 
 
-def from_indices(indices, rank: int = 1) -> FinPresSet:
+def from_indices(indices) -> FinPresSet:
     """Finite rank-1 set from explicit naturals."""
-    if rank != 1:
-        raise FinPresError("explicit indices build rank-1 sets")
     top = max(indices) + 1 if indices else 0
     return make(1, tuple(1 if i in set(indices) else 0 for i in range(top)), (0,))
 
@@ -150,9 +149,6 @@ class CriterionReport(Value):
         init(self, "levels", levels)
         init(self, "verdict", verdict)
 
-    def _values(self) -> tuple:
-        return (self.levels, self.verdict)
-
     def to_obj(self) -> dict:
         return {"levels": [{"m": m, "indices": to_obj(s), "infinite": inf}
                            for m, s, inf in self.levels],
@@ -193,6 +189,8 @@ def embed_subset(s: FinPresSet, rank: int) -> FinPresSet:
         raise FinPresError("the index set must be infinite")
     if rank < 2:
         raise FinPresError("embedding targets have rank >= 2")
+    if rank > MAX_RANK:
+        raise FinPresError(_RANK_LIMIT)
     full, empty = full_set(rank - 1), empty_set(rank - 1)
     pick = lambda bit: full if bit else empty
     return make(rank, tuple(pick(b) for b in s.prefix), tuple(pick(b) for b in s.period))
@@ -292,32 +290,36 @@ def to_obj(a: FinPresSet):
             "tail": [to_obj(b) for b in a.period]}
 
 
-def from_obj(obj, rank: int | None = None) -> FinPresSet:
+def from_obj(obj) -> FinPresSet:
+    """The set of a JSON literal in the form of ``to_obj``."""
+    return _from_obj(obj, MAX_RANK)
+
+
+def _from_obj(obj, max_rank: int) -> FinPresSet:
+    if not isinstance(obj, dict):
+        raise FinPresError("a set literal must be a JSON object")
     if "period" in obj:
-        if rank not in (None, 1):
-            raise FinPresError("rank-1 literal found where a deeper set was expected")
         try:
             prefix = tuple(int(c) for c in obj.get("prefix", ""))
             period = tuple(int(c) for c in obj["period"])
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise FinPresError("bit strings must consist of 0 and 1") from exc
         if any(b not in (0, 1) for b in prefix + period):
             raise FinPresError("bit strings must consist of 0 and 1")
         return make(1, prefix, period)
     if "tail" not in obj:
         raise FinPresError("a set literal needs 'period' (rank 1) or 'tail'")
-    prefix = tuple(from_obj(o) for o in obj.get("prefix", []))
-    tail = tuple(from_obj(o) for o in obj["tail"])
+    if max_rank == 1:  # refused before reading the children, however deep they go
+        raise FinPresError(_RANK_LIMIT)
+    prefix, tail = obj.get("prefix", []), obj["tail"]
+    if not (isinstance(prefix, list) and isinstance(tail, list)):
+        raise FinPresError("'prefix' and 'tail' must be lists of set literals")
+    prefix = tuple(_from_obj(o, max_rank - 1) for o in prefix)
+    tail = tuple(_from_obj(o, max_rank - 1) for o in tail)
     if not tail:
         raise FinPresError("the periodic tail must be nonempty")
     ranks = {c.rank for c in prefix + tail}
     if len(ranks) != 1:
         raise FinPresError("all children must share one rank")
-    child_rank = ranks.pop()
-    result = make(child_rank + 1, prefix, tail)
-    if rank is not None and result.rank != rank:
-        raise FinPresError(f"expected rank {rank}, found {result.rank}")
-    if result.rank > 3:
-        raise FinPresError("ranks above 3 are not supported")
-    return result
+    return make(ranks.pop() + 1, prefix, tail)
 

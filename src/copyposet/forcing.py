@@ -33,10 +33,6 @@ class PosetExpr(Value):
         init(self, "factors", factors)
         init(self, "tag", tag)
 
-    def _values(self) -> tuple:
-        return (self.kind, self.alpha, self.delta, self.kappa, self.lam, self.n, self.args,
-                self.factors, self.tag)
-
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return ((self.kind, self.alpha, self.delta, self.kappa, self.lam, self.n,
@@ -180,9 +176,6 @@ class Step(Value):
         # | ("subfact", delta0, ForcingFact): a fact of the analysis of w^delta0
         init(self, "premises", premises)
 
-    def _values(self) -> tuple:
-        return (self.rule, self.instantiation, self.premises)
-
     def to_obj(self) -> dict:
         return {"rule": self.rule,
                 "instantiation": {k: v for k, v in self.instantiation},
@@ -212,12 +205,6 @@ class ForcingFact(Value):
         init(self, "operands", operands)  # PosetExpr / CardinalExpr / str operands
         init(self, "trace", trace)  # Steps
         init(self, "resolved", resolved)  # ((position, resolved text), ...) for display
-
-    def _values(self) -> tuple:
-        return (self.kind, self.operands, self.trace, self.resolved)
-
-    def key(self) -> tuple:
-        return (self.kind, tuple(_operand_text(o) for o in self.operands))
 
     def to_obj(self) -> dict:
         return {"kind": self.kind,

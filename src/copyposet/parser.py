@@ -38,9 +38,6 @@ class Token(Value):
         init(self, "text", text)
         init(self, "pos", pos)
 
-    def _values(self) -> tuple:
-        return (self.kind, self.text, self.pos)
-
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.pos == other.pos and self.text == other.text

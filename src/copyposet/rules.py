@@ -35,9 +35,6 @@ class RuleInfo(Value):
         init(self, "premises", premises)
         init(self, "conclusion", conclusion)
 
-    def _values(self) -> tuple:
-        return (self.id, self.premises, self.conclusion)
-
 
 _CATALOG = [
     RuleInfo("T1.1a", "every CNF exponent of alpha is countable",
@@ -147,10 +144,6 @@ class AnalysisReport(Value):
         self.blocked = blocked  # (rule_id, [premise strings])
         self.resolutions = resolutions  # rendered expr -> rendered resolution
 
-    def _values(self) -> tuple:
-        return (self.alpha, self.hypotheses, self.factorization, self.notes, self.facts,
-                self.ro_conclusion, self.blocked, self.resolutions)
-
     def to_obj(self) -> dict:
         obj = {
             "schema_version": SCHEMA_VERSION,
@@ -195,6 +188,14 @@ def _card_expr(t: OrdinalTerm) -> CardinalExpr | None:
     if cv.kind == "finite":
         return None
     return ALEPH0 if cv.kind == "aleph0" else atom_expr(cv.atom)
+
+
+def _rho(rep: CaseReport) -> CardinalExpr | None:
+    """The cardinal rho with CP(rho) completely embedded by T4.7 in cases C, D and E
+    (lambda in case C, kappa in cases D/E); None in cases A and B."""
+    if rep.label == "C":
+        return _term_card(rep.lam)
+    return _term_card(rep.kappa) if rep.label in ("D", "E") else None
 
 
 def resolve_poset(p: PosetExpr, fb: FactBase) -> PosetExpr:
@@ -371,20 +372,12 @@ class _Engine:
                                 (("fact", ident),
                                  ("closure", ("eq", pow2_of(ae), pow2_of(ae))))),))
             return
-        kappa_e = _term_card(rep.kappa)
-        if label == "C":
-            lam_e = _term_card(rep.lam)
-            ce_fact = self.emit("CompletelyEmbeds", (cp(lam_e), F),
-                                (self._case_step(d, "T4.7C"),))
-            self.emit("Collapses", (F, self.w2, ALEPH0),
-                      (Step("T4.7C", (), (("fact", ce_fact),)),))
-            return
         tag = f"T4.7{label}"
-        ce_fact = self.emit("CompletelyEmbeds", (cp(kappa_e), F),
+        ce_fact = self.emit("CompletelyEmbeds", (cp(_rho(rep)), F),
                             (self._case_step(d, tag),))
         self.emit("Collapses", (F, self.w2, ALEPH0),
                   (Step(tag, (), (("fact", ce_fact),)),))
-        a = _delta_atom(d)
+        a = _delta_atom(d)  # never an atom in case C
         if a is not None:
             self.emit("ForcingEquivalent", (F, cp(atom_expr(a))),
                       (self._case_step(d, "sq-cp-ident"),))
@@ -413,10 +406,9 @@ class _Engine:
             self._rule_t54(d, F, a)
         if a is not None and a.regular and label in ("D", "E"):
             self._rule_ex53(d, F, a)
-        if label in ("C", "D", "E"):
-            rho = _term_card(rep.lam) if label == "C" else kappa_e
-            if rho is not None:
-                self._rule_f26e(d, F, rho, a if label != "C" else None, ce)
+        rho = _rho(rep)
+        if rho is not None:
+            self._rule_f26e(d, F, rho, a, ce)
         if (a is not None and a.singular and a.declared_cofinality is None
                 and self.has_hyps):
             self._rule_t58(d, F, a)
@@ -667,22 +659,13 @@ class _Engine:
                       (Step("F2.6b", (), prem),))
             return
         cae = _card_expr(self.alpha)
-        rhos = []
+        rhos: dict[CardinalExpr, OrdinalTerm] = {}  # rho -> the first factor giving it
         for d in self.deltas:
-            rep = self.reports[d]
-            if rep.label == "C":
-                rho = _term_card(rep.lam)
-            elif rep.label in ("D", "E"):
-                rho = _term_card(rep.kappa)
-            else:
-                continue
-            if rho is not None and rho not in rhos:
-                rhos.append(rho)
-        for rho in rhos:
-            emb = self.has_fact("CompletelyEmbeds", (cp(rho), self._factor_poset(
-                next(d for d in self.deltas if _term_card(self.reports[d].kappa) == rho
-                     or (self.reports[d].lam is not None
-                         and _term_card(self.reports[d].lam) == rho)))))
+            rho = _rho(self.reports[d])
+            if rho is not None:
+                rhos.setdefault(rho, d)
+        for rho, d in rhos.items():
+            emb = self.has_fact("CompletelyEmbeds", (cp(rho), self._factor_poset(d)))
             self.emit("CompletelyEmbeds", (cp(rho), self.whole),
                       (Step("T4.9b", (("lambda", render_expr(rho)),),
                             (("fact", emb),) if emb else ()),))

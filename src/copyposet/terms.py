@@ -58,9 +58,6 @@ class OrdinalTerm(Value):
         init(self, "summands", summands)
         init(self, "tail", tail)
 
-    def _values(self) -> tuple:
-        return (self.summands, self.tail)
-
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self.tail == other.tail and self.summands == other.summands
@@ -158,21 +155,24 @@ def add(a: OrdinalTerm, b: OrdinalTerm) -> OrdinalTerm:
     if b.is_finite():
         return OrdinalTerm(a.summands, _bounded(a.tail + b.tail))
     e0, c0 = b.summands[0]
-    keep = []
-    merged = False
-    for i, (e, c) in enumerate(a.summands):
-        k = cmp_exp(e, e0)
+    # a's summands above w^e0 stay, one with exponent e0 merges, the rest are absorbed;
+    # the exponents decrease, so a binary search finds the cut, and a long sum written
+    # left to right compares each summand with log n of the ones before it, not n
+    summands = a.summands
+    lo, hi = 0, len(summands)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        k = cmp_exp(summands[mid][0], e0)
         if k > 0:
-            keep.append((e, c))
-        elif k == 0:
-            keep.append((e0, _bounded(c + c0)))
-            merged = True
-            break
+            lo = mid + 1
+        elif k < 0:
+            hi = mid
         else:
+            c0 = _bounded(summands[mid][1] + c0)
+            lo = mid
             break
-    if not merged:
-        keep.append((e0, c0))
-    return OrdinalTerm(tuple(keep) + b.summands[1:], b.tail)
+    _summand_bound(lo + len(b.summands))
+    return OrdinalTerm(summands[:lo] + ((e0, c0),) + b.summands[1:], b.tail)
 
 
 def add_exp(e: Exponent, f: Exponent) -> Exponent:
@@ -321,19 +321,6 @@ class CardinalityValue(Value):
         init(self, "n", n)
         init(self, "atom", atom)
 
-    def _values(self) -> tuple:
-        return (self.kind, self.n, self.atom)
-
-    def key(self) -> tuple:
-        if self.kind == "finite":
-            return (0, self.n)
-        if self.kind == "aleph0":
-            return (1, 0)
-        return (2, self.atom.rank)
-
-    def __le__(self, other: "CardinalityValue") -> bool:
-        return self.key() <= other.key()
-
     def __str__(self) -> str:
         if self.kind == "finite":
             return str(self.n)
@@ -378,9 +365,6 @@ class BaseCNF(Value):
         # ((xi, zeta), ...) with xi, zeta OrdinalTerms, zeta < base
         init(self, "digits", digits)
         init(self, "remainder", remainder)
-
-    def _values(self) -> tuple:
-        return (self.base, self.digits, self.remainder)
 
     def recompose(self) -> OrdinalTerm:
         base_ord = from_atom(self.base)

@@ -2,13 +2,17 @@
 
 A value class lists its fields in ``__slots__``, in constructor order, and sets
 them in its own ``__init__`` through ``init`` (``object.__setattr__``): plain
-assignment raises ``AttributeError``. Its method ``_values`` returns the tuple of
-the fields that make up the value, in constructor order. Two values are equal
-when they are of the same class with equal ``_values``; the hash is that of the
-``_values`` tuple, and copying and pickling rebuild a value from it. A class on a
-hot path writes its own ``__eq__`` and ``__hash__`` with the same meaning.
+assignment raises ``AttributeError``. Its value is the tuple of its fields: the
+``__slots__`` of its bases and then its own, in declared order, minus those whose
+names start with ``_``; every class has two or more. Two values are equal when
+they are of the same class with equal value tuples; the hash is that of the
+tuple, the repr lists it, and copying and pickling rebuild a value from it. A
+class on a hot path writes its own ``__eq__`` and ``__hash__`` with the same
+meaning.
 """
 from __future__ import annotations
+
+from operator import attrgetter
 
 init = object.__setattr__
 
@@ -16,16 +20,26 @@ init = object.__setattr__
 class Value:
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        fields = [name for klass in reversed(cls.__mro__)
+                  for name in vars(klass).get("__slots__", ()) if not name.startswith("_")]
+        cls._get_values = attrgetter(*fields)  # a tuple, for two fields or more
+
+    def _values(self) -> tuple:
+        return self._get_values(self)
+
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            get = self._get_values
+            return get(self) == get(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._get_values(self))
 
     def __reduce__(self):
-        return self.__class__, self._values()
+        return self.__class__, self._get_values(self)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of an immutable "
@@ -36,4 +50,4 @@ class Value:
                              f"{type(self).__name__}")
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({', '.join(map(repr, self._values()))})"
+        return f"{type(self).__name__}({', '.join(map(repr, self._get_values(self)))})"

@@ -201,6 +201,33 @@ def test_product_cc_gives_whole_poset_collapse_iso():
     assert any(s.rule == "T4.9b" for s in report.ro_conclusion.trace)
 
 
+@pytest.mark.parametrize("alpha_text,rho,factor", [
+    ("w^(w_1*w + w_1) + w_1", "w_1", "sq(P(w_1))"),  # a case-B factor first
+    ("w^(w_2*w_1 + w_2) + w_2", "w_2", "sq(P(w_2))"),  # a case-C factor (CP(w_1)) first
+])
+def test_product_embedding_cites_the_factor_giving_rho(alpha_text, rho, factor):
+    """T4.9b embeds CP(rho) into the product through the factor whose case gives rho,
+    whatever factors come before it."""
+    report, registry, hyps = _run(alpha_text)
+    whole = render_poset(report.factorization)
+    step = next(s for f in report.facts for s in f.trace if s.rule == "T4.9b"
+                and fact_text(f) == f"CP({rho}) completely embeds into {whole}")
+    assert [premise_text(p) for p in step.premises] == [
+        f"fact: CP({rho}) completely embeds into {factor}"]
+    _replay(report.alpha, hyps, registry)
+
+
+def test_product_cc_through_a_case_c_factor():
+    """The lambda of a case-C factor is a collapsing cardinal of the product."""
+    report, registry, hyps = _run("w^(w_3*w_1 + w_3) + w_2", "cc(CP(w_1)) = succ(2^w_3)")
+    assert report.ro_conclusion is not None
+    assert fact_text(report.ro_conclusion).startswith(
+        f"ro({render_poset(report.factorization)}) ~ ro(Col(w, 2^w_3)")
+    assert any(s.rule == "T4.9b" and s.instantiation == (("lambda", "w_1"),)
+               for s in report.ro_conclusion.trace)
+    _replay(report.alpha, hyps, registry)
+
+
 def test_mixed_product_without_hypotheses_stays_open():
     report, _reg, _h = _run("w^(w_1)*2 + w^(w+1)")
     assert report.ro_conclusion is None

@@ -192,7 +192,7 @@ class TestClosure:
         # expressions (the universe itself grows by a derived layer)
         hyps = parse_hypotheses("h < c\nc = w_2\n2^w_1 = w_2", reg)
         fb = closure(hyps, reg)
-        again = [rel(op, l, r_) for (op, l, r_) in fb.relations()]
+        again = [rel(op, l, r_) for (op, l, r_) in fb.rels]
         fb2 = closure(hyps + again, reg)
         u0 = fb.universe
         restricted = {k for k in fb2.rels if k[1] in u0 and k[2] in u0}
@@ -257,17 +257,13 @@ class TestGchExp:
 class TestCohenTransfer:
     def test_example_values(self, reg):
         w5 = reg.lookup("w_5")
-        tr = cohen_transfer(w5, pow2_of(_w(reg, 1)))
-        assert tr.value == atom_expr(w5)
-        assert tr.continuum == atom_expr(w5)
-        tr2 = cohen_transfer(reg.lookup("w_2"), pow2_of(ALEPH0))
-        assert tr2.value == _w(reg, 2)
+        assert cohen_transfer(w5, pow2_of(_w(reg, 1))) == atom_expr(w5)
+        assert cohen_transfer(reg.lookup("w_2"), pow2_of(ALEPH0)) == _w(reg, 2)
 
     def test_singular_below_kappa(self, reg):
         mu = reg.declare("w_omega", 100, singular=True)
         kreg = reg.declare("kreg", 200)
-        tr = cohen_transfer(kreg, exp_of(atom_expr(mu), ALEPH0))
-        assert tr.value == atom_expr(kreg)
+        assert cohen_transfer(kreg, exp_of(atom_expr(mu), ALEPH0)) == atom_expr(kreg)
 
     def test_unresolvable(self, reg):
         with pytest.raises(HypothesisError):
@@ -476,7 +472,8 @@ def test_t56_sub_analysis_shares_the_closure(monkeypatch, name):
 
 # the `derive` benchmark's contradictory sets, and Cantor's theorem broken outright
 CONTRADICTIONS = [("w^(w_1)", "CH\nc = w_2"), ("w^(w_1+1)", "2^w_1 = w_1"),
-                  ("w^w", "h < c\nc = w_1"), ("w^(w_1*w_1)", "w_2 < w_1"), ("w^w", "2^w = w")]
+                  ("w^w", "h < c\nc = w_1"), ("w^w", "w_1 < c\nc = w_1"),
+                  ("w^(w_1*w_1)", "w_2 < w_1"), ("w^w", "2^w = w")]
 
 
 @pytest.mark.parametrize("alpha_text,text", CONTRADICTIONS)

@@ -11,6 +11,7 @@ import pytest
 import copyposet
 from copyposet.atoms import MAX_BUILTIN_INDEX, AtomError, AtomRegistry
 from copyposet.cli import main
+from copyposet.terms import MAX_SUMMANDS
 from golden_scenarios import SCENARIOS
 from test_cardinals import CONTRADICTIONS
 
@@ -372,3 +373,89 @@ def test_rank_rule_reads_the_closure_universe(capsys):
         assert code == 0 and not err
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def test_copies_options_follow_the_subcommand(capsys):
+    """The lab's common options belong to its subcommands: given before one, an
+    option is a usage error instead of being dropped silently."""
+    literal = json.dumps({"prefix": "", "period": "10"})
+    code, out, err = run(capsys, "copies", "type", literal, "--format", "json")
+    assert code == 0 and json.loads(out)["pretty"] == "w" and not err
+    code, out, err = run(capsys, "copies", "--format", "json", "type", literal)
+    assert code == 2 and not out and err.startswith("usage: copyposet copies")
+
+
+def test_files_that_are_not_utf8_or_have_a_nul_in_the_path_exit_2(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"GCH\n2^w_1 = w_2 \xff\n")
+    for bad in (str(latin1), f"{latin1}\x00"):
+        for argv in (["analyze", "w^w", "--assume-file", bad], ["copies", "type", f"@{bad}"],
+                     ["--batch", bad]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and not out
+            assert err.startswith(f"error: cannot read {bad}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("literal", ['1', '{"period": 5}', '{"tail": 5}',
+                                     '{"period": "1", "prefix": null}', '["period"]',
+                                     '{"tail": ["period"]}', '{"prefix": 5, "tail": []}',
+                                     pytest.param("[" * 5000, id="deep-json")])
+def test_set_literals_of_the_wrong_shape_exit_2(capsys, literal):
+    code, out, err = run(capsys, "copies", "type", literal)
+    assert code == 2 and not out and err.startswith("error: ") and "Traceback" not in err
+
+
+def test_set_literal_deeper_than_rank_3_exit_2(capsys):
+    literal = '{"tail": [' * 400 + '{"period": "1"}' + "]}" * 400
+    code, out, err = run(capsys, "copies", "type", literal)
+    assert (code, out, err) == (2, "", "error: ranks above 3 are not supported\n")
+
+
+def test_embed_ranks_are_2_to_3(capsys):
+    evens = json.dumps({"prefix": "", "period": "10"})
+    code, out, _err = run(capsys, "copies", "embed", evens, "--rank", "3")
+    assert code == 0
+    code, _out, _err = run(capsys, "copies", "type", out.strip())
+    assert code == 0
+    for rank in ("4", "2000"):
+        code, out, err = run(capsys, "copies", "embed", evens, "--rank", rank)
+        assert (code, out, err) == (1, "", "error: ranks above 3 are not supported\n")
+
+
+@pytest.mark.parametrize("cards,message", [
+    (["é rank 5"], "bad atom name 'é'"),
+    (["mu rank 0"], "atom rank must be a positive integer"),
+    (["mu rank 5", "mu rank 6"], "atom 'mu' already declared"),
+    (["mu rank 5", "nu rank 5"], "rank 5 already taken by 'mu'"),
+    (["w_3 rank 3 singular cf w"], "builtin atom 'w_3' is regular and cannot be singular"),
+    (["w_3 rank 4"], "builtin atom 'w_3' must have rank 3"),
+    (["mu rank 9 singular cf nu"], "declared cofinality 'nu' is not a known atom"),
+    (["nu rank 5 singular cf w", "mu rank 9 singular cf nu"],
+     "declared cofinality must be regular"),
+    (["nu rank 9", "mu rank 5 singular cf nu"],
+     "declared cofinality must lie strictly below the atom"),
+])
+def test_refused_declarations_exit_2(capsys, cards, message):
+    argv = ["norm", "w"]
+    for card in cards:
+        argv += ["--card", card]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message} at offset 0\n")
+
+
+def test_regular_atom_takes_no_declared_cofinality():
+    with pytest.raises(AtomError, match="only singular atoms carry a declared cofinality"):
+        AtomRegistry().declare("mu", 5, cofinality="w")
+
+
+def test_builtin_on_a_declared_rank_exit_2(capsys):
+    code, out, err = run(capsys, "norm", "w_3", "--card", "mu rank 3")
+    assert (code, out, err) == (2, "", "error: cannot use w_3: rank 3 is taken by 'mu'\n")
+
+
+def test_sums_are_bounded_like_products(capsys):
+    """A sum written out summand by summand is refused past MAX_SUMMANDS like any
+    other term, and reading the 10,000 summands before it takes about a second."""
+    terms = " + ".join(f"w^(w*{k})" for k in range(MAX_SUMMANDS + 1, 0, -1))
+    code, out, err = run(capsys, "norm", terms)
+    assert (code, out, err) == (1, "", f"error: term of more than {MAX_SUMMANDS} summands\n")

@@ -7,9 +7,7 @@ import pickle
 import pytest
 
 from copyposet.atoms import AtomRegistry, CardinalAtom
-from copyposet.cardinals import (
-    CohenTransfer, Hypothesis, cohen_transfer, parse_cardinal_expr, parse_hypothesis_line,
-)
+from copyposet.cardinals import Hypothesis, parse_cardinal_expr, parse_hypothesis_line
 from copyposet.classify import CaseReport, SequenceSchema, classify_exponent, instantiate
 from copyposet.finsets import CriterionReport, FinPresSet, criterion_report, from_obj
 from copyposet.forcing import ForcingFact, PosetExpr, Step, factorize
@@ -37,10 +35,6 @@ def _report() -> AnalysisReport:
     return analyze(parse_term("w^(w_1+1)", reg), hyps, reg)
 
 
-def _transfer(reg) -> CohenTransfer:
-    return cohen_transfer(reg.lookup("w_3"), parse_cardinal_expr("2^w_1", reg))
-
-
 _SET = {"prefix": [], "tail": [{"prefix": "01", "period": "10"}]}
 
 # each factory builds its value from scratch, so two calls give equal, distinct values
@@ -55,7 +49,6 @@ VALUES = {
         "B", _term("w_1"), theta=_term("w_1"),
         schema=SequenceSchema("xi", _term("w_1"), "w_1 + xi", symbolic_only=True)),
     "Hypothesis": lambda: parse_hypothesis_line("(2^mu)^w <= succ(nu)", _registry()),
-    "CohenTransfer": lambda: _transfer(_registry()),
     "PosetExpr": lambda: factorize(_term()),
     "Step": lambda: _report().ro_conclusion.trace[0],
     "ForcingFact": lambda: _report().ro_conclusion,
@@ -66,7 +59,7 @@ VALUES = {
 }
 CLASSES = {cls.__name__: cls for cls in (
     CardinalAtom, OrdinalTerm, CardinalityValue, BaseCNF, Token, SequenceSchema,
-    CaseReport, Hypothesis, CohenTransfer, PosetExpr, Step, ForcingFact, RuleInfo,
+    CaseReport, Hypothesis, PosetExpr, Step, ForcingFact, RuleInfo,
     AnalysisReport, FinPresSet, CriterionReport)}
 FROZEN = sorted(set(VALUES) - {"AnalysisReport"})
 
