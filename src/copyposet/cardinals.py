@@ -8,6 +8,7 @@ Every derived relation carries a provenance chain for auditing.
 from __future__ import annotations
 
 import weakref
+from functools import partial
 from operator import attrgetter
 from collections.abc import Iterable
 
@@ -31,8 +32,11 @@ class ContradictionError(HypothesisError):
 _KIND_ORDER = {"aleph0": 0, "atom": 1, "succ": 2, "c": 3, "h": 4,
                "pow2": 5, "pow2lt": 6, "exp": 7, "cf": 8, "cc_cp": 9}
 
-# the live expressions by (kind, atom, args); an entry goes when its expression dies
-_INTERNED: weakref.WeakValueDictionary[tuple, CardinalExpr] = weakref.WeakValueDictionary()
+# the live expressions by (kind, atom, args), each behind a weak reference whose
+# callback, ``_INTERNED.pop(key, ref)``, drops the entry when its expression dies;
+# both are C calls, unlike WeakValueDictionary's Python-level get, KeyedRef and remove.
+# An expression holds no reference cycle, so it dies (and its entry goes) at once
+_INTERNED: dict[tuple, weakref.ref] = {}
 
 
 class CardinalExpr:
@@ -50,16 +54,19 @@ class CardinalExpr:
     def __new__(cls, kind: str, atom: CardinalAtom | None = None,
                 args: tuple = ()) -> "CardinalExpr":
         key = (kind, atom, args)
-        self = _INTERNED.get(key)
-        if self is None:
-            self = object.__new__(cls)
-            init = object.__setattr__
-            init(self, "kind", kind)
-            init(self, "atom", atom)
-            init(self, "args", args)
-            init(self, "skey", (_KIND_ORDER[kind], atom.rank) if kind == "atom"
-                 else (_KIND_ORDER[kind], *(a.skey for a in args)))
-            _INTERNED[key] = self
+        ref = _INTERNED.get(key)
+        if ref is not None:
+            self = ref()
+            if self is not None:
+                return self
+        self = object.__new__(cls)
+        init = object.__setattr__
+        init(self, "kind", kind)
+        init(self, "atom", atom)
+        init(self, "args", args)
+        init(self, "skey", (_KIND_ORDER[kind], atom.rank) if kind == "atom"
+             else (_KIND_ORDER[kind], *(a.skey for a in args)))
+        _INTERNED[key] = weakref.ref(self, partial(_INTERNED.pop, key))
         return self
 
     def __setattr__(self, name, value):
@@ -606,20 +613,23 @@ def _run_rules(fb: FactBase) -> None:
     only the relations stored since the previous round (the delta) against all
     stored ones, through the bit rows; the per-node rules re-check the universe.
     Every stored le/lt relation lies inside the universe: the hypotheses' operands
-    are in it, and the rules below only store images that are."""
+    are in it, and the rules below only store images that are. A rule concluding
+    le or lt reads the conclusion's bit before calling ``FactBase.add``, which
+    would find it stored and return; the bit is read as it stands at that call,
+    so the stored order and provenance are those of calling ``add`` every time."""
     uni = fb.universe
     rels, ids, nodes, add = fb.rels, fb.ids, fb.nodes, fb.add
     above, below = fb.above, fb.below
+    le_above = above["le"]
     exps = [x for x in nodes if x.kind == "exp"]
     images: dict[CardinalExpr, tuple] = {}
 
     def lift(x):
-        """succ(x), 2^x, cf(x), 2^<x, cc(CP(x)) and the y with succ(y) = x, stored in
-        ``images`` once per closure; an image outside the universe is None, as no rule
-        may store it."""
-        images[x] = tuple(y if y in uni else None
-                          for y in (succ_of(x), pow2_of(x), cf_of(x), pow2lt_of(x),
-                                    cc_cp_of(x), pred_of(x)))
+        """The ids of succ(x), 2^x, cf(x), 2^<x, cc(CP(x)) and the y with succ(y) = x,
+        stored in ``images`` once per closure; an image outside the universe is None,
+        as no rule may store it."""
+        images[x] = tuple(map(ids.get, (succ_of(x), pow2_of(x), cf_of(x), pow2lt_of(x),
+                                        cc_cp_of(x), pred_of(x))))
         return images[x]
 
     def emit(op, l, r_, rule, *prem):
@@ -637,13 +647,16 @@ def _run_rules(fb: FactBase) -> None:
             img_a = images.get(a) or lift(a)
             img_b = images.get(b) or lift(b)
             if op == "eq":
-                if a in uni and b in uni:
-                    add("le", a, b, "eq-weaken", prem)
-                    add("le", b, a, "eq-weaken", prem)
+                ia, ib = ids.get(a), ids.get(b)
+                if ia is not None and ib is not None:
+                    if not le_above[ia] >> ib & 1:
+                        add("le", a, b, "eq-weaken", prem)
+                    if not le_above[ib] >> ia & 1:
+                        add("le", b, a, "eq-weaken", prem)
                 # congruence under equality for applied constructors
                 for la, lb in zip(img_a[:5], img_b[:5]):
-                    if la is not lb and la is not None and lb is not None:
-                        add("eq", la, lb, "congruence", prem)
+                    if la != lb and la is not None and lb is not None:
+                        add("eq", nodes[la], nodes[lb], "congruence", prem)
                 for x in exps:
                     xb, xe = x.args
                     for old, new in ((a, b), (b, a)):
@@ -652,24 +665,26 @@ def _run_rules(fb: FactBase) -> None:
                             if cand in uni:
                                 add("eq", x, cand, "congruence", prem)
                 continue
-            sa, pa, *_ = img_a
-            sb, pb, _, _, _, pred_b = img_b
+            ia, ib = ids[a], ids[b]
+            sa, pa = img_a[0], img_a[1]
+            sb, pb, pred_b = img_b[0], img_b[1], img_b[5]
             if op == "lt":
-                add("le", a, b, "lt-weaken", prem)
-                if pred_b is not None:  # y < succ(x) gives y <= x
-                    add("le", a, pred_b, "below-successor", prem)
-                if sa is not None:
-                    add("le", sa, b, "no-between", prem)
-            elif a is not b and ("le", b, a) in rels:
+                if not le_above[ia] >> ib & 1:
+                    add("le", a, b, "lt-weaken", prem)
+                # y < succ(x) gives y <= x
+                if pred_b is not None and not le_above[ia] >> pred_b & 1:
+                    add("le", a, nodes[pred_b], "below-successor", prem)
+                if sa is not None and not le_above[sa] >> ib & 1:
+                    add("le", nodes[sa], b, "no-between", prem)
+            elif a is not b and le_above[ib] >> ia & 1:
                 add("eq", a, b, "antisymmetry", (key, ("le", b, a)))
-            if sa is not None and sb is not None:
-                add(op, sa, sb, "succ-mono", prem)
-            if pa is not None and pb is not None:
-                add("le", pa, pb, "pow2-mono", prem)
+            if sa is not None and sb is not None and not above[op][sa] >> sb & 1:
+                add(op, nodes[sa], nodes[sb], "succ-mono", prem)
+            if pa is not None and pb is not None and not le_above[pa] >> pb & 1:
+                add("le", nodes[pa], nodes[pb], "pow2-mono", prem)
             # transitivity, joining (a, b) with a stored (b, c) or (x, a): le with le is
             # le-trans, le with lt is order-trans (lt with lt goes through lt-weaken);
             # the row masks leave out the conclusions already stored
-            ia, ib = ids[a], ids[b]
             for other in ("le", "lt") if op == "le" else ("le",):
                 out = "le" if op == other == "le" else "lt"
                 rule = "le-trans" if out == "le" else "order-trans"

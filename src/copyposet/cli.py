@@ -37,8 +37,9 @@ class _CliDomainError(ValueError):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "json"), default="text")
+    common = argparse.ArgumentParser(add_help=False, parents=[fmt])
     common.add_argument("--card", action="append", default=[], metavar="DECL",
                         help="atom declaration: 'name rank K [singular cf ATOM]'")
     common.add_argument("--assume", action="append", default=[], metavar="HYP",
@@ -75,24 +76,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rules", parents=[common], help="rule catalog")
     p.add_argument("rule_id", nargs="?")
 
-    # the lab's options follow its subcommand: argparse would overwrite an option
-    # given before it with the subcommand's default
+    # the lab reads no atoms or hypotheses, so its subcommands take --format only; it
+    # follows the subcommand: argparse would overwrite an option given before it with
+    # the subcommand's default
     cop = sub.add_parser("copies", help="finitely presented sets lab")
     csub = cop.add_subparsers(dest="subcommand", required=True)
-    c = csub.add_parser("type", parents=[common])
+    c = csub.add_parser("type", parents=[fmt])
     c.add_argument("set")
-    c = csub.add_parser("member", parents=[common])
+    c = csub.add_parser("member", parents=[fmt])
     c.add_argument("set")
     c.add_argument("--power", type=int, required=True, metavar="M")
-    c = csub.add_parser("subset", parents=[common])
+    c = csub.add_parser("subset", parents=[fmt])
     c.add_argument("left")
     c.add_argument("right")
-    c = csub.add_parser("fuse", parents=[common])
+    c = csub.add_parser("fuse", parents=[fmt])
     c.add_argument("sets", nargs="+")
-    c = csub.add_parser("embed", parents=[common])
+    c = csub.add_parser("embed", parents=[fmt])
     c.add_argument("set")
     c.add_argument("--rank", type=int, required=True)
-    c = csub.add_parser("reduce", parents=[common])
+    c = csub.add_parser("reduce", parents=[fmt])
     c.add_argument("set")
     return top
 
@@ -143,17 +145,69 @@ def _load_set(literal: str) -> finsets.FinPresSet:
 
 def _emit(ns, text_lines, obj) -> None:
     if ns.format == "json":
-        import json
-        obj = {"schema_version": SCHEMA_VERSION, **obj}
-        print(json.dumps(obj, indent=2, sort_keys=True))
+        print(_json_text({"schema_version": SCHEMA_VERSION, **obj}))
     else:
         for line in text_lines:
             print(line)
 
 
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, for the trees the
+    responses are made of: str, int, bool, None, and lists, tuples and dicts with str
+    keys. With an indent, json.dumps runs its pure-Python encoder, which spends most of
+    its time on generator frames; this writes the same text directly. A float, a set
+    or a key that is not a str raises ``TypeError``."""
+    from json.encoder import encode_basestring_ascii as quote
+    parts: list[str] = []
+    put = parts.append
+
+    def write(o, pad: str) -> None:  # pad: a newline and the indent of o's line
+        if isinstance(o, str):
+            put(quote(o))
+        elif o is None:
+            put("null")
+        elif o is True:
+            put("true")
+        elif o is False:
+            put("false")
+        elif isinstance(o, int):
+            put(int.__repr__(o))
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                put("[]")
+                return
+            inner = pad + "  "
+            sep = "[" + inner
+            for item in o:
+                put(sep)
+                write(item, inner)
+                sep = "," + inner
+            put(pad + "]")
+        elif isinstance(o, dict):
+            if not o:
+                put("{}")
+                return
+            inner = pad + "  "
+            sep = "{" + inner
+            for key in sorted(o):
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                put(sep + quote(key) + ": ")
+                write(o[key], inner)
+                sep = "," + inner
+            put(pad + "}")
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    write(obj, "\n")
+    return "".join(parts)
+
+
 def _dispatch(ns) -> int:
-    registry, hyps = _load_registry_and_hyps(ns)
     cmd = ns.command
+    if cmd == "copies":
+        return _dispatch_copies(ns)
+    registry, hyps = _load_registry_and_hyps(ns)
     if cmd == "norm":
         t = parse_term(ns.expr, registry)
         _emit(ns, [pretty(t)], {"input": ns.expr, "pretty": pretty(t),
@@ -230,8 +284,6 @@ def _dispatch(ns) -> int:
             _emit(ns, [f"{r.id}: {r.premises} => {r.conclusion}" for r in table],
                   {"rules": [{"id": r.id, "premises": r.premises,
                               "conclusion": r.conclusion} for r in table]})
-    elif cmd == "copies":
-        return _dispatch_copies(ns)
     else:
         raise _CliInputError("a command is required (see --help)")
     return 0

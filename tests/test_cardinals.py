@@ -135,6 +135,40 @@ class TestInterning:
         assert mu1 is not mu2 and atom_expr(mu1) is atom_expr(mu2)
         assert atom_expr(mu1) is not atom_expr(AtomRegistry().declare("mu", 51))
 
+    def test_entry_leaves_when_its_expression_dies(self):
+        """The table's callback drops an entry as its expression is freed, with the
+        cyclic collector off: an expression holds no reference cycle."""
+        atom = AtomRegistry().declare("nu", 4321)
+        gc.disable()
+        try:
+            start = len(cardinals._INTERNED)
+            x = succ_of(atom_expr(atom))
+            assert len(cardinals._INTERNED) == start + 2
+            assert ("atom", atom, ()) in cardinals._INTERNED
+            del x
+            assert len(cardinals._INTERNED) == start
+            assert ("atom", atom, ()) not in cardinals._INTERNED
+        finally:
+            gc.enable()
+
+    def test_live_expression_stays_canonical_over_requests(self, monkeypatch, capsys):
+        """An expression held across a CLI request is the instance that request and
+        every later constructor call use."""
+        from copyposet.cli import main
+        kept = pow2_of(_w(AtomRegistry(), 3))
+        built = []
+        real = rules.closure
+        monkeypatch.setattr(rules, "closure",
+                            lambda *a, **kw: built.append(real(*a, **kw)) or built[-1])
+        argv = ["analyze", "w^(w_1+1)", "--assume", "GCH", "--assume", "w_3 < 2^w_3",
+                "--format", "json"]
+        assert main(argv) == 0 and main(argv) == 0
+        capsys.readouterr()
+        for fb in built:
+            assert any(x is kept for x in fb.universe)
+        assert parse_cardinal_expr("2^w_3", AtomRegistry()) is kept
+        assert CardinalExpr("pow2", args=(atom_expr(builtin(3)),)) is kept
+
     def test_table_does_not_grow_over_requests(self, capsys):
         """Expressions die with the request that built them, so a long --batch run
         keeps the intern table (and the process) at its starting size."""
@@ -392,6 +426,50 @@ def test_fixpoint_pinned(monkeypatch, name):
     assert _fixpoint_digest(_analyze_closures(monkeypatch, name)) == FIXPOINT_DIGESTS[name]
 
 
+def _provenance_digest(fb) -> str:
+    items = [(render_rel(k), rule, tuple(map(render_rel, premises)))
+             for k, (rule, premises) in fb.rels.items()]
+    return hashlib.sha256(repr(items).encode()).hexdigest()
+
+
+# sha256 of every stored relation with its rule and premises, in stored order: the
+# sorted FIXPOINT_DIGESTS cannot see the order or the provenance move, and the order
+# picks the derivations that traces and contradiction chains print. Generated before
+# the closure loop tested the le/lt bit rows ahead of FactBase.add
+PROVENANCE_DIGESTS = {
+    "ex53_negative": "04f62b6d2cb732de2ac2aec7a9abfdb9e844b9a38c67f87ca15c32d97e52214d",
+    "ex57_cohen": "11e6200c2421b203adf96a312a1c1a5c8c516f5ad25ddaa62b0446d9b6d472ec",
+    "saturate_2": "9955c6eee2f2d096124a89376cf83d7fdb6dc0a177a9c77a9da5d4e91e69cfac",
+    "saturate_3": "4776df7d69e30e54475120e80cb2ed66055614276fd5b2d57deb5949ae43206d",
+    "saturate_4": "5e89004be684d58703b80b6bd064cd7f0c80fbb84c583e8156e01ac2f82029e9",
+    "saturate_5": "fe4aadf1baf6f3262dec33ef632da72ea00d6cef4789792fa5aac5484d8ad7c9",
+    "saturate_6": "c19a53ed8627d31a03daccce94d9eb72ef18794ba804210872e25823893cca0f",
+    "saturate_7": "112b1b0f49403167ab48ee3bc923d0341378b06981adcb4d19416bf33796bbec",
+    "saturate_8": "1beb6cbc576bdac23817ef371cb672ca3ea47a29f28d6145eba387d0593d0e4b",
+    "t410_case_a": "d9d4c99cdb63ebbd3456e4649d47e4fb68f77676463689c18b7199fbf36dddac",
+    "t410_case_b": "c2e45046bb1032c4fb3a1cce0071f8ec1555e18fcb54ea9b8a3bd0cf9a9c6b02",
+    "t410_case_d": "d9d4c99cdb63ebbd3456e4649d47e4fb68f77676463689c18b7199fbf36dddac",
+    "t410_case_e": "c2e45046bb1032c4fb3a1cce0071f8ec1555e18fcb54ea9b8a3bd0cf9a9c6b02",
+    "t410_countable": "4ee5ad3a14e4e9bd8b7cbfaa4d3de822be204ce56721b5e8af6b400b13c07ed9",
+    "t52_ch": "787284bfca100b26de6350b03219ca7b459ff687c74cf0a9cfe09e263486136c",
+    "t52_power_pinch": "39d8ddfd530c0bb2a8b5ac23b1eeebaae488ff2fb28bb4815d4c790db6e16aea",
+    "t54_singular": "e752578e79743634a300e3bdd5ba0e75e990cdfdd404a9901eaab79b043d3fef",
+    "t56_n1": "39d8ddfd530c0bb2a8b5ac23b1eeebaae488ff2fb28bb4815d4c790db6e16aea",
+    "t56_n2": "39d8ddfd530c0bb2a8b5ac23b1eeebaae488ff2fb28bb4815d4c790db6e16aea",
+    "t58_mu_a": "2c90c2c30471e06b2d43ac82e0be33d931e8a856d0a906984aca32d9e6f42e89",
+    "t58_mu_b": "35b4dccf9cb2fc5d0ff52d72ce2caa8c8e2a8e04d83de589218a481ac7516164",
+    "t58_mu_c": "8dac029900f19bdfa2689d1385003c7d7826b45748281548f404652a20eeeec3",
+    "t58_mu_d": "5ec163da57b83682f1b5b8e0236c4f8c070a52af27f09e76629419d55602b5d6",
+    "t56_product": "5207360d7637dbdce5d363c58012ff98bb905fef45fc2921974ebd2cf362e550",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROVENANCE_DIGESTS))
+def test_stored_order_and_provenance_pinned(monkeypatch, name):
+    (fb,) = _analyze_closures(monkeypatch, name)
+    assert _provenance_digest(fb) == PROVENANCE_DIGESTS[name]
+
+
 def test_closure_work_bound(monkeypatch):
     """Semi-naive rounds: the one closure of the densest saturate problem makes at
     most 10 FactBase.add calls per relation it keeps (the naive rounds made ~90)."""
@@ -474,6 +552,25 @@ def test_t56_sub_analysis_shares_the_closure(monkeypatch, name):
 CONTRADICTIONS = [("w^(w_1)", "CH\nc = w_2"), ("w^(w_1+1)", "2^w_1 = w_1"),
                   ("w^w", "h < c\nc = w_1"), ("w^w", "w_1 < c\nc = w_1"),
                   ("w^(w_1*w_1)", "w_2 < w_1"), ("w^w", "2^w = w")]
+# sha256 of each entry's contradiction chain text, generated with PROVENANCE_DIGESTS
+CHAIN_DIGESTS = [
+    "71fd1dbdc38a92ca7840f7196f18ca33dc90cd63ad28410d3ab54888a9a546cb",
+    "1b0155a4c441613ac3a3bd14b28ef015bdba11d5a236cf656ebfc09ad6b5c920",
+    "7121ae7a423b0379d74b09e4bab4840647d24bbd19c470e2d28947ed84cf5480",
+    "0279bfc8a7ab9c40fb091f5744c899b88c0527313d7c61eb06be20731b602259",
+    "9687f9f4bede73391fb99c5c3bc94e9e12fdaa32b7763ac78ec83dd27db01da1",
+    "a5128530ee23460cfe063bd0211b89149e08223cfe736aa1a92694456f6b31cd",
+]
+
+
+@pytest.mark.parametrize("problem,digest", zip(CONTRADICTIONS, CHAIN_DIGESTS))
+def test_contradiction_chain_pinned(problem, digest):
+    alpha_text, text = problem
+    reg = AtomRegistry()
+    hyps = parse_hypotheses(text, reg)
+    with pytest.raises(ContradictionError) as exc:
+        rules.analyze(parse_term(alpha_text, reg), hyps, reg)
+    assert hashlib.sha256("\n".join(exc.value.chain).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("alpha_text,text", CONTRADICTIONS)

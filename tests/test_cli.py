@@ -7,10 +7,11 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import copyposet
 from copyposet.atoms import MAX_BUILTIN_INDEX, AtomError, AtomRegistry
-from copyposet.cli import main
+from copyposet.cli import _json_text, main
 from copyposet.terms import MAX_SUMMANDS
 from golden_scenarios import SCENARIOS
 from test_cardinals import CONTRADICTIONS
@@ -375,6 +376,18 @@ def test_rank_rule_reads_the_closure_universe(capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_copies_take_only_format(capsys):
+    """The lab reads no atoms or hypotheses, so after a lab subcommand --card,
+    --assume and --assume-file are usage errors that never reach their grammars."""
+    literal = json.dumps({"prefix": "", "period": "1"})
+    for option in (["--assume", "bogus"], ["--card", "mu rank 5"],
+                   ["--assume-file", "missing.txt"]):
+        code, out, err = run(capsys, "copies", "type", literal, *option)
+        assert code == 2 and not out
+        assert "unrecognized arguments: " + " ".join(option) in err
+        assert "undeclared" not in err and "Traceback" not in err
+
+
 def test_copies_options_follow_the_subcommand(capsys):
     """The lab's common options belong to its subcommands: given before one, an
     option is a usage error instead of being dropped silently."""
@@ -459,3 +472,36 @@ def test_sums_are_bounded_like_products(capsys):
     terms = " + ".join(f"w^(w*{k})" for k in range(MAX_SUMMANDS + 1, 0, -1))
     code, out, err = run(capsys, "norm", terms)
     assert (code, out, err) == (1, "", f"error: term of more than {MAX_SUMMANDS} summands\n")
+
+
+# every character class the string escaper treats apart: ASCII, controls, quote and
+# backslash, non-ASCII in and past the BMP, lone surrogates
+_json_chars = st.one_of(st.characters(), st.sampled_from(
+    ['"', "\\", "/", "\x00", "\b", "\f", "\n", "\r", "\t", "\x1f", "\x7f", "\u00e9",
+     "\u2028", "\ud800", "\udfff", "\U0001f600"]))
+_json_strings = st.text(_json_chars, max_size=8)
+_json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-10**80, 10**80),
+    st.sampled_from([0, 1, -1, True, False, 2**63, -2**63 - 1]), _json_strings)
+_json_trees = st.recursive(_json_leaves, lambda inner: st.one_of(
+    st.lists(inner, max_size=5), st.lists(inner, max_size=5).map(tuple),
+    st.dictionaries(_json_strings, inner, max_size=5)), max_leaves=25)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_json_trees)
+def test_json_writer_matches_json_dumps(obj):
+    assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_json_writer_edges():
+    deep: object = "leaf"
+    for level in range(200):
+        deep = [deep, {}] if level % 2 else {"k": deep, "e": [], "t": ()}
+    for obj in (deep, [True, 1, False, 0, -0, None], {"b": 1, "a": {"": []}}, (),
+                -10**200):
+        assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+    # the responses carry no float, set or non-str key, and the writer takes none
+    for bad in (1.5, {"a": [0.5]}, {1, 2}, [frozenset()], {1: "a"}, {"a": {None: 0}}):
+        with pytest.raises(TypeError):
+            _json_text(bad)
