@@ -11,14 +11,15 @@ from .terms import (
 )
 from .parser import ParseError, parse_card, parse_term
 from .classify import classify_exponent
-from .cardinals import (
+from .cardexpr import (
     ContradictionError, Hypothesis, HypothesisError, parse_hypothesis_line,
 )
 from .forcing import factorize, poset_to_obj, render_poset, fact_text
-from .rules import SCHEMA_VERSION, analyze, rule_lookup, rule_table
+from .catalog import SCHEMA_VERSION, rule_lookup, rule_table
 
-# json, shlex and the finite lab (finsets) are imported where they are used, so a
-# one-shot text command does not load them
+# json, shlex, the finite lab (finsets) and the analyzer (rules, and the closure in
+# cardinals) are imported where they are used, so a one-shot command that needs none
+# of them does not compile or load them
 
 _USAGE_ERROR = 2
 _DOMAIN_ERROR = 1
@@ -258,6 +259,7 @@ def _dispatch(ns) -> int:
         lines = [render_poset(p)] + notes
         _emit(ns, lines, {"factorization": poset_to_obj(p), "notes": notes})
     elif cmd == "analyze":
+        from .rules import analyze
         t = parse_term(ns.expr, registry)
         report = analyze(t, hyps, registry)
         lines = [f"alpha = {pretty(t)}",

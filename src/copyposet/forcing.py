@@ -9,7 +9,7 @@ from __future__ import annotations
 from .terms import (
     OMEGA, OrdinalTerm, OrdinalError, compare, omega_power, pretty, term_to_obj,
 )
-from .cardinals import CardinalExpr, render_expr, render_rel
+from .cardexpr import CardinalExpr, render_expr, render_rel
 from .values import Value, init
 
 

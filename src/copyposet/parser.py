@@ -1,5 +1,5 @@
 """Expression grammar for ordinal terms, and the lexer and ``card`` declarations
-shared with the hypothesis grammar in ``cardinals``.
+shared with the hypothesis grammar in ``cardexpr``.
 
 Atoms: ``w`` (omega), ``w_1``, ``w_2``, ... and user atoms declared in a
 preamble of ``card <name> rank <k> [singular cf <atom|w>];`` statements.

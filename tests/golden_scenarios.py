@@ -7,7 +7,7 @@ import pathlib
 
 from copyposet.atoms import AtomRegistry
 from copyposet.parser import parse_term
-from copyposet.cardinals import parse_hypotheses
+from copyposet.cardexpr import parse_hypotheses
 from copyposet.forcing import _operand_text
 from copyposet.rules import analyze
 

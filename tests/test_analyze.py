@@ -10,9 +10,11 @@ from copyposet import rules
 from copyposet.atoms import AtomRegistry
 from copyposet.parser import parse_term
 from copyposet.classify import classify_exponent
-from copyposet.cardinals import entails, parse_hypotheses, rel
+from copyposet.cardexpr import parse_hypotheses, rel
+from copyposet.cardinals import entails
+from copyposet.catalog import rule_table
 from copyposet.forcing import fact_text, premise_text, render_poset
-from copyposet.rules import _Engine, analyze, rule_table
+from copyposet.rules import _Engine, analyze
 from copyposet.terms import OMEGA, power
 from golden_scenarios import SCENARIOS as GOLDEN, scenario_inputs
 from test_cardinals import T56_PRODUCT

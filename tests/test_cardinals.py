@@ -4,14 +4,15 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from copyposet import cardinals, rules
+from copyposet import cardexpr, cardinals, rules
 from copyposet.atoms import AtomRegistry, builtin
-from copyposet.cardinals import (
+from copyposet.cardexpr import (
     ALEPH0, CONTINUUM, DIST_H, CardinalExpr, ContradictionError, Hypothesis,
-    HypothesisError, _gch_ground, atom_expr, cc_cp_of, cf_of, closure, cohen_transfer,
-    entails, exp_of, parse_cardinal_expr, parse_hypotheses, parse_hypothesis_line,
-    pow2_of, pow2lt_of, rel, render_expr, render_rel, succ_of,
+    HypothesisError, atom_expr, cc_cp_of, cf_of, exp_of, parse_cardinal_expr,
+    parse_hypotheses, parse_hypothesis_line, pow2_of, pow2lt_of, rel, render_expr,
+    render_rel, succ_of,
 )
+from copyposet.cardinals import _gch_ground, closure, cohen_transfer, entails
 from copyposet.parser import parse_term
 from golden_scenarios import SCENARIOS, scenario_inputs, snapshot
 
@@ -141,13 +142,13 @@ class TestInterning:
         atom = AtomRegistry().declare("nu", 4321)
         gc.disable()
         try:
-            start = len(cardinals._INTERNED)
+            start = len(cardexpr._INTERNED)
             x = succ_of(atom_expr(atom))
-            assert len(cardinals._INTERNED) == start + 2
-            assert ("atom", atom, ()) in cardinals._INTERNED
+            assert len(cardexpr._INTERNED) == start + 2
+            assert ("atom", atom, ()) in cardexpr._INTERNED
             del x
-            assert len(cardinals._INTERNED) == start
-            assert ("atom", atom, ()) not in cardinals._INTERNED
+            assert len(cardexpr._INTERNED) == start
+            assert ("atom", atom, ()) not in cardexpr._INTERNED
         finally:
             gc.enable()
 
@@ -181,12 +182,12 @@ class TestInterning:
 
         request(1000)
         gc.collect()
-        start = len(cardinals._INTERNED)
+        start = len(cardexpr._INTERNED)
         for rank in range(50, 250):
             request(rank)
         capsys.readouterr()
         gc.collect()
-        assert len(cardinals._INTERNED) <= start + 10
+        assert len(cardexpr._INTERNED) <= start + 10
 
 
 class TestClosure:

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import pathlib
@@ -289,32 +290,108 @@ def test_batch_lines_are_isolated(tmp_path, capsys):
     assert alone[0][1] != alone[1][1] and "undetermined" in alone[1][1]
 
 
-def test_one_shot_imports(tmp_path):
-    """A one-shot text command loads neither dataclasses and inspect nor json, shlex
-    or the finite lab; `copies` imports the lab when it runs and keeps its exit
-    statuses (0, 2 for a bad literal, 1 for a domain error)."""
-    script = tmp_path / "one_shot.py"
-    script.write_text(textwrap.dedent("""
-        import sys
-        before = set(sys.modules)
-        from copyposet.cli import main
-        status = main(["rules", "T5.2"])
-        loaded = set(sys.modules) - before
-        lazy = ("dataclasses", "inspect", "copyposet.finsets", "json", "shlex")
-        print("loaded:", status, *sorted(m for m in lazy if m in loaded))
-        finite = '{"prefix": "111", "period": "0"}'
-        for argv in (["copies", "type", '{"prefix": "", "period": "10"}'],
-                     ["copies", "type", "{not json"],
-                     ["copies", "embed", finite, "--rank", "2"]):
-            print("status:", main(argv))
-    """))
+def _fresh(script: str) -> list[str]:
+    """The stdout lines of a script run by a fresh interpreter on this checkout."""
     src = str(pathlib.Path(copyposet.__file__).resolve().parent.parent)
-    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(script)],
+                          capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
-    lines = done.stdout.splitlines()
-    assert lines[0].startswith("T5.2: ")
-    assert lines[1:] == ["loaded: 0", "w", "status: 0", "status: 2", "status: 1"]
-    assert "Traceback" not in done.stderr
+    assert "Traceback" not in done.stderr, done.stderr
+    return done.stdout.splitlines()
+
+
+# the modules a one-shot command loads only when it uses them
+_LAZY_MODULES = ("copyposet.cardinals", "copyposet.finsets", "copyposet.rules",
+                 "dataclasses", "inspect", "json", "shlex")
+# subcommand -> (command lines run in one interpreter, the start of the first one's
+# stdout, their exit statuses, the lazy modules the first of them loads)
+ONE_SHOT = {
+    "norm": ([["norm", "w^w+1"]], "w^w + 1", [0], []),
+    "cmp": ([["cmp", "w_1", "w^w"]], "greater", [0], []),
+    "cof": ([["cof", "w_1*w"]], "w", [0], []),
+    "card": ([["card", "w_1+w"]], "w_1", [0], []),
+    "cnfbase": ([["cnfbase", "w_1^2+w", "--base", "w_1"]], "digit: exponent 2", [0], []),
+    "classify": ([["classify", "w_1+w_2"]], "case D", [0], []),
+    "factorize": ([["factorize", "w^w*2+w"]], "sq(P(w^w))^2 x sq(P(w))", [0], []),
+    "rules": ([["rules", "T5.2"]], "T5.2: case D or E", [0], []),
+    # exit 2 for a bad literal and 1 for a domain error once the lab is loaded
+    "copies": ([["copies", "type", '{"prefix": "", "period": "10"}'],
+                ["copies", "type", "{not json"],
+                ["copies", "embed", '{"prefix": "111", "period": "0"}', "--rank", "2"]],
+               "w", [0, 2, 1], ["copyposet.finsets", "json"]),
+    "analyze": ([["analyze", "w^(w_1+1)", "--assume", "2^w_1 = w_2"]],
+                "alpha = w^(w_1 + 1)", [0], ["copyposet.cardinals", "copyposet.rules"]),
+}
+
+
+def test_one_shot_imports():
+    """A one-shot command, each in a fresh interpreter, loads only the modules it
+    uses: only `analyze` compiles the closure (cardinals) and the rule engine (rules),
+    only `copies` the finite lab and json, and none loads dataclasses, inspect or
+    shlex."""
+    for command, (argvs, head, statuses, lazy) in ONE_SHOT.items():
+        lines = _fresh(f"""
+            import sys
+            before = set(sys.modules)
+            from copyposet.cli import main
+            first, *more = {argvs!r}
+            statuses = [main(first)]
+            loaded = set(sys.modules) - before
+            statuses += [main(argv) for argv in more]
+            print("statuses:", *statuses)
+            print("loaded:", *sorted(m for m in {_LAZY_MODULES!r} if m in loaded))
+        """)
+        assert lines[0].startswith(head), command
+        assert lines[-2:] == [" ".join(["statuses:", *map(str, statuses)]),
+                              " ".join(["loaded:", *lazy])], command
+
+
+# every name the package exports, by the module that defines it
+PACKAGE_EXPORTS = {
+    "atoms": ("AtomRegistry", "CardinalAtom", "AtomError"),
+    "terms": ("OrdinalTerm", "OrdinalError", "BaseCNF", "CardinalityValue", "ZERO", "ONE",
+              "OMEGA", "add", "mul", "power", "compare", "cofinality", "cardinality",
+              "cnf_base", "is_indecomposable", "nat", "from_atom", "omega_power", "pretty"),
+    "parser": ("ParseError", "parse_term"),
+    "classify": ("CaseReport", "SequenceSchema", "classify_exponent",
+                 "fundamental_description", "instantiate"),
+    "cardexpr": ("CardinalExpr", "Hypothesis", "HypothesisError", "ContradictionError",
+                 "parse_hypotheses", "parse_hypothesis_line", "parse_cardinal_expr"),
+    "cardinals": ("FactBase", "closure", "entails", "cohen_transfer"),
+    "forcing": ("PosetExpr", "ForcingFact", "fact_text", "factorize", "rp_refine"),
+    "rules": ("AnalysisReport", "analyze"),
+    "catalog": ("rule_table", "rule_lookup"),
+}
+
+
+def test_package_exports():
+    """Each exported name is its defining module's object, the analyzer's names
+    included; an unknown name is an AttributeError."""
+    for module_name, names in PACKAGE_EXPORTS.items():
+        module = importlib.import_module(f"copyposet.{module_name}")
+        for name in names:
+            value = getattr(copyposet, name)
+            assert value is getattr(module, name), name
+            assert value.__module__ == module.__name__, name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        copyposet.no_such_name
+
+
+def test_package_import_defers_the_analyzer():
+    """`import copyposet` loads neither the closure nor the rule engine; the first
+    access to one of their names loads its module alone."""
+    lines = _fresh("""
+        import sys
+        import copyposet
+        heavy = ("copyposet.cardinals", "copyposet.rules")
+        print("loaded:", *(m for m in heavy if m in sys.modules))
+        copyposet.closure
+        print("loaded:", *(m for m in heavy if m in sys.modules))
+        copyposet.analyze
+        print("loaded:", *(m for m in heavy if m in sys.modules))
+    """)
+    assert lines == ["loaded:", "loaded: copyposet.cardinals",
+                     "loaded: copyposet.cardinals copyposet.rules"]
 
 
 def test_reserved_atom_names_exit_2(capsys):

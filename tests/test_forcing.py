@@ -5,7 +5,7 @@ from copyposet.terms import OrdinalError, nat
 from copyposet.forcing import (
     factorize, render_poset, rp_refine, poset_to_obj,
 )
-from copyposet.rules import rule_lookup, rule_table
+from copyposet.catalog import rule_lookup, rule_table
 
 
 def test_factorize_example(registry):

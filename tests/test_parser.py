@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from copyposet.atoms import AtomRegistry
-from copyposet.cardinals import HypothesisError, parse_cardinal_expr
+from copyposet.cardexpr import HypothesisError, parse_cardinal_expr
 from copyposet.parser import MAX_NESTING, MAX_NUMERAL_DIGITS, ParseError, parse_term
 from copyposet.terms import OMEGA, ONE, add, from_atom, mul, nat, power, pretty
 from conftest import make_atoms, random_term

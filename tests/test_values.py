@@ -7,12 +7,13 @@ import pickle
 import pytest
 
 from copyposet.atoms import AtomRegistry, CardinalAtom
-from copyposet.cardinals import Hypothesis, parse_cardinal_expr, parse_hypothesis_line
+from copyposet.cardexpr import Hypothesis, parse_cardinal_expr, parse_hypothesis_line
+from copyposet.catalog import RuleInfo, rule_lookup
 from copyposet.classify import CaseReport, SequenceSchema, classify_exponent, instantiate
 from copyposet.finsets import CriterionReport, FinPresSet, criterion_report, from_obj
 from copyposet.forcing import ForcingFact, PosetExpr, Step, factorize
 from copyposet.parser import Token, parse_term, tokenize
-from copyposet.rules import AnalysisReport, RuleInfo, analyze, rule_lookup
+from copyposet.rules import AnalysisReport, analyze
 from copyposet.terms import (
     OMEGA, BaseCNF, CardinalityValue, OrdinalTerm, cardinality, cnf_base,
 )
