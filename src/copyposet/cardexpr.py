@@ -87,6 +87,7 @@ def atom_expr(a: CardinalAtom) -> CardinalExpr:
 
 
 W1 = atom_expr(builtin(1))
+W2 = atom_expr(builtin(2))
 
 
 def succ_of(x: CardinalExpr) -> CardinalExpr:
@@ -201,8 +202,7 @@ class Hypothesis(Value):
 
     def render(self) -> str:
         if self.kind == "rel":
-            sym = {"eq": "=", "lt": "<", "le": "<="}[self.op]
-            return f"{render_expr(self.lhs)} {sym} {render_expr(self.rhs)}"
+            return render_rel((self.op, self.lhs, self.rhs))
         if self.kind == "MA":
             return f"MA mu={render_expr(self.mu)}"
         if self.kind == "CohenModel":

@@ -29,20 +29,11 @@ def subexprs(e: CardinalExpr) -> Iterable[CardinalExpr]:
 
 # -- rigid (declaration-determined) comparisons --------------------------------
 
-def _rigid_key(e: CardinalExpr) -> tuple | None:
-    """A totally ordered key for aleph0 / atoms; None when not declaration-rigid."""
-    if e.kind == "aleph0":
-        return (0, 0)
-    if e.kind == "atom":
-        return (1, e.atom.rank)
-    return None
-
-
 def rigid_compare(a: CardinalExpr, b: CardinalExpr) -> int | None:
-    ka, kb = _rigid_key(a), _rigid_key(b)
-    if ka is None or kb is None:
+    """The order of aleph0 and atoms, which ``skey`` gives; None for other kinds."""
+    if a.kind not in ("aleph0", "atom") or b.kind not in ("aleph0", "atom"):
         return None if a != b else 0
-    return (ka > kb) - (ka < kb)
+    return (a.skey > b.skey) - (a.skey < b.skey)
 
 
 # -- the fact base and its closure ----------------------------------------------

@@ -113,8 +113,7 @@ def _fund_schema(x: OrdinalTerm, alpha_mode: bool) -> SequenceSchema:
     q_str = pretty(prefix) if not prefix.is_zero() else ""
 
     if isinstance(e, CardinalAtom):
-        rng = from_atom(e) if e.regular else (
-            OMEGA if e.declared_cofinality is None else from_atom(e.declared_cofinality))
+        rng = cofinality(from_atom(e))
         var = "n" if rng == OMEGA else "xi"
         if e.regular:
             return SequenceSchema(var, rng, _join(q_str, var),

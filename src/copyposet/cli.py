@@ -366,18 +366,12 @@ def _run_one(argv, batch_line: int | None = None) -> int:
         return _USAGE_ERROR
     try:
         return _dispatch(ns)
-    except (_CliInputError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_ERROR
-    except ContradictionError as exc:
+    except ContradictionError as exc:  # before HypothesisError, its base
         print(f"error: contradictory hypotheses: {exc}", file=sys.stderr)
         for line in exc.chain:
             print(f"  {line}", file=sys.stderr)
         return _DOMAIN_ERROR
-    except HypothesisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_ERROR
-    except AtomError as exc:
+    except (_CliInputError, ParseError, HypothesisError, AtomError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     except (OrdinalError, _CliDomainError) as exc:

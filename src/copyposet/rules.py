@@ -15,8 +15,8 @@ from .terms import (
 )
 from .classify import CaseReport, classify_exponent
 from .cardexpr import (
-    ALEPH0, CONTINUUM, DIST_H, W1, CardinalExpr, atom_expr, cc_cp_of, exp_of, pow2_of,
-    pow2lt_of, render_expr, render_rel, succ_of,
+    ALEPH0, CONTINUUM, DIST_H, W1, W2, CardinalExpr, atom_expr, cc_cp_of, exp_of,
+    pow2_of, pow2lt_of, render_expr, render_rel, succ_of,
 )
 from .cardinals import FactBase, closure
 from .forcing import (
@@ -123,16 +123,10 @@ class _Engine:
         self.alpha = alpha
         self.hyps = tuple(hyps)
         self.has_hyps = bool(self.hyps)
-        self.w1 = W1
-        self.w2 = atom_expr(builtin(2))
         self.whole = factorize(alpha)
-        self.deltas = []  # distinct exponents in CNF order
-        self.mults: dict[OrdinalTerm, int] = {}
-        for (e, c) in alpha.summands:
-            d = e if isinstance(e, OrdinalTerm) else from_atom(e)
-            if d not in self.mults:
-                self.deltas.append(d)
-            self.mults[d] = self.mults.get(d, 0) + c
+        # the exponents in CNF order, which are distinct
+        self.deltas = [e if isinstance(e, OrdinalTerm) else from_atom(e)
+                       for e, _c in alpha.summands]
         self.reports: dict[OrdinalTerm, CaseReport] = {
             d: classify_exponent(d) for d in self.deltas}
         # the T5.6 sub-analysis passes its parent's closure, which contains its own
@@ -145,7 +139,7 @@ class _Engine:
     # -- candidate expressions the rules may query -----------------------------
 
     def _candidates(self) -> list[CardinalExpr]:
-        out = [ALEPH0, CONTINUUM, DIST_H, self.w1, self.w2, pow2_of(self.w1)]
+        out = [ALEPH0, CONTINUUM, DIST_H, W1, W2, pow2_of(W1)]
         seen_deltas = list(self.deltas)
         for d in list(self.deltas):
             if d.is_successor() and not OrdinalTerm(d.summands, 0).is_zero():
@@ -194,23 +188,32 @@ class _Engine:
     def has_fact(self, kind: str, operands: tuple) -> ForcingFact | None:
         return self.facts.get(self.fact_key(kind, operands))
 
-    def entail(self, op: str, lhs: CardinalExpr, rhs: CardinalExpr) -> str:
-        return self.fb.entails_rel(op, lhs, rhs)
+    def check(self, rule_id: str, premises: list, report: bool = True) -> tuple | None:
+        """The closure steps citing ``premises`` when all entail yes, else None.
 
-    def check(self, rule_id: str, rels: list) -> tuple | None:
-        """The closure premises of the rels when all entail yes; None when one does
-        not, and the unknown ones are recorded as blocking the rule."""
-        unknown = []
-        for r in rels:
-            s = self.entail(*r)
-            if s == "no":
-                return None
-            if s == "unknown":
-                unknown.append(render_rel(r))
+        A premise is a relation or a tuple of relations, which holds when one of them
+        does and is cited by the first that does. When none is refuted, the unknown
+        ones (a tuple rendered ``A or B``) are recorded as blocking the rule, if
+        ``report``."""
+        used, unknown = [], []
+        for p in premises:
+            rels = p if isinstance(p[0], tuple) else (p,)
+            refuted = True
+            for r in rels:
+                answer = self.fb.entails_rel(*r)
+                if answer == "yes":
+                    used.append(("closure", r))
+                    break
+                refuted = refuted and answer == "no"
+            else:
+                if refuted:
+                    return None
+                unknown.append(" or ".join(map(render_rel, rels)))
         if unknown:
-            self.blocked.append((rule_id, unknown))
+            if report:
+                self.blocked.append((rule_id, unknown))
             return None
-        return tuple(("closure", r) for r in rels)
+        return tuple(used)
 
     # -- the pipeline -----------------------------------------------------------
 
@@ -224,7 +227,7 @@ class _Engine:
                         dict.fromkeys((rid, tuple(ps)) for rid, ps in self.blocked)]
         ro_fact = self._pick_conclusion()
         resolutions = {}
-        for e in (CONTINUUM, DIST_H, pow2_of(self.w1)):
+        for e in (CONTINUUM, DIST_H, pow2_of(W1)):
             r = self.fb.resolve(e)
             if r != e:
                 resolutions[render_expr(e)] = render_expr(r)
@@ -270,7 +273,7 @@ class _Engine:
                 ae = atom_expr(a)
                 ident = self.emit("ForcingEquivalent", (F, cp(ae)),
                                   (self._case_step(d, "sq-cp-ident"),))
-                self.emit("Collapses", (F, exp_of(ae, ALEPH0), self.w1),
+                self.emit("Collapses", (F, exp_of(ae, ALEPH0), W1),
                           (Step("F2.6c", (("kappa", a.name),),
                                 (("fact", ident),
                                  ("closure", ("eq", pow2_of(ae), pow2_of(ae))))),))
@@ -278,7 +281,7 @@ class _Engine:
         tag = f"T4.7{label}"
         ce_fact = self.emit("CompletelyEmbeds", (cp(_rho(rep)), F),
                             (self._case_step(d, tag),))
-        self.emit("Collapses", (F, self.w2, ALEPH0),
+        self.emit("Collapses", (F, W2, ALEPH0),
                   (Step(tag, (), (("fact", ce_fact),)),))
         a = _delta_atom(d)  # never an atom in case C
         if a is not None:
@@ -296,7 +299,7 @@ class _Engine:
         a = _delta_atom(d)
 
         if self._countable(d):
-            used = self.check("T1.1b", [("eq", DIST_H, self.w1)])
+            used = self.check("T1.1b", [("eq", DIST_H, W1)])
             if used is not None:
                 self.emit("RoIso", (F, cp(ALEPH0)),
                           (Step("T1.1b", (("delta", pretty(d)),), used),))
@@ -323,59 +326,44 @@ class _Engine:
     def _rule_t410(self, d, F, label) -> None:
         if compare(d, from_atom(builtin(2))) >= 0:
             return
-        prem = [("lt", DIST_H, CONTINUUM), ("eq", CONTINUUM, self.w2),
-                ("eq", pow2_of(self.w1), CONTINUUM)]
-        used = self.check("T4.10", prem)
+        used = self.check("T4.10", [("lt", DIST_H, CONTINUUM), ("eq", CONTINUUM, W2),
+                                    ("eq", pow2_of(W1), CONTINUUM)])
         if used is None:
             return
-        header = self.emit("RoIso", (cp(ALEPH0), col(self.w1, CONTINUUM)),
+        header = self.emit("RoIso", (cp(ALEPH0), col(W1, CONTINUUM)),
                            (Step("T4.10", (), used),))
         inst = (("delta", pretty(d)), ("case", label))
         if self._countable(d):
             sub = self.has_fact("RoIso", (F, cp(ALEPH0)))
             if sub is not None:
-                self.emit("RoIso", (F, col(self.w1, CONTINUUM)),
+                self.emit("RoIso", (F, col(W1, CONTINUUM)),
                           (Step("roiso-trans", inst, (("fact", sub), ("fact", header))),
                            Step("T4.10", inst, used)))
             return
         if label in ("A", "B"):
-            self.emit("RoIso", (F, col(self.w1, CONTINUUM)),
+            self.emit("RoIso", (F, col(W1, CONTINUUM)),
                       (Step("T4.10", inst, used + (("case", d, label),)),))
         elif label in ("D", "E"):
             self.emit("RoIso", (F, col(ALEPH0, CONTINUUM)),
                       (Step("T4.10", inst, used + (("case", d, label),)),))
 
     def _rule_t52(self, d, F, kappa_e, ce) -> None:
-        eq1 = ("eq", pow2_of(kappa_e), pow2_of(ce))
-        s1 = self.entail(*eq1)
-        if s1 == "no":
-            return
-        d2a = ("eq", pow2lt_of(kappa_e), kappa_e)
-        d2b = ("eq", pow2_of(kappa_e), succ_of(kappa_e))
-        s2a, s2b = self.entail(*d2a), self.entail(*d2b)
-        if s2a == "no" and s2b == "no":
-            return
-        unknown = []
-        if s1 == "unknown":
-            unknown.append(render_rel(eq1))
-        if s2a != "yes" and s2b != "yes":
-            unknown.append(f"{render_rel(d2a)} or {render_rel(d2b)}")
-        if unknown:
-            self.blocked.append(("T5.2", unknown))
+        used = self.check("T5.2", [("eq", pow2_of(kappa_e), pow2_of(ce)),
+                                   (("eq", pow2lt_of(kappa_e), kappa_e),
+                                    ("eq", pow2_of(kappa_e), succ_of(kappa_e)))])
+        if used is None:
             return
         self.emit("RoIso", (F, col(ALEPH0, pow2_of(ce))),
                   (Step("T5.2", (("delta", pretty(d)),),
-                        (("case", d, self.reports[d].label), ("closure", eq1),
-                         ("closure", d2a if s2a == "yes" else d2b))),))
+                        (("case", d, self.reports[d].label),) + used),))
 
     def _rule_t54(self, d, F, a) -> None:
         if a.declared_cofinality is None:
             return  # cf = w belongs to T5.8, not here
         ae = atom_expr(a)
         cfe = atom_expr(a.declared_cofinality)
-        prem = [("lt", pow2_of(cfe), ae), ("lt", cfe, pow2_of(cfe)),
-                ("lt", ALEPH0, cfe), ("eq", pow2_of(ae), succ_of(ae))]
-        used = self.check("T5.4", prem)
+        used = self.check("T5.4", [("lt", pow2_of(cfe), ae), ("lt", cfe, pow2_of(cfe)),
+                                   ("lt", ALEPH0, cfe), ("eq", pow2_of(ae), succ_of(ae))])
         if used is None:
             return
         ident = self.has_fact("ForcingEquivalent", (F, cp(ae)))
@@ -393,27 +381,18 @@ class _Engine:
     def _rule_ex53(self, d, F, a) -> None:
         ae = atom_expr(a)
         ccx = cc_cp_of(ae)
-        target = succ_of(pow2_of(ae))
-        s_eq = self.entail("eq", ccx, target)
-        if s_eq == "yes":
-            self.emit("RoIso", (F, col(ALEPH0, pow2_of(ae))),
-                      (Step("Ex5.3", (("kappa", a.name),),
-                            (("closure", ("eq", ccx, target)),)),))
-            return
-        s_lt = self.entail("le", ccx, pow2_of(ae))
-        if s_lt == "yes":
-            self.emit("RoNotIso", (F, col(ALEPH0, pow2_of(ae))),
-                      (Step("Ex5.3", (("kappa", a.name),),
-                            (("closure", ("le", ccx, pow2_of(ae))),)),))
-            return
-        if s_eq == "unknown":
-            self.blocked.append(("Ex5.3", [render_rel(("eq", ccx, target))]))
+        # the equality decides; it is reported unknown only when the bound does not hold
+        not_iso = self.check("Ex5.3", [("le", ccx, pow2_of(ae))], report=False)
+        iso = self.check("Ex5.3", [("eq", ccx, succ_of(pow2_of(ae)))],
+                         report=not_iso is None)
+        if iso is not None or not_iso is not None:
+            self.emit("RoIso" if iso else "RoNotIso", (F, col(ALEPH0, pow2_of(ae))),
+                      (Step("Ex5.3", (("kappa", a.name),), iso or not_iso),))
 
     def _rule_f26e(self, d, F, rho, a, ce) -> None:
         ccx = cc_cp_of(rho)
         # the universe's atoms in skey order: an atom outside it entails no relation
-        fb = self.fb
-        candidates = [x for x in fb.nodes if x.kind == "atom"]
+        candidates = [x for x in self.fb.nodes if x.kind == "atom"]
         candidates += [CONTINUUM, pow2_of(rho)]
         if ce is not None:
             candidates.append(pow2_of(ce))
@@ -424,11 +403,11 @@ class _Engine:
             if rx in seen:
                 continue
             seen.add(rx)
-            if self.entail("lt", x, ccx) == "yes":
+            used = self.check("F2.6e", [("lt", x, ccx)], report=False)
+            if used is not None:
                 self.emit("Collapses", (F, x, ALEPH0),
                           (Step("F2.6e", (("kappa", render_expr(rho)),),
-                                ((("fact", emb),) if emb else ()) +
-                                (("closure", ("lt", x, ccx)),)),))
+                                ((("fact", emb),) if emb else ()) + used),))
         # chain-condition preservation needs the poset to *be* CP(kappa)
         if a is not None and self.has_fact("ForcingEquivalent", (F, cp(atom_expr(a)))):
             res = self.fb.resolve(ccx)
@@ -444,12 +423,13 @@ class _Engine:
             if fact.kind != "Collapses" or fact.operands[0] != F:
                 continue
             frm, to = fact.operands[1], fact.operands[2]
-            if self.entail("eq", to, ALEPH0) != "yes" and to != ALEPH0:
-                continue
-            if self.entail("eq", frm, target) == "yes":
+            used = self.check("F5.1", [("eq", to, ALEPH0), ("eq", frm, target)],
+                              report=False)
+            if used is not None:
+                # the trace cites the collapse fact for to = w, not the closure
                 self.emit("RoIso", (F, col(ALEPH0, target)),
                           (Step("F5.1", (("lambda", "w"), ("size", render_expr(target))),
-                                (("fact", fact), ("closure", ("eq", frm, target)))),))
+                                (("fact", fact),) + used[1:]),))
                 return
         # lambda = w_1 route: sigma-closed plus a collapse of 2^|delta| to w_1
         if self._countable(d):
@@ -461,21 +441,13 @@ class _Engine:
             if fact.kind != "Collapses" or fact.operands[0] != F:
                 continue
             frm, to = fact.operands[1], fact.operands[2]
-            s_to = self.entail("eq", to, self.w1)
-            s_frm = self.entail("eq", frm, target)
-            if s_to == "no" or s_frm == "no":
+            used = self.check("F5.1", [("eq", frm, target), ("eq", to, W1)],
+                              report=self.has_hyps)
+            if used is None:
                 continue
-            unknown = [render_rel(("eq", frm, target))] if s_frm == "unknown" else []
-            if s_to == "unknown":
-                unknown.append(render_rel(("eq", to, self.w1)))
-            if unknown:
-                if self.has_hyps:
-                    self.blocked.append(("F5.1", unknown))
-                continue
-            self.emit("RoIso", (F, col(self.w1, target)),
+            self.emit("RoIso", (F, col(W1, target)),
                       (Step("F5.1", (("lambda", "w_1"), ("size", render_expr(target))),
-                            (("fact", sig), ("fact", fact), ("closure", ("eq", frm, target)),
-                             ("closure", ("eq", to, self.w1)))),))
+                            (("fact", sig), ("fact", fact)) + used),))
             return
 
     def _rule_t56(self, d, F) -> None:
@@ -506,12 +478,13 @@ class _Engine:
             if fact.kind != "Collapses" or fact.operands[0] != subF:
                 continue
             frm, to = fact.operands[1], fact.operands[2]
-            if self.entail("eq", frm, target) != "yes":
+            if self.check("T5.6", [("eq", frm, target)], report=False) is None:
                 continue
             if self.fb.resolve(to) == ALEPH0:
                 route, witness = "collapse-to-w", fact
                 break
-            if sub_sigma is not None and self.entail("eq", to, self.w1) == "yes":
+            if sub_sigma is not None and self.check(
+                    "T5.6", [("eq", to, W1)], report=False) is not None:
                 route, witness = "sigma-closed-collapse-to-w1", fact
         if route is None:
             self.blocked.append(
@@ -522,7 +495,7 @@ class _Engine:
         fe = self.emit("ForcingEquivalent", (F, refined),
                        (Step("F5.5a", (("delta", pretty(d0)), ("n", str(n))), ()),))
         inner_rule = "F5.5b" if route == "collapse-to-w" else "F5.5c"
-        self.emit("RoIso", (F, col(self.w1, target)),
+        self.emit("RoIso", (F, col(W1, target)),
                   (Step("F5.5a", (("delta", pretty(d0)), ("n", str(n))), (("fact", fe),)),
                    Step(inner_rule, (("kappa", render_expr(target)),),
                         (("subfact", d0, witness),)),
@@ -533,12 +506,11 @@ class _Engine:
 
     def _rule_t58(self, d, F, a) -> None:
         ae = atom_expr(a)
-        prem = [("eq", exp_of(ae, ALEPH0), pow2_of(ae))]
-        used = self.check("T5.8", prem)
+        used = self.check("T5.8", [("eq", exp_of(ae, ALEPH0), pow2_of(ae))])
         if used is None:
             return
-        coll = self.has_fact("Collapses", (F, exp_of(ae, ALEPH0), self.w1))
-        self.emit("RoIso", (F, col(self.w1, pow2_of(ae))),
+        coll = self.has_fact("Collapses", (F, exp_of(ae, ALEPH0), W1))
+        self.emit("RoIso", (F, col(W1, pow2_of(ae))),
                   (Step("F2.6c", (("mu", a.name),), (("fact", coll),) if coll else ()),
                    Step("T5.8", (("mu", a.name),), used)))
 
@@ -547,7 +519,7 @@ class _Engine:
     def _product_level(self) -> None:
         if self.whole.kind != "prod":
             return
-        k = sum(self.mults.values())
+        k = sum(c for _e, c in self.alpha.summands)
         labels = {d: self.reports[d].label for d in self.deltas}
         factor_facts = []
         if all(lbl in ("A", "B") for lbl in labels.values()):
@@ -572,21 +544,17 @@ class _Engine:
             self.emit("CompletelyEmbeds", (cp(rho), self.whole),
                       (Step("T4.9b", (("lambda", render_expr(rho)),),
                             (("fact", emb),) if emb else ()),))
-        self.emit("Collapses", (self.whole, self.w2, ALEPH0),
+        self.emit("Collapses", (self.whole, W2, ALEPH0),
                   (Step("T4.9b", (), ()),))
         if cae is None:
             return
         target = succ_of(pow2_of(cae))
         for rho in rhos:
-            ccx = cc_cp_of(rho)
-            s = self.entail("eq", ccx, target)
-            if s == "yes":
+            used = self.check("T4.9b", [("eq", cc_cp_of(rho), target)])
+            if used is not None:
                 self.emit("RoIso", (self.whole, col(ALEPH0, pow2_of(cae))),
-                          (Step("T4.9b", (("lambda", render_expr(rho)),),
-                                (("closure", ("eq", ccx, target)),)),))
+                          (Step("T4.9b", (("lambda", render_expr(rho)),), used),))
                 return
-            if s == "unknown":
-                self.blocked.append(("T4.9b", [render_rel(("eq", ccx, target))]))
 
     def _pick_conclusion(self) -> ForcingFact | None:
         whole = resolve_poset(self.whole, self.fb)

@@ -170,11 +170,36 @@ def test_catalog_coverage(monkeypatch):
     assert ids - fired == CLOSURE_RULES | DOCUMENTATION_ONLY
 
 
-def test_blocked_rules_reported_not_assumed():
-    report, _reg, _h = _run("w^(w_1)")
+T410_UNKNOWN = ["h < c", "c = w_2", "2^w_1 = c"]
+EX53_UNKNOWN = ["cc(CP(w_1)) = succ(2^w_1)"]
+T52_EITHER = "c = w_1 or 2^w_1 = w_2"
+
+
+@pytest.mark.parametrize("alpha_text,hyp_text,blocked", [
+    ("w^(w_1)", "",
+     [("T4.10", T410_UNKNOWN), ("T5.2", [T52_EITHER]), ("Ex5.3", EX53_UNKNOWN)]),
+    ("w^w", "c = w_2", [("T1.1b", ["h = w_1"]), ("T4.10", ["h < c", "2^w_1 = c"])]),
+    # a plain premise before the disjunctive one; its refuted member still shows
+    ("w^(w_2+w_1)", "c = w_2", [("T5.2", ["2^w_1 = 2^w_2", T52_EITHER])]),
+    ("w^mu", "card mu rank 100 singular cf w_1\n2^w_1 = w_2",
+     [("T5.4", ["2^mu = succ(mu)"])]),
+    ("w^mu", "card mu rank 100 singular cf w\nc = w_2",
+     [("T5.8", ["mu^w = 2^mu"]), ("F5.1", ["mu^w = 2^mu"])]),
+    ("w^(w_1+1)", "c = w_2",
+     [("T4.10", ["h < c", "2^w_1 = c"]), ("F5.1", ["c = 2^w_1", "h = w_1"]),
+      ("T5.6", ["sq P(w^(w_1)) collapses 2^w_1 to w, or is sigma-closed and "
+                "collapses it to w_1"])]),
+    # F5.1 reports nothing without hypotheses
+    ("w^(w_1+1)", "", [("T4.10", T410_UNKNOWN)]),
+    ("w_1*3 + w^w + 5", "c = w_2",
+     [("T4.10", ["h < c", "2^w_1 = c"]), ("T5.2", [T52_EITHER]), ("Ex5.3", EX53_UNKNOWN),
+      ("T1.1b", ["h = w_1"]), ("T4.9b", EX53_UNKNOWN)]),
+], ids=["no-hyps", "t11b", "t52-plain-and-either", "t54", "t58-f51", "f51-t56",
+        "f51-silent", "t49b"])
+def test_blocked_rules_reported_not_assumed(alpha_text, hyp_text, blocked):
+    report, _reg, _h = _run(alpha_text, hyp_text)
     assert report.ro_conclusion is None
-    blocked = dict(report.blocked)
-    assert "T5.2" in blocked
+    assert report.blocked == blocked
     assert not any(f.kind == "RoIso" for f in report.facts)
 
 
