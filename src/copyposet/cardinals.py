@@ -44,6 +44,16 @@ def _rel_key(op: str, lhs: CardinalExpr, rhs: CardinalExpr) -> Rel:
     return (op, lhs, rhs)
 
 
+_SUCC, _POW2, _CF, _WEAK, _CC, _PRED = range(6)  # the images' places in a row
+
+
+def _images(x: CardinalExpr, ids: dict[CardinalExpr, int]) -> tuple:
+    """The ids of succ(x), 2^x, cf(x), 2^<x, cc(CP(x)) and the y with succ(y) = x;
+    None for an image outside the universe."""
+    return tuple(map(ids.get, (succ_of(x), pow2_of(x), cf_of(x), pow2lt_of(x),
+                               cc_cp_of(x), pred_of(x))))
+
+
 class FactBase:
     def __init__(self, hyps: tuple[Hypothesis, ...], universe: set[CardinalExpr]):
         self.hyps = hyps
@@ -58,41 +68,52 @@ class FactBase:
         self.ids = {x: i for i, x in enumerate(self.nodes)}
         self.above = {op: [0] * len(self.nodes) for op in ("le", "lt")}
         self.below = {op: [0] * len(self.nodes) for op in ("le", "lt")}
+        # the image ids of each node, by id, built once: no rule stores an image
+        # outside the universe
+        self.images = [_images(x, self.ids) for x in self.nodes]
 
     # -- storage
 
     def add(self, op: str, lhs: CardinalExpr, rhs: CardinalExpr,
             rule: str, premises: tuple = ()) -> bool:
-        if op == "eq":
-            if lhs is rhs:
+        if op != "eq":
+            i, j = self.ids[lhs], self.ids[rhs]
+            if self.above[op][i] >> j & 1:
                 return False
-            key = ("eq", rhs, lhs) if lhs.skey > rhs.skey else ("eq", lhs, rhs)
-        else:
-            key = (op, lhs, rhs)
+            self.store(op, i, j, rule, premises)
+            return True
+        if lhs is rhs:
+            return False
+        key = ("eq", rhs, lhs) if lhs.skey > rhs.skey else ("eq", lhs, rhs)
         rels = self.rels
         if key in rels:
             return False
         rels[key] = (rule, premises)
-        if op == "eq":
-            self.eq_nbrs.setdefault(lhs, {})[rhs] = None
-            self.eq_nbrs.setdefault(rhs, {})[lhs] = None
-            for known in (("lt", lhs, rhs), ("lt", rhs, lhs)):
-                if known in rels:
-                    raise ContradictionError(
-                        f"derived both equality and strict order for {render_rel(key)}",
-                        self.chain(known, key))
-            return True
-        i, j = self.ids[lhs], self.ids[rhs]
+        self.eq_nbrs.setdefault(lhs, {})[rhs] = None
+        self.eq_nbrs.setdefault(rhs, {})[lhs] = None
+        for known in (("lt", lhs, rhs), ("lt", rhs, lhs)):
+            if known in rels:
+                raise ContradictionError(
+                    f"derived both equality and strict order for {render_rel(key)}",
+                    self.chain(known, key))
+        return True
+
+    def store(self, op: str, i: int, j: int, rule: str, premises: tuple) -> None:
+        """Store (op, nodes[i], nodes[j]), an le or lt relation whose bit the caller
+        has just read unset. A strict order that closes x < x or meets an equality is
+        stored, then raised."""
+        lhs, rhs = self.nodes[i], self.nodes[j]
+        key = (op, lhs, rhs)
+        self.rels[key] = (rule, premises)
         self.above[op][i] |= 1 << j
         self.below[op][j] |= 1 << i
         if op == "lt":
-            if lhs is rhs:
+            if i == j:
                 raise ContradictionError(f"derived {render_rel(key)}", self.chain(key))
             # the chain derives the relation already known first, then the new one
             if rhs in self.eq_nbrs.get(lhs, ()):
                 raise ContradictionError(f"derived both {render_rel(key)} and equality",
                                          self.chain(_rel_key("eq", lhs, rhs), key))
-        return True
 
     def holds(self, op: str, lhs: CardinalExpr, rhs: CardinalExpr) -> bool:
         if op in ("eq", "le") and lhs == rhs:
@@ -263,9 +284,9 @@ def closure(hyps: Iterable[Hypothesis], registry: AtomRegistry,
                 if x.kind in ("aleph0", "atom", "succ"):
                     fb.add("eq", pow2_of(x), succ_of(x), "GCH")
                 if x.kind == "atom" and x.atom.singular:
-                    w = pow2lt_of(x)
-                    if w in uni:
-                        fb.add("eq", w, x, "GCH")
+                    w = fb.images[fb.ids[x]][_WEAK]
+                    if w is not None:
+                        fb.add("eq", fb.nodes[w], x, "GCH")
         elif h.kind == "MA":
             fb.add("lt", h.mu, CONTINUUM, "MA")
         elif h.kind == "CohenModel":
@@ -285,24 +306,18 @@ def _run_rules(fb: FactBase) -> None:
     only the relations stored since the previous round (the delta) against all
     stored ones, through the bit rows; the per-node rules re-check the universe.
     Every stored le/lt relation lies inside the universe: the hypotheses' operands
-    are in it, and the rules below only store images that are. A rule concluding
-    le or lt reads the conclusion's bit before calling ``FactBase.add``, which
-    would find it stored and return; the bit is read as it stands at that call,
-    so the stored order and provenance are those of calling ``add`` every time."""
+    are in it, and the rules below only store images that are. The loop works on
+    universe ids: a rule concluding le or lt reads the conclusion's bit just before
+    it stores the relation through ``FactBase.store``, the one store path of ``add``
+    too (a join reads its row mask once, as each of its stores sets only the bit of
+    its own, distinct conclusion), so the stored order and provenance are those of
+    calling ``add`` every time."""
     uni = fb.universe
-    rels, ids, nodes, add = fb.rels, fb.ids, fb.nodes, fb.add
-    above, below = fb.above, fb.below
-    le_above = above["le"]
+    rels, ids, nodes, images, add, store = (
+        fb.rels, fb.ids, fb.nodes, fb.images, fb.add, fb.store)
+    le_above, lt_above = fb.above["le"], fb.above["lt"]
+    le_below, lt_below = fb.below["le"], fb.below["lt"]
     exps = [x for x in nodes if x.kind == "exp"]
-    images: dict[CardinalExpr, tuple] = {}
-
-    def lift(x):
-        """The ids of succ(x), 2^x, cf(x), 2^<x, cc(CP(x)) and the y with succ(y) = x,
-        stored in ``images`` once per closure; an image outside the universe is None,
-        as no rule may store it."""
-        images[x] = tuple(map(ids.get, (succ_of(x), pow2_of(x), cf_of(x), pow2lt_of(x),
-                                        cc_cp_of(x), pred_of(x))))
-        return images[x]
 
     def emit(op, l, r_, rule, *prem):
         if l in uni and r_ in uni:
@@ -316,15 +331,16 @@ def _run_rules(fb: FactBase) -> None:
         for key in delta:
             op, a, b = key
             prem = (key,)
-            img_a = images.get(a) or lift(a)
-            img_b = images.get(b) or lift(b)
             if op == "eq":
+                # a GCH equation may name a node outside the universe
                 ia, ib = ids.get(a), ids.get(b)
+                img_a = _images(a, ids) if ia is None else images[ia]
+                img_b = _images(b, ids) if ib is None else images[ib]
                 if ia is not None and ib is not None:
                     if not le_above[ia] >> ib & 1:
-                        add("le", a, b, "eq-weaken", prem)
+                        store("le", ia, ib, "eq-weaken", prem)
                     if not le_above[ib] >> ia & 1:
-                        add("le", b, a, "eq-weaken", prem)
+                        store("le", ib, ia, "eq-weaken", prem)
                 # congruence under equality for applied constructors
                 for la, lb in zip(img_a[:5], img_b[:5]):
                     if la != lb and la is not None and lb is not None:
@@ -338,40 +354,61 @@ def _run_rules(fb: FactBase) -> None:
                                 add("eq", x, cand, "congruence", prem)
                 continue
             ia, ib = ids[a], ids[b]
-            sa, pa = img_a[0], img_a[1]
-            sb, pb, pred_b = img_b[0], img_b[1], img_b[5]
+            sa, pa = images[ia][:2]
+            sb, pb, _cf, _weak, _cc, pred_b = images[ib]
             if op == "lt":
                 if not le_above[ia] >> ib & 1:
-                    add("le", a, b, "lt-weaken", prem)
+                    store("le", ia, ib, "lt-weaken", prem)
                 # y < succ(x) gives y <= x
                 if pred_b is not None and not le_above[ia] >> pred_b & 1:
-                    add("le", a, nodes[pred_b], "below-successor", prem)
+                    store("le", ia, pred_b, "below-successor", prem)
                 if sa is not None and not le_above[sa] >> ib & 1:
-                    add("le", nodes[sa], b, "no-between", prem)
-            elif a is not b and le_above[ib] >> ia & 1:
+                    store("le", sa, ib, "no-between", prem)
+                if sa is not None and sb is not None and not lt_above[sa] >> sb & 1:
+                    store("lt", sa, sb, "succ-mono", prem)
+                if pa is not None and pb is not None and not le_above[pa] >> pb & 1:
+                    store("le", pa, pb, "pow2-mono", prem)
+                # order-trans: a < b <= c and x <= a < b; the row masks leave out
+                # the conclusions already stored (lt with lt goes through lt-weaken)
+                mask = le_above[ib] & ~lt_above[ia]
+                while mask:
+                    k = (mask & -mask).bit_length() - 1
+                    mask &= mask - 1
+                    store("lt", ia, k, "order-trans", (key, ("le", b, nodes[k])))
+                mask = le_below[ia] & ~lt_below[ib]
+                while mask:
+                    k = (mask & -mask).bit_length() - 1
+                    mask &= mask - 1
+                    store("lt", k, ib, "order-trans", (("le", nodes[k], a), key))
+                continue
+            if a is not b and le_above[ib] >> ia & 1:
                 add("eq", a, b, "antisymmetry", (key, ("le", b, a)))
-            if sa is not None and sb is not None and not above[op][sa] >> sb & 1:
-                add(op, nodes[sa], nodes[sb], "succ-mono", prem)
+            if sa is not None and sb is not None and not le_above[sa] >> sb & 1:
+                store("le", sa, sb, "succ-mono", prem)
             if pa is not None and pb is not None and not le_above[pa] >> pb & 1:
-                add("le", nodes[pa], nodes[pb], "pow2-mono", prem)
-            # transitivity, joining (a, b) with a stored (b, c) or (x, a): le with le is
-            # le-trans, le with lt is order-trans (lt with lt goes through lt-weaken);
-            # the row masks leave out the conclusions already stored
-            for other in ("le", "lt") if op == "le" else ("le",):
-                out = "le" if op == other == "le" else "lt"
-                rule = "le-trans" if out == "le" else "order-trans"
-                mask = above[other][ib] & ~above[out][ia]
-                while mask:
-                    low = mask & -mask
-                    mask ^= low
-                    c = nodes[low.bit_length() - 1]
-                    add(out, a, c, rule, (key, (other, b, c)))
-                mask = below[other][ia] & ~below[out][ib]
-                while mask:
-                    low = mask & -mask
-                    mask ^= low
-                    c = nodes[low.bit_length() - 1]
-                    add(out, c, b, rule, ((other, c, a), key))
+                store("le", pa, pb, "pow2-mono", prem)
+            # le-trans: a <= b <= c and x <= a <= b
+            mask = le_above[ib] & ~le_above[ia]
+            while mask:
+                k = (mask & -mask).bit_length() - 1
+                mask &= mask - 1
+                store("le", ia, k, "le-trans", (key, ("le", b, nodes[k])))
+            mask = le_below[ia] & ~le_below[ib]
+            while mask:
+                k = (mask & -mask).bit_length() - 1
+                mask &= mask - 1
+                store("le", k, ib, "le-trans", (("le", nodes[k], a), key))
+            # order-trans: a <= b < c and x < a <= b
+            mask = lt_above[ib] & ~lt_above[ia]
+            while mask:
+                k = (mask & -mask).bit_length() - 1
+                mask &= mask - 1
+                store("lt", ia, k, "order-trans", (key, ("lt", b, nodes[k])))
+            mask = lt_below[ia] & ~lt_below[ib]
+            while mask:
+                k = (mask & -mask).bit_length() - 1
+                mask &= mask - 1
+                store("lt", k, ib, "order-trans", (("lt", nodes[k], a), key))
         if len(rels) == done:
             return
     raise HypothesisError("closure did not reach a fixpoint within bounds")
@@ -381,16 +418,17 @@ def _node_rules(fb: FactBase, emit, first: bool) -> None:
     """The arithmetic rules, one pass over the universe. The rules that read no
     stored relation conclude the same in every round, so only the first runs them;
     on each node they come before the others, as the stored order depends on it."""
-    uni = fb.universe
+    rels, ids, nodes, images = fb.rels, fb.ids, fb.nodes, fb.images
+    le_above, lt_above = fb.above["le"], fb.above["lt"]
     ma_axioms = any(h.kind == "MA" for h in fb.hyps)
     for x in fb.nodes:
         kind = x.kind
         if first:
             if kind == "pow2":
                 emit("lt", x.args[0], x, "cantor")
-                cf_node = CardinalExpr("cf", args=(x,))
-                if cf_node in uni:
-                    emit("lt", x.args[0], cf_node, "koenig")
+                emit("lt", x.args[0], cf_of(x), "koenig")
+            elif kind == "c":  # c is 2^w, which pow2_of gives a kind of its own
+                emit("lt", ALEPH0, cf_of(x), "koenig")
             elif kind == "pow2lt":
                 emit("le", x.args[0], x, "weakpow-above")
                 emit("le", x, pow2_of(x.args[0]), "weakpow-below")
@@ -406,22 +444,24 @@ def _node_rules(fb: FactBase, emit, first: bool) -> None:
                 emit("le", x.args[0], x, "exp-base")
                 emit("le", pow2_of(x.args[1]), x, "exp-above-pow2")
         if kind == "cc_cp":
+            # the derived layer puts succ(arg), 2^arg and succ(2^arg) in the universe
             arg = x.args[0]
+            succ_arg, pow2_arg = images[ids[arg]][:2]
+            bound = nodes[images[pow2_arg][_SUCC]]
+            # 2^<arg may be arg, or lie outside the universe with a GCH equation stored
             weak = pow2lt_of(arg)
-            k_tree = _rel_key("eq", weak, arg)
             if fb.holds("eq", weak, arg):
-                emit("eq", x, succ_of(pow2_of(arg)), "cc-tree", k_tree)
-            k_pinch = _rel_key("eq", pow2_of(arg), succ_of(arg))
-            if fb.holds("eq", pow2_of(arg), succ_of(arg)):
-                emit("eq", x, succ_of(pow2_of(arg)), "cc-pinch", k_pinch)
+                emit("eq", x, bound, "cc-tree", _rel_key("eq", weak, arg))
+            k_pinch = _rel_key("eq", nodes[pow2_arg], nodes[succ_arg])
+            if k_pinch in rels:
+                emit("eq", x, bound, "cc-pinch", k_pinch)
         elif kind == "exp":
             base, ex = x.args
-            p_base = pow2_of(base)
-            k_le = _rel_key("le", ex, base)
-            if fb.holds("le", ex, base):
-                emit("le", x, p_base, "exp-below-pow2", k_le)
-            cfb = cf_of(base)
-            if fb.holds("le", cfb, ex) or cfb == ex:
+            ib, ie = ids[base], ids[ex]
+            if ib == ie or le_above[ie] >> ib & 1:
+                emit("le", x, pow2_of(base), "exp-below-pow2", ("le", ex, base))
+            cfb = images[ib][_CF]
+            if cfb == ie or cfb is not None and le_above[cfb] >> ie & 1:
                 emit("lt", base, x, "koenig-exp")
             # T5.8(b): for singular x of countable cofinality, 2^{<x}=x gives x^w = 2^x
             if (ex == ALEPH0 and base.kind == "atom" and base.atom.singular
@@ -432,8 +472,8 @@ def _node_rules(fb: FactBase, emit, first: bool) -> None:
                          _rel_key("eq", weak, base))
         elif kind == "pow2" and ma_axioms:  # MA: 2^x = c for aleph0 <= x < c
             arg = x.args[0]
-            if fb.holds("lt", arg, CONTINUUM):
-                emit("eq", x, CONTINUUM, "MA", _rel_key("lt", arg, CONTINUUM))
+            if lt_above[ids[arg]] >> ids[CONTINUUM] & 1:
+                emit("eq", x, CONTINUUM, "MA", ("lt", arg, CONTINUUM))
 
 
 def entails(hyps: Iterable[Hypothesis], relation: Hypothesis,

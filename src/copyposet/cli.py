@@ -146,23 +146,42 @@ def _load_set(literal: str) -> finsets.FinPresSet:
 
 def _emit(ns, text_lines, obj) -> None:
     if ns.format == "json":
-        print(_json_text({"schema_version": SCHEMA_VERSION, **obj}))
+        _json_write({"schema_version": SCHEMA_VERSION, **obj}, sys.stdout.write)
+        sys.stdout.write("\n")
     else:
         for line in text_lines:
             print(line)
 
 
 def _json_text(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, for the trees the
-    responses are made of: str, int, bool, None, and lists, tuples and dicts with str
-    keys. With an indent, json.dumps runs its pure-Python encoder, which spends most of
+    parts: list[str] = []
+    _json_write(obj, parts.append)
+    return "".join(parts)
+
+
+def _json_write(obj, out) -> None:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, passed to ``out``
+    in blocks of at least 8,192 characters (the last may be shorter), so a large
+    response never holds all of its text at once. It serves the trees the responses
+    are made of: str, int, bool, None, and lists, tuples and dicts with str keys.
+    With an indent, json.dumps runs its pure-Python encoder, which spends most of
     its time on generator frames; this writes the same text directly. A float, a set
     or a key that is not a str raises ``TypeError``."""
     from json.encoder import encode_basestring_ascii as quote
     parts: list[str] = []
     put = parts.append
 
+    def spill() -> None:
+        text = "".join(parts)
+        parts.clear()
+        if len(text) >= 8192:  # bytes too, as the text is ASCII
+            out(text)
+        else:
+            put(text)
+
     def write(o, pad: str) -> None:  # pad: a newline and the indent of o's line
+        if len(parts) > 512:
+            spill()
         if isinstance(o, str):
             put(quote(o))
         elif o is None:
@@ -201,7 +220,8 @@ def _json_text(obj) -> str:
             raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
     write(obj, "\n")
-    return "".join(parts)
+    if parts:
+        out("".join(parts))
 
 
 def _dispatch(ns) -> int:

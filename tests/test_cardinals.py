@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,17 +33,27 @@ _ROUNDTRIP_REG.declare("mu", 50, singular=True)
 _ROUNDTRIP_REG.declare("lam", 60, singular=True, cofinality="nu")
 
 
+def _leaves(reg):
+    return [ALEPH0, CONTINUUM, DIST_H] + [
+        atom_expr(reg.lookup(name)) for name in ("w_1", "w_2", "w_3", "nu", "mu", "lam")]
+
+
+def _regular(reg):
+    return [reg.lookup(name) for name in ("w_1", "w_2", "w_3", "nu")]
+
+
+# the normalizing constructors the parser uses, besides exp_of
+_UNARY = {"succ": succ_of, "cf": cf_of, "pow2": pow2_of, "pow2lt": pow2lt_of,
+          "cc": cc_cp_of}
+
+
 def _hypotheses(reg):
     """Hypotheses over w, c, h, w_1..w_3 and the atoms nu, mu, lam of ``reg``, built
     with the normalizing constructors the parser uses."""
-    leaves = st.sampled_from([ALEPH0, CONTINUUM, DIST_H] + [
-        atom_expr(reg.lookup(name)) for name in ("w_1", "w_2", "w_3", "nu", "mu", "lam")])
-    unary = {"succ": succ_of, "cf": cf_of, "pow2": pow2_of, "pow2lt": pow2lt_of,
-             "cc": cc_cp_of}
-    exprs = st.recursive(leaves, lambda inner: st.one_of(
-        st.builds(lambda f, x: unary[f](x), st.sampled_from(sorted(unary)), inner),
+    exprs = st.recursive(st.sampled_from(_leaves(reg)), lambda inner: st.one_of(
+        st.builds(lambda f, x: _UNARY[f](x), st.sampled_from(sorted(_UNARY)), inner),
         st.builds(exp_of, inner, inner)), max_leaves=6)
-    regular = st.sampled_from([reg.lookup(name) for name in ("w_1", "w_2", "w_3", "nu")])
+    regular = st.sampled_from(_regular(reg))
     return st.one_of(
         st.builds(rel, st.sampled_from(["eq", "lt", "le"]), exprs, exprs),
         st.sampled_from([Hypothesis("GCH"), Hypothesis("CH")]),
@@ -208,6 +219,7 @@ class TestClosure:
     def test_koenig(self, reg):
         q = rel("lt", ALEPH0, cf_of(pow2_of(ALEPH0)))
         assert entails(parse_hypotheses("2^w = w_2", reg), q, reg) == "yes"
+        assert entails([], q, reg) == "yes"
 
     def test_entails_three_valued(self, reg):
         ch = rel("eq", pow2_of(ALEPH0), _w(reg, 1))
@@ -471,6 +483,72 @@ def test_stored_order_and_provenance_pinned(monkeypatch, name):
     assert _provenance_digest(fb) == PROVENANCE_DIGESTS[name]
 
 
+def _corpus(reg, n=300, seed=2024):
+    """n hypothesis sets of one to three lines, drawn with a seeded ``random.Random``
+    from the leaves and constructors of ``_hypotheses``, expressions two deep."""
+    rng = random.Random(seed)
+    leaves, regular = _leaves(reg), _regular(reg)
+
+    def expr(depth):
+        r = rng.random()
+        if depth == 0 or r < 0.45:
+            return rng.choice(leaves)
+        if r < 0.85:
+            return _UNARY[rng.choice(sorted(_UNARY))](expr(depth - 1))
+        return exp_of(expr(depth - 1), expr(depth - 1))
+
+    def hyp():
+        r = rng.random()
+        if r < 0.8:
+            return rel(rng.choice(["eq", "lt", "le"]), expr(2), expr(2))
+        if r < 0.9:
+            return Hypothesis(rng.choice(["GCH", "CH"]))
+        if r < 0.95:
+            return Hypothesis("MA", mu=expr(1))
+        return Hypothesis("CohenModel", kappa=rng.choice(regular))
+
+    return [tuple(hyp() for _ in range(rng.randint(1, 3))) for _ in range(n)]
+
+
+def _outcome(hyps, reg) -> str:
+    """A closure's provenance digest, or its contradiction's message and chain, or
+    its error message."""
+    try:
+        fb = closure(hyps, reg)
+    except ContradictionError as exc:
+        return repr(("contradiction", str(exc), exc.chain))
+    except HypothesisError as exc:
+        return repr(("error", str(exc)))
+    return _provenance_digest(fb)
+
+
+_CF_C = CardinalExpr("cf", args=(CONTINUUM,))
+
+
+def _names_cf_c(hyps) -> bool:
+    return any(_CF_C in cardinals.subexprs(x)
+               for h in hyps for x in (h.lhs, h.rhs, h.mu) if x is not None)
+
+
+# sha256 of the outcomes of _corpus(_ROUNDTRIP_REG), in order, each followed by a NUL:
+# of the 285 sets that name no cf(c), generated before the rule loop worked on
+# universe ids; and of the 15 that name cf(c), generated when Koenig's rule came to
+# cover c, which added w < cf(c) and its consequences to their closures
+CORPUS_DIGEST = "9050b8aab6fef81d6e405b42d6bef7ab70baa3b12ea5dee749044b135bcec4f3"
+CORPUS_CF_C_DIGEST = "9deff3d1b7a4a6486d939cd0c00c3d24e46fdfee652edd8f7abdf60eb2e226bc"
+
+
+def test_corpus_outcomes_pinned():
+    """300 generated sets, well past the named problems: a closure stores the same
+    relations in the same order with the same provenance, or raises the same
+    contradiction with the same chain."""
+    digests = {False: hashlib.sha256(), True: hashlib.sha256()}
+    for hyps in _corpus(_ROUNDTRIP_REG):
+        digests[_names_cf_c(hyps)].update(_outcome(hyps, _ROUNDTRIP_REG).encode() + b"\0")
+    assert digests[False].hexdigest() == CORPUS_DIGEST
+    assert digests[True].hexdigest() == CORPUS_CF_C_DIGEST
+
+
 def test_closure_work_bound(monkeypatch):
     """Semi-naive rounds: the one closure of the densest saturate problem makes at
     most 10 FactBase.add calls per relation it keeps (the naive rounds made ~90)."""
@@ -549,17 +627,32 @@ def test_t56_sub_analysis_shares_the_closure(monkeypatch, name):
         assert (sizes, len(parent.fb.universe)) == ([21, 21], 27)
 
 
-# the `derive` benchmark's contradictory sets, and Cantor's theorem broken outright
-CONTRADICTIONS = [("w^(w_1)", "CH\nc = w_2"), ("w^(w_1+1)", "2^w_1 = w_1"),
-                  ("w^w", "h < c\nc = w_1"), ("w^w", "w_1 < c\nc = w_1"),
-                  ("w^(w_1*w_1)", "w_2 < w_1"), ("w^w", "2^w = w")]
-# sha256 of each entry's contradiction chain text, generated with PROVENANCE_DIGESTS
+# the `derive` benchmark's contradictory sets, and Cantor's theorem broken outright;
+# between them, one set per store of the closure's joins that can raise: order-trans
+# from an le or an lt key, forward (to a stored (b, c)) or backward (from a stored
+# (x, a)), against an equality or closing x < x, and antisymmetry against a strict
+# order. A backward store cannot close x < x, as the forward join of its key finds the
+# cycle first. New entries go in the middle, as test_cli reads the first and the last
+CONTRADICTIONS = [("w^(w_1)", "CH\nc = w_2"),  # lt key, backward, equality
+                  ("w^(w_1+1)", "2^w_1 = w_1"),  # cantor, equality
+                  ("w^w", "h < c\nc = w_1"),  # le key, forward, equality
+                  ("w^w", "w_1 < c\nc = w_1"),  # hypothesis, strict order
+                  ("w^(w_1*w_1)", "w_2 < w_1"),  # lt key, forward, w_2 < w_2
+                  ("w^w", "c < w_1"),  # le key, forward, h < h
+                  ("w^w", "h = w"),  # lt key, forward, equality
+                  ("w^w", "h < c\nc <= w_1"),  # antisymmetry
+                  ("w^w", "2^w = w")]  # le key, backward, equality
+# sha256 of each entry's contradiction chain text, generated with PROVENANCE_DIGESTS;
+# the three before the last, at the same commit as CORPUS_DIGEST
 CHAIN_DIGESTS = [
     "71fd1dbdc38a92ca7840f7196f18ca33dc90cd63ad28410d3ab54888a9a546cb",
     "1b0155a4c441613ac3a3bd14b28ef015bdba11d5a236cf656ebfc09ad6b5c920",
     "7121ae7a423b0379d74b09e4bab4840647d24bbd19c470e2d28947ed84cf5480",
     "0279bfc8a7ab9c40fb091f5744c899b88c0527313d7c61eb06be20731b602259",
     "9687f9f4bede73391fb99c5c3bc94e9e12fdaa32b7763ac78ec83dd27db01da1",
+    "8ffa9361a954e81ebc0c9bda32550c69a93b4cf9345670f2daaafe4e5dcc2917",
+    "2b5f22de712884bd939b9d63ea74e9cb3feee4879ca71914b8a05904a6fe91b1",
+    "e24b423fb9218a7bf6fcdf495818585a5a0be1e7ee72325fd41ddb0788b8ee49",
     "a5128530ee23460cfe063bd0211b89149e08223cfe736aa1a92694456f6b31cd",
 ]
 

@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import importlib
 import json
 import os
@@ -6,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 import copyposet
 from copyposet.atoms import MAX_BUILTIN_INDEX, AtomError, AtomRegistry
 from copyposet.cli import _json_text, main
+from copyposet.parser import parse_term
 from copyposet.terms import MAX_SUMMANDS
 from golden_scenarios import SCENARIOS
 from test_cardinals import CONTRADICTIONS
@@ -180,6 +184,13 @@ def test_domain_error_exit_1(capsys):
 def test_contradiction_exit_1(capsys):
     code, _out, err = run(capsys, "analyze", "w^w", "--assume", "2^w = w")
     assert code == 1 and "contradict" in err
+
+
+def test_koenig_bounds_the_cofinality_of_the_continuum(capsys):
+    """cf(2^x) > x holds for x = w too, where 2^w is c, a kind of its own."""
+    for assume in ("cf(2^w_1) = w_1", "cf(c) = w"):
+        code, _out, err = run(capsys, "analyze", "w^(w_1)", "--assume", assume)
+        assert code == 1 and "[koenig]" in err, assume
 
 
 def test_rules_lookup(capsys):
@@ -575,10 +586,45 @@ def test_json_writer_edges():
     deep: object = "leaf"
     for level in range(200):
         deep = [deep, {}] if level % 2 else {"k": deep, "e": [], "t": ()}
+    wide = [{"k": i, "s": "x" * (i % 50), "t": (i, [None])} for i in range(3000)]
     for obj in (deep, [True, 1, False, 0, -0, None], {"b": 1, "a": {"": []}}, (),
-                -10**200):
+                -10**200, wide):
         assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
     # the responses carry no float, set or non-str key, and the writer takes none
     for bad in (1.5, {"a": [0.5]}, {1, 2}, [frozenset()], {1: "a"}, {"a": {None: 0}}):
         with pytest.raises(TypeError):
             _json_text(bad)
+
+
+def test_json_response_is_written_in_blocks(monkeypatch):
+    """A large JSON response goes to stdout in blocks of at least 8 KB, the same bytes
+    as json.dumps, and the writer never holds the whole text: at 300 summands the
+    text is 2.1 MB and writing it peaks near 0.1 MB traced, where a writer that joins
+    the whole text first peaks near 12 MB."""
+    from copyposet import cli, rules
+    registry = AtomRegistry()
+    alpha = parse_term(" + ".join(f"w^{k}" for k in range(300, 0, -1)), registry)
+    obj = rules.analyze(alpha, (), registry).to_obj()
+    blocks: list[int] = []
+    digest = hashlib.sha256()
+
+    class Sink:
+        def write(self, text):
+            blocks.append(len(text))
+            digest.update(text.encode())
+
+    monkeypatch.setattr(sys, "stdout", Sink())
+    tracemalloc.start()
+    try:
+        cli._emit(argparse.Namespace(format="json"), None, obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.undo()
+    text = json.dumps({"schema_version": cli.SCHEMA_VERSION, **obj}, indent=2,
+                      sort_keys=True) + "\n"
+    assert digest.hexdigest() == hashlib.sha256(text.encode()).hexdigest()
+    assert sum(blocks) == len(text) > 2_000_000
+    assert peak < 2**20
+    # all but the last two are full blocks; the last is the newline
+    assert len(blocks) > 100 and min(blocks[:-2]) >= 8192 and blocks[-1] == 1
