@@ -448,9 +448,12 @@ def _node_rules(fb: FactBase, emit, first: bool) -> None:
             arg = x.args[0]
             succ_arg, pow2_arg = images[ids[arg]][:2]
             bound = nodes[images[pow2_arg][_SUCC]]
-            # 2^<arg may be arg, or lie outside the universe with a GCH equation stored
+            # 2^<arg may be arg itself (2^<w = w), or lie outside the universe with a
+            # GCH equation stored
             weak = pow2lt_of(arg)
-            if fb.holds("eq", weak, arg):
+            if weak == arg:
+                emit("eq", x, bound, "cc-tree")
+            elif fb.holds("eq", weak, arg):
                 emit("eq", x, bound, "cc-tree", _rel_key("eq", weak, arg))
             k_pinch = _rel_key("eq", nodes[pow2_arg], nodes[succ_arg])
             if k_pinch in rels:

@@ -23,9 +23,22 @@ from .catalog import SCHEMA_VERSION, rule_lookup, rule_table
 
 _USAGE_ERROR = 2
 _DOMAIN_ERROR = 1
+# the subcommands in the order of the help text, each with its help line
+_COMMANDS = {
+    "norm": "normalize an ordinal expression",
+    "cmp": "compare two ordinals",
+    "cof": "cofinality",
+    "card": "cardinality",
+    "cnfbase": "normal form in an atom base",
+    "classify": "exponent case analysis with witnesses",
+    "factorize": "product decomposition of the copy poset",
+    "analyze": "derive forcing facts under hypotheses",
+    "rules": "rule catalog",
+    "copies": "finitely presented sets lab",
+}
 # written out, as argparse wraps a generated usage line differently across versions
 _USAGE = """%(prog)s [-h] [--batch PATH]
-                 {norm,cmp,cof,card,cnfbase,classify,factorize,analyze,rules,copies}
+                 {""" + ",".join(_COMMANDS) + """}
                  ..."""
 
 
@@ -37,7 +50,11 @@ class _CliDomainError(ValueError):
     """A precondition of the finite lab violated (exit status 1)."""
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser; given a subcommand's name, with that subparser alone.
+    argparse gives the first argument that is not an option to the subcommand, so an
+    argv that starts with the name parses the same with either, help and errors
+    included; the lean one builds 4 parsers for a grammar command, not 19."""
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("text", "json"), default="text")
     common = argparse.ArgumentParser(add_help=False, parents=[fmt])
@@ -52,35 +69,27 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--batch", metavar="PATH",
                      help="run one sub-invocation per line of PATH")
     sub = top.add_subparsers(dest="command", prog="copyposet")
+    for name in _COMMANDS if command is None else (command,):
+        if name == "copies":
+            _add_copies(sub.add_parser(name, help=_COMMANDS[name]), fmt)
+            continue
+        p = sub.add_parser(name, parents=[common], help=_COMMANDS[name])
+        if name == "cmp":
+            p.add_argument("left")
+            p.add_argument("right")
+        elif name == "rules":
+            p.add_argument("rule_id", nargs="?")
+        else:
+            p.add_argument("expr")
+        if name == "cnfbase":
+            p.add_argument("--base", required=True, metavar="ATOM")
+    return top
 
-    p = sub.add_parser("norm", parents=[common], help="normalize an ordinal expression")
-    p.add_argument("expr")
-    p = sub.add_parser("cmp", parents=[common], help="compare two ordinals")
-    p.add_argument("left")
-    p.add_argument("right")
-    p = sub.add_parser("cof", parents=[common], help="cofinality")
-    p.add_argument("expr")
-    p = sub.add_parser("card", parents=[common], help="cardinality")
-    p.add_argument("expr")
-    p = sub.add_parser("cnfbase", parents=[common], help="normal form in an atom base")
-    p.add_argument("expr")
-    p.add_argument("--base", required=True, metavar="ATOM")
-    p = sub.add_parser("classify", parents=[common],
-                       help="exponent case analysis with witnesses")
-    p.add_argument("expr")
-    p = sub.add_parser("factorize", parents=[common],
-                       help="product decomposition of the copy poset")
-    p.add_argument("expr")
-    p = sub.add_parser("analyze", parents=[common],
-                       help="derive forcing facts under hypotheses")
-    p.add_argument("expr")
-    p = sub.add_parser("rules", parents=[common], help="rule catalog")
-    p.add_argument("rule_id", nargs="?")
 
+def _add_copies(cop: argparse.ArgumentParser, fmt: argparse.ArgumentParser) -> None:
     # the lab reads no atoms or hypotheses, so its subcommands take --format only; it
     # follows the subcommand: argparse would overwrite an option given before it with
     # the subcommand's default
-    cop = sub.add_parser("copies", help="finitely presented sets lab")
     csub = cop.add_subparsers(dest="subcommand", required=True)
     c = csub.add_parser("type", parents=[fmt])
     c.add_argument("set")
@@ -97,7 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--rank", type=int, required=True)
     c = csub.add_parser("reduce", parents=[fmt])
     c.add_argument("set")
-    return top
 
 
 def _load_registry_and_hyps(ns) -> tuple[AtomRegistry, list[Hypothesis]]:
@@ -370,7 +378,7 @@ def _run_copies(ns, finsets) -> int:
 
 def _run_one(argv, batch_line: int | None = None) -> int:
     """Run one command line; ``batch_line`` numbers a line of a batch file."""
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
@@ -379,6 +387,9 @@ def _run_one(argv, batch_line: int | None = None) -> int:
     if ns.batch:
         if batch_line is not None:
             print(f"error: line {batch_line}: --batch cannot be nested", file=sys.stderr)
+            return _USAGE_ERROR
+        if ns.command:
+            print(f"error: --batch takes no command, got {ns.command!r}", file=sys.stderr)
             return _USAGE_ERROR
         return _run_batch(ns.batch)
     if not ns.command:

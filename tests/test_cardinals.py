@@ -246,16 +246,19 @@ class TestClosure:
         assert restricted == set(fb.rels)
 
     def test_provenance_audit(self, reg):
-        hyps = parse_hypotheses("h < c\nc = w_2\n2^w_1 = w_2", reg)
-        fb = closure(hyps, reg)
-        hyp_rels = {(h.op, h.lhs, h.rhs) for h in hyps}
-        for key, (rule, premises) in fb.rels.items():
-            if rule == "hypothesis":
-                assert (key[0], key[1], key[2]) in hyp_rels or \
-                       (key[0], key[2], key[1]) in hyp_rels
-            for p in premises:
-                if isinstance(p, tuple):
-                    assert p in fb.rels
+        """A relation stored as a hypothesis is one, and every premise a relation
+        cites is stored; in the second set, cc-tree meets 2^<w, which is w itself."""
+        for text in ("h < c\nc = w_2\n2^w_1 = w_2", "cc(CP(w)) = w_2"):
+            hyps = parse_hypotheses(text, reg)
+            fb = closure(hyps, reg)
+            hyp_rels = {(h.op, h.lhs, h.rhs) for h in hyps}
+            for key, (rule, premises) in fb.rels.items():
+                if rule == "hypothesis":
+                    assert (key[0], key[1], key[2]) in hyp_rels or \
+                           (key[0], key[2], key[1]) in hyp_rels
+                for p in premises:
+                    if isinstance(p, tuple):
+                        assert p in fb.rels, (text, key, p)
 
     def test_cc_bounds_builtin(self, reg):
         fb = closure([], reg, extra_exprs=[cc_cp_of(_w(reg, 1))])
@@ -523,30 +526,39 @@ def _outcome(hyps, reg) -> str:
 
 
 _CF_C = CardinalExpr("cf", args=(CONTINUUM,))
+_CC_CP_W = cc_cp_of(ALEPH0)
 
 
-def _names_cf_c(hyps) -> bool:
-    return any(_CF_C in cardinals.subexprs(x)
-               for h in hyps for x in (h.lhs, h.rhs, h.mu) if x is not None)
+def _corpus_group(hyps) -> str:
+    """The digest a corpus set counts in: by the first of cc(CP(w)) and cf(c) it names."""
+    named = {e for h in hyps for x in (h.lhs, h.rhs, h.mu) if x is not None
+             for e in cardinals.subexprs(x)}
+    return "cc(CP(w))" if _CC_CP_W in named else "cf(c)" if _CF_C in named else "rest"
 
 
-# sha256 of the outcomes of _corpus(_ROUNDTRIP_REG), in order, each followed by a NUL:
-# of the 285 sets that name no cf(c), generated before the rule loop worked on
-# universe ids; and of the 15 that name cf(c), generated when Koenig's rule came to
-# cover c, which added w < cf(c) and its consequences to their closures
-CORPUS_DIGEST = "9050b8aab6fef81d6e405b42d6bef7ab70baa3b12ea5dee749044b135bcec4f3"
-CORPUS_CF_C_DIGEST = "9deff3d1b7a4a6486d939cd0c00c3d24e46fdfee652edd8f7abdf60eb2e226bc"
+# sha256 of the outcomes of _corpus(_ROUNDTRIP_REG), in order, each followed by a NUL,
+# one digest per _corpus_group. The 266 sets that name neither and the 13 that name
+# cf(c) keep the outcomes they had before the cc-tree fix, and their digests were
+# computed without it: the rest's outcomes date from before the rule loop worked on
+# universe ids, the cf(c) sets' from when Koenig's rule came to cover c. The 21 that
+# name cc(CP(w)) were generated with the fix, which made cc-tree cite no premise for
+# 2^<w = w (it cited w = w, which is never stored)
+CORPUS_DIGEST = "ae9af639927875b27ede57cef81bbfff4d2b8c6f63fb2e8b2ff8871fd586e81c"
+CORPUS_CF_C_DIGEST = "e24e7d4bb69cc9acabbae64221d1e9781b7d768fb961ac91e51597689045f3d2"
+CORPUS_CC_CP_W_DIGEST = "7c1fec86a4ba92f3afab363601f40f5526c6ea8d63cdcf250d25ee5f997e08e9"
 
 
 def test_corpus_outcomes_pinned():
     """300 generated sets, well past the named problems: a closure stores the same
     relations in the same order with the same provenance, or raises the same
     contradiction with the same chain."""
-    digests = {False: hashlib.sha256(), True: hashlib.sha256()}
+    digests = {"rest": hashlib.sha256(), "cf(c)": hashlib.sha256(),
+               "cc(CP(w))": hashlib.sha256()}
     for hyps in _corpus(_ROUNDTRIP_REG):
-        digests[_names_cf_c(hyps)].update(_outcome(hyps, _ROUNDTRIP_REG).encode() + b"\0")
-    assert digests[False].hexdigest() == CORPUS_DIGEST
-    assert digests[True].hexdigest() == CORPUS_CF_C_DIGEST
+        digests[_corpus_group(hyps)].update(_outcome(hyps, _ROUNDTRIP_REG).encode() + b"\0")
+    assert digests["rest"].hexdigest() == CORPUS_DIGEST
+    assert digests["cf(c)"].hexdigest() == CORPUS_CF_C_DIGEST
+    assert digests["cc(CP(w))"].hexdigest() == CORPUS_CC_CP_W_DIGEST
 
 
 def test_closure_work_bound(monkeypatch):
@@ -643,7 +655,7 @@ CONTRADICTIONS = [("w^(w_1)", "CH\nc = w_2"),  # lt key, backward, equality
                   ("w^w", "h < c\nc <= w_1"),  # antisymmetry
                   ("w^w", "2^w = w")]  # le key, backward, equality
 # sha256 of each entry's contradiction chain text, generated with PROVENANCE_DIGESTS;
-# the three before the last, at the same commit as CORPUS_DIGEST
+# the three before the last, when the corpus pin was added
 CHAIN_DIGESTS = [
     "71fd1dbdc38a92ca7840f7196f18ca33dc90cd63ad28410d3ab54888a9a546cb",
     "1b0155a4c441613ac3a3bd14b28ef015bdba11d5a236cf656ebfc09ad6b5c920",

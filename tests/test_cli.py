@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import copyposet
 from copyposet.atoms import MAX_BUILTIN_INDEX, AtomError, AtomRegistry
-from copyposet.cli import _json_text, main
+from copyposet.cli import _json_text, build_parser, main
 from copyposet.parser import parse_term
 from copyposet.terms import MAX_SUMMANDS
 from golden_scenarios import SCENARIOS
@@ -284,6 +284,17 @@ def test_batch_does_not_nest(tmp_path, capsys, monkeypatch):
                                 "error: line 3: --batch cannot be nested"]
 
 
+def test_batch_takes_no_command(tmp_path, capsys, monkeypatch):
+    """A command given with --batch is a usage error, and the batch does not run; on a
+    batch line, the nested --batch is reported first."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "b.txt").write_text("norm w+1\n--batch b.txt cmp w w_1\n")
+    code, out, err = run(capsys, "--batch", "b.txt", "cmp", "w", "w_1")
+    assert (code, out, err) == (2, "", "error: --batch takes no command, got 'cmp'\n")
+    code, out, err = run(capsys, "--batch", "b.txt")
+    assert (code, out, err) == (2, "w + 1\n", "error: line 2: --batch cannot be nested\n")
+
+
 def test_batch_lines_are_isolated(tmp_path, capsys):
     """A line's --card and --assume do not reach the next line: each line reads like
     the same command run on its own."""
@@ -299,6 +310,26 @@ def test_batch_lines_are_isolated(tmp_path, capsys):
     assert (out, err) == ("".join(o for _c, o, _e in alone), "".join(e for _c, _o, e in alone))
     assert "undeclared atom 'mu'" in alone[3][2]
     assert alone[0][1] != alone[1][1] and "undetermined" in alone[1][1]
+
+
+def test_one_line_builds_its_subcommand_alone(capsys, monkeypatch):
+    """A command line builds the parsers of its own subcommand only: for analyze, the
+    --format and --card/--assume parents, the top level and analyze's, where the
+    whole command line grammar takes 19."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    code, out, _err = run(capsys, "analyze", "w^(w_1+1)")
+    assert code == 0 and out.startswith("alpha = w^(w_1 + 1)")
+    assert len(built) == 4
+    built.clear()
+    build_parser()
+    assert len(built) == 19
 
 
 def _fresh(script: str) -> list[str]:

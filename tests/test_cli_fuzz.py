@@ -15,9 +15,9 @@ from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from copyposet.cli import main
+from copyposet.cli import build_parser, main
 
 NOT_UTF8 = os.fsdecode(b"w_\xff\xfe")  # argv bytes that are not UTF-8
 
@@ -160,3 +160,44 @@ def test_hostile_batch_files(workdir, lines, tail):
     # a line with a surrogate escape goes to the file as the bytes it came from
     (workdir / "batch.txt").write_bytes(os.fsencode("\n".join(lines) + "\n") + tail)
     _check(workdir, ["--batch", "batch.txt"])
+
+
+LAB_COMMANDS = ["type", "member", "subset", "fuse", "embed", "reduce"]
+# every subcommand and lab subcommand, an unknown name, help, a prefix of --format,
+# --batch, and each option with a good and a bad value
+PARSER_WORDS = (GRAMMAR_COMMANDS + ["copies"] + LAB_COMMANDS + [
+    "frobnicate", "-h", "--help", "--form", "--format", "--format=json", "json", "xml",
+    "--", "--batch", "batch.txt", "--card", "mu rank 5", "--assume", "GCH",
+    "--assume-file", "hyps.txt", "--base", "w_1", "--power", "--rank", "2", "x", "-1",
+    "w", "w^w", SETS[0], "T5.2"])
+
+
+def _parse(parser, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+COMMAND_HEADS = GRAMMAR_COMMANDS + ["copies"] + [f"copies {sub}" for sub in LAB_COMMANDS]
+
+
+def _with_help_examples(test):
+    """Each head followed by -h, as an explicit example: a draw reaches few of them."""
+    for head in COMMAND_HEADS:
+        test = example(command=head, words=["-h"])(test)
+    return test
+
+
+@settings(FUZZ, max_examples=200)
+@given(command=st.sampled_from(COMMAND_HEADS),
+       words=st.lists(st.sampled_from(PARSER_WORDS), max_size=6))
+@_with_help_examples
+def test_subcommand_parser_parses_like_the_whole(command, words):
+    """The parser built for the subcommand an argv starts with gives the same exit
+    status, output and namespace as the parser of every subcommand."""
+    argv = command.split() + words
+    assert _parse(build_parser(argv[0]), argv) == _parse(build_parser(), argv)
