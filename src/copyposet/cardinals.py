@@ -14,7 +14,7 @@ from collections.abc import Iterable
 from .atoms import AtomError, AtomRegistry, CardinalAtom, builtin
 from .cardexpr import (
     ALEPH0, CONTINUUM, DIST_H, W1, CardinalExpr, ContradictionError, Hypothesis,
-    HypothesisError, Rel, atom_expr, cc_cp_of, cf_of, exp_of, pow2_of, pow2lt_of,
+    HypothesisError, Rel, atom_expr, cc_cp_of, cf_of, exp_of, find, pow2_of, pow2lt_of,
     pred_of, render_expr, render_rel, succ_of,
 )
 
@@ -49,9 +49,11 @@ _SUCC, _POW2, _CF, _WEAK, _CC, _PRED = range(6)  # the images' places in a row
 
 def _images(x: CardinalExpr, ids: dict[CardinalExpr, int]) -> tuple:
     """The ids of succ(x), 2^x, cf(x), 2^<x, cc(CP(x)) and the y with succ(y) = x;
-    None for an image outside the universe."""
-    return tuple(map(ids.get, (succ_of(x), pow2_of(x), cf_of(x), pow2lt_of(x),
-                               cc_cp_of(x), pred_of(x))))
+    None for an image outside the universe. The images are looked up, not built:
+    ``fb.universe`` holds every node alive, so an image that is not interned now is
+    no node, and the ids are those the constructors' images would give."""
+    return tuple(map(ids.get, (succ_of(x, find), pow2_of(x, find), cf_of(x, find),
+                               pow2lt_of(x, find), cc_cp_of(x, find), pred_of(x, find))))
 
 
 class FactBase:

@@ -384,7 +384,7 @@ def _run_one(argv, batch_line: int | None = None) -> int:
     except SystemExit as exc:
         # argparse reports usage errors itself; keep batch runs alive
         return int(exc.code or 0)
-    if ns.batch:
+    if ns.batch is not None:
         if batch_line is not None:
             print(f"error: line {batch_line}: --batch cannot be nested", file=sys.stderr)
             return _USAGE_ERROR

@@ -9,9 +9,9 @@ from copyposet import cardexpr, cardinals, rules
 from copyposet.atoms import AtomRegistry, builtin
 from copyposet.cardexpr import (
     ALEPH0, CONTINUUM, DIST_H, CardinalExpr, ContradictionError, Hypothesis,
-    HypothesisError, atom_expr, cc_cp_of, cf_of, exp_of, parse_cardinal_expr,
-    parse_hypotheses, parse_hypothesis_line, pow2_of, pow2lt_of, rel, render_expr,
-    render_rel, succ_of,
+    HypothesisError, atom_expr, cc_cp_of, cf_of, exp_of, find, parse_cardinal_expr,
+    parse_hypotheses, parse_hypothesis_line, pow2_of, pow2lt_of, pred_of, rel,
+    render_expr, render_rel, succ_of,
 )
 from copyposet.cardinals import _gch_ground, closure, cohen_transfer, entails
 from copyposet.parser import parse_term
@@ -160,6 +160,25 @@ class TestInterning:
             del x
             assert len(cardexpr._INTERNED) == start
             assert ("atom", atom, ()) not in cardexpr._INTERNED
+        finally:
+            gc.enable()
+
+    def test_find_looks_up_without_building(self):
+        """find gives the live instance, None once it has died, and never adds an
+        entry to the table, with the cyclic collector off as above."""
+        atom = AtomRegistry().declare("nu", 4322)
+        gc.disable()
+        try:
+            y = atom_expr(atom)
+            x = succ_of(y)
+            assert find("atom", atom) is y and find("succ", args=(y,)) is x
+            start = len(cardexpr._INTERNED)
+            assert find("pow2", args=(x,)) is None and find("succ", args=(x,)) is None
+            assert succ_of(x, find) is None and cc_cp_of(y, find) is None
+            assert len(cardexpr._INTERNED) == start
+            del x, y
+            assert find("atom", atom) is None
+            assert len(cardexpr._INTERNED) == start - 2
         finally:
             gc.enable()
 
@@ -559,6 +578,60 @@ def test_corpus_outcomes_pinned():
     assert digests["rest"].hexdigest() == CORPUS_DIGEST
     assert digests["cf(c)"].hexdigest() == CORPUS_CF_C_DIGEST
     assert digests["cc(CP(w))"].hexdigest() == CORPUS_CC_CP_W_DIGEST
+
+
+_IMAGE_CONSTRUCTORS = (succ_of, pow2_of, cf_of, pow2lt_of, cc_cp_of, pred_of)
+
+
+def _check_images(fb) -> None:
+    """The image ids FactBase and _run_rules look up are those of the images the
+    constructors build: for every node, and for every eq operand outside the universe."""
+    for i, x in enumerate(fb.nodes):
+        assert fb.images[i] == tuple(fb.ids.get(f(x)) for f in _IMAGE_CONSTRUCTORS)
+    for op, a, b in fb.rels:
+        for x in (a, b):
+            if op == "eq" and x not in fb.ids:
+                assert cardinals._images(x, fb.ids) == tuple(
+                    fb.ids.get(f(x)) for f in _IMAGE_CONSTRUCTORS)
+
+
+@pytest.mark.parametrize("name", [s[0] for s in SCENARIOS] +
+                         [f"saturate_{k}" for k in range(2, 9)])
+def test_image_table_matches_the_constructors(monkeypatch, name):
+    for fb in _analyze_closures(monkeypatch, name):
+        _check_images(fb)
+
+
+def test_image_table_matches_the_constructors_on_the_corpus():
+    closed = 0
+    for hyps in _corpus(_ROUNDTRIP_REG):
+        try:
+            fb = closure(hyps, _ROUNDTRIP_REG)
+        except HypothesisError:  # a contradiction too
+            continue
+        _check_images(fb)
+        closed += 1
+    assert closed > 100
+
+
+def test_fact_base_builds_no_expression(monkeypatch):
+    """FactBase looks its image table up: constructing one over a closure's universe
+    calls CardinalExpr.__new__ zero times."""
+    problems = [s[0] for s in SCENARIOS] + [f"saturate_{k}" for k in range(2, 9)]
+    bases = [closure(hyps, registry) for _alpha, hyps, registry in map(_problem, problems)]
+    calls = []
+    real_new = CardinalExpr.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(CardinalExpr, "__new__", staticmethod(counting))
+    assert CardinalExpr("aleph0") is ALEPH0 and len(calls) == 1  # the hook counts
+    calls.clear()
+    for fb in bases:
+        assert cardinals.FactBase(fb.hyps, fb.universe).images == fb.images
+    assert calls == []
 
 
 def test_closure_work_bound(monkeypatch):

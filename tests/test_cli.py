@@ -295,6 +295,20 @@ def test_batch_takes_no_command(tmp_path, capsys, monkeypatch):
     assert (code, out, err) == (2, "w + 1\n", "error: line 2: --batch cannot be nested\n")
 
 
+def test_empty_batch_path_is_a_path(tmp_path, capsys, monkeypatch):
+    """--batch '' is a batch path like any other: it takes no command, it is read
+    (and cannot be), and on a batch line it is nested."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "--batch", "", "cmp", "w", "w_1")
+    assert (code, out, err) == (2, "", "error: --batch takes no command, got 'cmp'\n")
+    code, out, err = run(capsys, "--batch", "")
+    assert (code, out) == (2, "") and err.startswith("error: cannot read : ")
+    assert "usage:" not in err
+    (tmp_path / "b.txt").write_text("norm w+1\n--batch '' norm w\n")
+    code, out, err = run(capsys, "--batch", "b.txt")
+    assert (code, out, err) == (2, "w + 1\n", "error: line 2: --batch cannot be nested\n")
+
+
 def test_batch_lines_are_isolated(tmp_path, capsys):
     """A line's --card and --assume do not reach the next line: each line reads like
     the same command run on its own."""
