@@ -18,6 +18,7 @@ from copyposet.atoms import MAX_BUILTIN_INDEX, AtomError, AtomRegistry
 from copyposet.cli import _json_text, build_parser, main
 from copyposet.parser import parse_term
 from copyposet.terms import MAX_SUMMANDS
+import cli_corpus
 from golden_scenarios import SCENARIOS
 from test_cardinals import CONTRADICTIONS
 
@@ -475,6 +476,16 @@ def test_builtin_index_limit(capsys):
     code, _out, _err = run(capsys, "analyze", "w^mu", "--card", "mu rank 5000",
                            "--assume", f"succ(w_{MAX_BUILTIN_INDEX}) < mu")
     assert code == 0
+
+
+def test_cli_corpus_is_byte_identical():
+    """Every line of the committed corpus prints what it printed when the corpus was
+    generated: the same exit status, stdout and stderr (see cli_corpus.py)."""
+    pairs = cli_corpus.read()
+    assert len(pairs) > 500
+    with cli_corpus.corpus_setting():
+        changed = [shlex.join(argv) for sha, argv in pairs if cli_corpus.digest(argv) != sha]
+    assert changed == []
 
 
 def test_no_command_usage(capsys):
