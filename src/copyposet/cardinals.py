@@ -322,6 +322,7 @@ def _run_rules(fb: FactBase) -> None:
     exps = [x for x in nodes if x.kind == "exp"]
 
     def emit(op, l, r_, rule, *prem):
+        # an operand outside the universe, or None from a lookup, stores nothing
         if l in uni and r_ in uni:
             add(op, l, r_, rule, prem)
 
@@ -347,11 +348,13 @@ def _run_rules(fb: FactBase) -> None:
                 for la, lb in zip(img_a[:5], img_b[:5]):
                     if la != lb and la is not None and lb is not None:
                         add("eq", nodes[la], nodes[lb], "congruence", prem)
+                # looked up, not built: an exp that is not live is no node
                 for x in exps:
                     xb, xe = x.args
                     for old, new in ((a, b), (b, a)):
                         if xb is old or xe is old:
-                            cand = exp_of(new if xb is old else xb, new if xe is old else xe)
+                            cand = find("exp", args=(new if xb is old else xb,
+                                                     new if xe is old else xe))
                             if cand in uni:
                                 add("eq", x, cand, "congruence", prem)
                 continue
@@ -428,9 +431,9 @@ def _node_rules(fb: FactBase, emit, first: bool) -> None:
         if first:
             if kind == "pow2":
                 emit("lt", x.args[0], x, "cantor")
-                emit("lt", x.args[0], cf_of(x), "koenig")
+                emit("lt", x.args[0], cf_of(x, find), "koenig")
             elif kind == "c":  # c is 2^w, which pow2_of gives a kind of its own
-                emit("lt", ALEPH0, cf_of(x), "koenig")
+                emit("lt", ALEPH0, cf_of(x, find), "koenig")
             elif kind == "pow2lt":
                 emit("le", x.args[0], x, "weakpow-above")
                 emit("le", x, pow2_of(x.args[0]), "weakpow-below")

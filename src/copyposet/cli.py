@@ -4,9 +4,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .atoms import AtomError, AtomRegistry
+from .atoms import AtomError, AtomRegistry, CardinalAtom
 from .terms import (
-    OrdinalError, cardinality, cnf_base, cofinality, compare, is_indecomposable,
+    ONE, OrdinalError, cardinality, cnf_base, cofinality, compare, is_indecomposable,
     pretty, term_to_obj,
 )
 from .parser import ParseError, parse_card, parse_term
@@ -159,12 +159,6 @@ def _emit(ns, text_lines, obj) -> None:
     else:
         for line in text_lines:
             print(line)
-
-
-def _json_text(obj) -> str:
-    parts: list[str] = []
-    _json_write(obj, parts.append)
-    return "".join(parts)
 
 
 def _json_write(obj, out) -> None:
@@ -320,8 +314,6 @@ def _dispatch(ns) -> int:
 
 
 def _cp_notes(t) -> list[str]:
-    from .atoms import CardinalAtom
-    from .terms import ONE
     notes = []
     for (e, _c) in t.summands:
         if isinstance(e, CardinalAtom):
@@ -332,47 +324,43 @@ def _cp_notes(t) -> list[str]:
 
 
 def _dispatch_copies(ns) -> int:
+    import json
     from . import finsets
+    sub = ns.subcommand
     try:
-        return _run_copies(ns, finsets)
+        if sub == "type":
+            a = _load_set(ns.set)
+            t = finsets.order_type(a)
+            _emit(ns, [pretty(t)], {"order_type": term_to_obj(t), "pretty": pretty(t)})
+        elif sub == "member":
+            a = _load_set(ns.set)
+            report = finsets.criterion_report(a)
+            verdict = finsets.contains_copy(a, ns.power)
+            lines = [f"w^{ns.power} embeds: {'yes' if verdict else 'no'}"]
+            for m, s, inf in report.levels:
+                lines.append(f"S^{m} = {json.dumps(finsets.to_obj(s))}"
+                             f" ({'infinite' if inf else 'finite'})")
+            _emit(ns, lines, {"power": ns.power, "member": verdict,
+                              "criterion": report.to_obj()})
+        elif sub == "subset":
+            a = _load_set(ns.left)
+            b = _load_set(ns.right)
+            v = finsets.subset_mod_ideal(a, b)
+            _emit(ns, ["yes" if v else "no"], {"subset_mod_ideal": v})
+        elif sub == "fuse":
+            chain = [_load_set(s) for s in ns.sets]
+            fused = finsets.fuse_chain(chain)
+            _emit(ns, [json.dumps(finsets.to_obj(fused))], {"fused": finsets.to_obj(fused)})
+        elif sub == "embed":
+            s = _load_set(ns.set)
+            out = finsets.embed_subset(s, ns.rank)
+            _emit(ns, [json.dumps(finsets.to_obj(out))], {"embedded": finsets.to_obj(out)})
+        elif sub == "reduce":
+            a = _load_set(ns.set)
+            out = finsets.reduction(a)
+            _emit(ns, [json.dumps(finsets.to_obj(out))], {"reduction": finsets.to_obj(out)})
     except finsets.FinPresError as exc:
         raise _CliDomainError(str(exc)) from exc
-
-
-def _run_copies(ns, finsets) -> int:
-    import json
-    sub = ns.subcommand
-    if sub == "type":
-        a = _load_set(ns.set)
-        t = finsets.order_type(a)
-        _emit(ns, [pretty(t)], {"order_type": term_to_obj(t), "pretty": pretty(t)})
-    elif sub == "member":
-        a = _load_set(ns.set)
-        report = finsets.criterion_report(a)
-        verdict = finsets.contains_copy(a, ns.power)
-        lines = [f"w^{ns.power} embeds: {'yes' if verdict else 'no'}"]
-        for m, s, inf in report.levels:
-            lines.append(f"S^{m} = {json.dumps(finsets.to_obj(s))}"
-                         f" ({'infinite' if inf else 'finite'})")
-        _emit(ns, lines, {"power": ns.power, "member": verdict,
-                          "criterion": report.to_obj()})
-    elif sub == "subset":
-        a = _load_set(ns.left)
-        b = _load_set(ns.right)
-        v = finsets.subset_mod_ideal(a, b)
-        _emit(ns, ["yes" if v else "no"], {"subset_mod_ideal": v})
-    elif sub == "fuse":
-        chain = [_load_set(s) for s in ns.sets]
-        fused = finsets.fuse_chain(chain)
-        _emit(ns, [json.dumps(finsets.to_obj(fused))], {"fused": finsets.to_obj(fused)})
-    elif sub == "embed":
-        s = _load_set(ns.set)
-        out = finsets.embed_subset(s, ns.rank)
-        _emit(ns, [json.dumps(finsets.to_obj(out))], {"embedded": finsets.to_obj(out)})
-    elif sub == "reduce":
-        a = _load_set(ns.set)
-        out = finsets.reduction(a)
-        _emit(ns, [json.dumps(finsets.to_obj(out))], {"reduction": finsets.to_obj(out)})
     return 0
 
 

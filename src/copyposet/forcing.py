@@ -49,16 +49,8 @@ class PosetExpr(Value):
         return f"<{render_poset(self)}>"
 
 
-def copy_poset(alpha: OrdinalTerm) -> PosetExpr:
-    return PosetExpr("copy", alpha=alpha)
-
-
-def sep_quotient(p: PosetExpr) -> PosetExpr:
-    return PosetExpr("sq", args=(p,))
-
-
 def sq_copies(alpha: OrdinalTerm) -> PosetExpr:
-    return sep_quotient(copy_poset(alpha))
+    return PosetExpr("sq", args=(PosetExpr("copy", alpha=alpha),))
 
 
 def product(factors: list[tuple[PosetExpr, int]]) -> PosetExpr:
@@ -75,18 +67,6 @@ def cp(kappa: CardinalExpr) -> PosetExpr:
 
 def col(lam: CardinalExpr, kappa: CardinalExpr) -> PosetExpr:
     return PosetExpr("col", lam=lam, kappa=kappa)
-
-
-def quotient_algebra(delta: OrdinalTerm) -> PosetExpr:
-    return PosetExpr("quot", delta=delta)
-
-
-def reduced_power(n: int, base: PosetExpr) -> PosetExpr:
-    return PosetExpr("rp", n=n, args=(base,))
-
-
-def positive_part(base: PosetExpr) -> PosetExpr:
-    return PosetExpr("pos", args=(base,))
 
 
 def iteration(first: PosetExpr, tag: str) -> PosetExpr:
@@ -161,9 +141,10 @@ def rp_refine(delta: OrdinalTerm, n: int) -> PosetExpr:
         raise OrdinalError("reduced-power refinement requires delta >= 1")
     if n < 0:
         raise OrdinalError("the reduced-power index is a natural number")
-    if n == 0:
-        return positive_part(quotient_algebra(delta))
-    return positive_part(reduced_power(n, quotient_algebra(delta)))
+    base = PosetExpr("quot", delta=delta)
+    if n:
+        base = PosetExpr("rp", n=n, args=(base,))
+    return PosetExpr("pos", args=(base,))
 
 
 class Step(Value):

@@ -38,15 +38,6 @@ class Token(Value):
         init(self, "text", text)
         init(self, "pos", pos)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.pos == other.pos and self.text == other.text
-                    and self.kind == other.kind)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.text, self.pos))
-
 
 def tokenize(text: str) -> list[Token]:
     tokens = []

@@ -358,10 +358,8 @@ class _Engine:
                         (("case", d, self.reports[d].label),) + used),))
 
     def _rule_t54(self, d, F, a) -> None:
-        if a.declared_cofinality is None:
-            return  # cf = w belongs to T5.8, not here
         ae = atom_expr(a)
-        cfe = atom_expr(a.declared_cofinality)
+        cfe = atom_expr(a.declared_cofinality)  # the caller has cf(a) > w
         used = self.check("T5.4", [("lt", pow2_of(cfe), ae), ("lt", cfe, pow2_of(cfe)),
                                    ("lt", ALEPH0, cfe), ("eq", pow2_of(ae), succ_of(ae))])
         if used is None:
@@ -457,10 +455,7 @@ class _Engine:
             return
         if self._countable(d0):
             return
-        ce0 = _card_expr(d0)
-        if ce0 is None:
-            return
-        target = pow2_of(ce0)
+        target = pow2_of(_card_expr(d0))  # d0 >= w_1, so |d0| is an atom
         sub = self._sub_cache.get(d0)
         if sub is None:
             # the parent's candidates include d0's, so its closure contains the one
@@ -533,7 +528,7 @@ class _Engine:
             self.emit("Collapses", (self.whole, CONTINUUM, DIST_H),
                       (Step("F2.6b", (), prem),))
             return
-        cae = _card_expr(self.alpha)
+        cae = _card_expr(self.alpha)  # not None: _Engine refuses alpha < w
         rhos: dict[CardinalExpr, OrdinalTerm] = {}  # rho -> the first factor giving it
         for d in self.deltas:
             rho = _rho(self.reports[d])
@@ -546,8 +541,6 @@ class _Engine:
                             (("fact", emb),) if emb else ()),))
         self.emit("Collapses", (self.whole, W2, ALEPH0),
                   (Step("T4.9b", (), ()),))
-        if cae is None:
-            return
         target = succ_of(pow2_of(cae))
         for rho in rhos:
             used = self.check("T4.9b", [("eq", cc_cp_of(rho), target)])

@@ -366,13 +366,6 @@ class BaseCNF(Value):
         init(self, "digits", digits)
         init(self, "remainder", remainder)
 
-    def recompose(self) -> OrdinalTerm:
-        base_ord = from_atom(self.base)
-        total = ZERO
-        for xi, zeta in self.digits:
-            total = add(total, mul(power(base_ord, xi), zeta))
-        return add(total, self.remainder)
-
 
 def cnf_base(a: OrdinalTerm, base: CardinalAtom) -> BaseCNF:
     """Normal form in the base of a cardinal atom, by repeated division by its powers."""
@@ -430,35 +423,3 @@ def term_to_obj(a: OrdinalTerm) -> dict:
 
     return {"summands": [[exp_obj(e), c] for (e, c) in a.summands], "tail": a.tail}
 
-
-def term_from_obj(obj: dict, registry) -> OrdinalTerm:
-    def exp_from(o) -> Exponent:
-        if "atom" in o:
-            atom = registry.lookup(o["atom"])
-            if atom is None:
-                raise OrdinalError(f"undeclared atom {o['atom']!r}")
-            return atom
-        return term_from_obj(o, registry)
-
-    summands = tuple((canon_exp(exp_from(e)), int(c)) for e, c in obj.get("summands", []))
-    term = OrdinalTerm(summands, int(obj.get("tail", 0)))
-    check_canonical(term)
-    return term
-
-
-def check_canonical(a: OrdinalTerm) -> None:
-    prev: Exponent | None = None
-    for (e, c) in a.summands:
-        if c <= 0:
-            raise OrdinalError("coefficients must be positive")
-        if isinstance(e, OrdinalTerm):
-            if e.is_zero():
-                raise OrdinalError("exponent 0 belongs in the tail")
-            if canon_exp(e) is not e:
-                raise OrdinalError("exponent w^a*1 must be stored as the bare atom")
-            check_canonical(e)
-        if prev is not None and cmp_exp(prev, e) <= 0:
-            raise OrdinalError("exponents must strictly decrease")
-        prev = e
-    if a.tail < 0:
-        raise OrdinalError("tail must be a natural number")

@@ -24,12 +24,16 @@ import os
 import pathlib
 import shlex
 import sys
+from unittest import mock
+
+from copyposet import cli
 
 HERE = pathlib.Path(__file__).resolve().parent
 CORPUS = HERE / "cli_corpus.txt"
 
-# rounds drawn from each workload, and the seed of each
-_ROUNDS = {"desk": (8, 17), "derive": (4, 17), "saturate": (3, 17)}
+# rounds drawn from each workload, all with one seed
+_ROUNDS = {"desk": 8, "derive": 4, "saturate": 3}
+_SEED = 17
 
 _EXTRA = [
     # help, top level and per subcommand
@@ -68,8 +72,8 @@ def _argvs() -> list[list[str]]:
     import workloads
 
     argvs = []
-    for workload, (count, seed) in _ROUNDS.items():
-        rounds = workloads.rounds(workload, seed)
+    for workload, count in _ROUNDS.items():
+        rounds = workloads.rounds(workload, _SEED)
         for _ in range(count):
             for request in next(rounds):
                 argv = request.argv
@@ -82,11 +86,9 @@ def _argvs() -> list[list[str]]:
 
 def digest(argv: list[str]) -> str:
     """sha256 of the exit status, stdout and stderr of one in-process command line."""
-    from copyposet.cli import main
-
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        status = main(list(argv))
+        status = cli.main(list(argv))
     return hashlib.sha256(json.dumps([status, out.getvalue(), err.getvalue()]).encode()
                           ).hexdigest()
 
@@ -94,17 +96,13 @@ def digest(argv: list[str]) -> str:
 @contextlib.contextmanager
 def corpus_setting():
     """The directory and terminal width every corpus line runs with."""
-    cwd, columns = os.getcwd(), os.environ.get("COLUMNS")
+    cwd = os.getcwd()
     os.chdir(HERE)
-    os.environ["COLUMNS"] = "80"
     try:
-        yield
+        with mock.patch.dict(os.environ, COLUMNS="80"):
+            yield
     finally:
         os.chdir(cwd)
-        if columns is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = columns
 
 
 def read() -> list[tuple[str, list[str]]]:
@@ -121,7 +119,7 @@ def main() -> None:
     argvs = _argvs()
     with corpus_setting():
         lines = [f"{digest(argv)} {shlex.join(argv)}" for argv in argvs]
-    header = ("# <sha256 of [status, stdout, stderr] as JSON> <argv>; see cli_corpus.py\n")
+    header = "# <sha256 of [status, stdout, stderr] as JSON> <argv>; see cli_corpus.py\n"
     CORPUS.write_text(header + "\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {len(lines)} lines to {CORPUS}")
 

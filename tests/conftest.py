@@ -6,9 +6,8 @@ import pytest
 
 from copyposet.atoms import AtomRegistry
 from copyposet.finsets import FinPresSet, embed_subset, empty_set, full_set, make
-from copyposet.terms import (
-    OrdinalTerm, canon_exp, check_canonical, cmp_exp, nat,
-)
+from copyposet.terms import OrdinalTerm, canon_exp, cmp_exp, nat
+from termcheck import check_canonical
 
 
 @pytest.fixture

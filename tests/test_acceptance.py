@@ -18,6 +18,7 @@ from copyposet.finsets import (
 )
 from conftest import make_atoms, random_infinite_rank1, random_set, random_term
 from golden_scenarios import GOLDEN_DIR, SCENARIOS, run_scenario, snapshot
+from termcheck import recompose
 
 
 def _stamp(num: int, name: str, start: float, budget: float) -> None:
@@ -105,7 +106,7 @@ def test_criterion_3_base_kappa_recomposition():
         delta = random_term(rng, atoms, 4)
         base = rng.choice(atoms)
         b = cnf_base(delta, base)
-        assert b.recompose() == delta
+        assert recompose(b) == delta
     _stamp(3, "base-kappa recomposition (1000 pairs)", start, 30.0)
 
 

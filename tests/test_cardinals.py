@@ -634,6 +634,32 @@ def test_fact_base_builds_no_expression(monkeypatch):
     assert calls == []
 
 
+def test_rule_loop_builds_no_exp_or_cf(monkeypatch):
+    """The rule loop looks the exp congruence's candidates and Koenig's cf(x) up:
+    over the goldens and the saturate ladder, _run_rules calls CardinalExpr.__new__
+    for no exp and no cf."""
+    problems = [s[0] for s in SCENARIOS] + [f"saturate_{k}" for k in range(2, 9)]
+    kinds, runs = [], []
+    real_new, real_run = CardinalExpr.__new__, cardinals._run_rules
+
+    def counting(cls, *args, **kwargs):
+        if runs and runs[-1] is None:
+            kinds.append(args[0] if args else kwargs["kind"])
+        return real_new(cls, *args, **kwargs)
+
+    def run_rules(fb):
+        runs.append(None)  # None while the loop runs
+        real_run(fb)
+        runs[-1] = fb
+
+    monkeypatch.setattr(CardinalExpr, "__new__", staticmethod(counting))
+    monkeypatch.setattr(cardinals, "_run_rules", run_rules)
+    for name in problems:
+        rules.analyze(*_problem(name))
+    assert len(runs) == len(problems)
+    assert [k for k in kinds if k in ("exp", "cf")] == []
+
+
 def test_closure_work_bound(monkeypatch):
     """Semi-naive rounds: the one closure of the densest saturate problem makes at
     most 10 FactBase.add calls per relation it keeps (the naive rounds made ~90)."""

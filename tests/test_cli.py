@@ -4,6 +4,7 @@ import importlib
 import json
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import copyposet
 from copyposet.atoms import MAX_BUILTIN_INDEX, AtomError, AtomRegistry
-from copyposet.cli import _json_text, build_parser, main
+from copyposet.cli import _json_write, build_parser, main
 from copyposet.parser import parse_term
 from copyposet.terms import MAX_SUMMANDS
 import cli_corpus
@@ -73,6 +74,19 @@ def test_classify_preamble_atom(capsys):
     code, out, _ = run(capsys, "classify",
                        "card mu rank 60 singular cf w; mu")
     assert code == 0 and "case A" in out
+
+
+def test_classify_schema_route_and_symbolic_sequences(capsys):
+    """The schema's route and symbolic_only keys reach the JSON output, and a
+    symbolic fundamental sequence nested in an exponent prints as one."""
+    code, out, _ = run(capsys, "classify", "w_1^w_1", "--format", "json")
+    assert code == 0 and json.loads(out)["schema"]["route"] == "power-limit"
+    mu = ["--card", "mu rank 100 singular cf w"]
+    code, out, _ = run(capsys, "classify", "mu + w_1", *mu, "--format", "json")
+    assert code == 0 and json.loads(out)["schema"]["symbolic_only"] is True
+    code, out, _ = run(capsys, "classify", "w^(mu*2) + w_1", *mu)
+    assert code == 0
+    assert "sequence: t(n) = w^(mu + cofseq_mu(n)) + w_1 for n < w" in out.splitlines()
 
 
 def test_analyze_negative_example(capsys):
@@ -423,7 +437,16 @@ PACKAGE_EXPORTS = {
 
 def test_package_exports():
     """Each exported name is its defining module's object, the analyzer's names
-    included; an unknown name is an AttributeError."""
+    included; an unknown name is an AttributeError. The README's Library section
+    lists the same names by module."""
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    listed = {}
+    for line in readme.split("## Library", 1)[1].splitlines():
+        entry = re.fullmatch(r"- `(\w+)` \([^)]*\): (.*)", line)
+        if entry:
+            listed[entry[1]] = tuple(re.findall(r"`(\w+)`", entry[2]))
+    assert listed == PACKAGE_EXPORTS
     for module_name, names in PACKAGE_EXPORTS.items():
         module = importlib.import_module(f"copyposet.{module_name}")
         for name in names:
@@ -630,6 +653,12 @@ _json_leaves = st.one_of(
 _json_trees = st.recursive(_json_leaves, lambda inner: st.one_of(
     st.lists(inner, max_size=5), st.lists(inner, max_size=5).map(tuple),
     st.dictionaries(_json_strings, inner, max_size=5)), max_leaves=25)
+
+
+def _json_text(obj) -> str:
+    parts: list[str] = []
+    _json_write(obj, parts.append)
+    return "".join(parts)
 
 
 @settings(max_examples=100, deadline=None)

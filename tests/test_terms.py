@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 from copyposet.atoms import AtomRegistry
 from copyposet.terms import (
     MAX_NUMERAL_DIGITS, MAX_SUMMANDS, OMEGA, ONE, ZERO, OrdinalError, add, cardinality,
-    check_canonical, cnf_base, cofinality, compare, from_atom, is_indecomposable, mul,
-    nat, power, term_from_obj, term_to_obj,
+    cnf_base, cofinality, compare, from_atom, is_indecomposable, mul, nat, power,
+    term_to_obj,
 )
 from conftest import make_atoms, random_term
+from termcheck import check_canonical, recompose, term_from_obj
 
 
 @st.composite
@@ -123,7 +124,7 @@ class TestBaseCNF:
         b = cnf_base(t, w2)
         assert b.digits == ((ONE, add(OMEGA, ONE)),)
         assert b.remainder == ZERO
-        assert b.recompose() == t
+        assert recompose(b) == t
 
     def test_below_base(self, registry):
         w2 = registry.lookup("w_2")
@@ -138,7 +139,7 @@ class TestBaseCNF:
         registry = AtomRegistry()
         base = registry.lookup(f"w_{k}")
         b = cnf_base(t, base)
-        assert b.recompose() == t
+        assert recompose(b) == t
         base_ord = from_atom(base)
         prev = None
         for xi, zeta in b.digits:
