@@ -639,18 +639,19 @@ def test_rule_loop_builds_no_exp_or_cf(monkeypatch):
     over the goldens and the saturate ladder, _run_rules calls CardinalExpr.__new__
     for no exp and no cf."""
     problems = [s[0] for s in SCENARIOS] + [f"saturate_{k}" for k in range(2, 9)]
-    kinds, runs = [], []
+    kinds, inside, runs = [], [False], []
     real_new, real_run = CardinalExpr.__new__, cardinals._run_rules
 
-    def counting(cls, *args, **kwargs):
-        if runs and runs[-1] is None:
-            kinds.append(args[0] if args else kwargs["kind"])
-        return real_new(cls, *args, **kwargs)
+    def counting(cls, kind, *args, **kwargs):
+        if inside[0]:
+            kinds.append(kind)
+        return real_new(cls, kind, *args, **kwargs)
 
     def run_rules(fb):
-        runs.append(None)  # None while the loop runs
+        inside[0] = True
         real_run(fb)
-        runs[-1] = fb
+        inside[0] = False
+        runs.append(fb)
 
     monkeypatch.setattr(CardinalExpr, "__new__", staticmethod(counting))
     monkeypatch.setattr(cardinals, "_run_rules", run_rules)
