@@ -77,19 +77,16 @@ class FactBase:
     # -- storage
 
     def add(self, op: str, lhs: CardinalExpr, rhs: CardinalExpr,
-            rule: str, premises: tuple = ()) -> bool:
+            rule: str, premises: tuple = ()) -> None:
         if op != "eq":
             i, j = self.ids[lhs], self.ids[rhs]
-            if self.above[op][i] >> j & 1:
-                return False
-            self.store(op, i, j, rule, premises)
-            return True
-        if lhs is rhs:
-            return False
+            if not self.above[op][i] >> j & 1:
+                self.store(op, i, j, rule, premises)
+            return
         key = ("eq", rhs, lhs) if lhs.skey > rhs.skey else ("eq", lhs, rhs)
         rels = self.rels
-        if key in rels:
-            return False
+        if lhs is rhs or key in rels:
+            return
         rels[key] = (rule, premises)
         self.eq_nbrs.setdefault(lhs, {})[rhs] = None
         self.eq_nbrs.setdefault(rhs, {})[lhs] = None
@@ -98,7 +95,6 @@ class FactBase:
                 raise ContradictionError(
                     f"derived both equality and strict order for {render_rel(key)}",
                     self.chain(known, key))
-        return True
 
     def store(self, op: str, i: int, j: int, rule: str, premises: tuple) -> None:
         """Store (op, nodes[i], nodes[j]), an le or lt relation whose bit the caller
@@ -369,51 +365,41 @@ def _run_rules(fb: FactBase) -> None:
                     store("le", ia, pred_b, "below-successor", prem)
                 if sa is not None and not le_above[sa] >> ib & 1:
                     store("le", sa, ib, "no-between", prem)
-                if sa is not None and sb is not None and not lt_above[sa] >> sb & 1:
-                    store("lt", sa, sb, "succ-mono", prem)
-                if pa is not None and pb is not None and not le_above[pa] >> pb & 1:
-                    store("le", pa, pb, "pow2-mono", prem)
-                # order-trans: a < b <= c and x <= a < b; the row masks leave out
-                # the conclusions already stored (lt with lt goes through lt-weaken)
-                mask = le_above[ib] & ~lt_above[ia]
-                while mask:
-                    k = (mask & -mask).bit_length() - 1
-                    mask &= mask - 1
-                    store("lt", ia, k, "order-trans", (key, ("le", b, nodes[k])))
-                mask = le_below[ia] & ~lt_below[ib]
-                while mask:
-                    k = (mask & -mask).bit_length() - 1
-                    mask &= mask - 1
-                    store("lt", k, ib, "order-trans", (("le", nodes[k], a), key))
-                continue
-            if a is not b and le_above[ib] >> ia & 1:
-                add("eq", a, b, "antisymmetry", (key, ("le", b, a)))
-            if sa is not None and sb is not None and not le_above[sa] >> sb & 1:
-                store("le", sa, sb, "succ-mono", prem)
+                c_above, c_below, rule = lt_above, lt_below, "order-trans"
+            else:
+                if a is not b and le_above[ib] >> ia & 1:
+                    add("eq", a, b, "antisymmetry", (key, ("le", b, a)))
+                c_above, c_below, rule = le_above, le_below, "le-trans"
+            # succ-mono and the join through the stored <= conclude the delta's op,
+            # whose rows c_above and c_below hold what is stored already
+            if sa is not None and sb is not None and not c_above[sa] >> sb & 1:
+                store(op, sa, sb, "succ-mono", prem)
             if pa is not None and pb is not None and not le_above[pa] >> pb & 1:
                 store("le", pa, pb, "pow2-mono", prem)
-            # le-trans: a <= b <= c and x <= a <= b
-            mask = le_above[ib] & ~le_above[ia]
+            # a op b <= c and x <= a op b; the row masks leave out the conclusions
+            # already stored (lt with lt goes through lt-weaken)
+            mask = le_above[ib] & ~c_above[ia]
             while mask:
                 k = (mask & -mask).bit_length() - 1
                 mask &= mask - 1
-                store("le", ia, k, "le-trans", (key, ("le", b, nodes[k])))
-            mask = le_below[ia] & ~le_below[ib]
+                store(op, ia, k, rule, (key, ("le", b, nodes[k])))
+            mask = le_below[ia] & ~c_below[ib]
             while mask:
                 k = (mask & -mask).bit_length() - 1
                 mask &= mask - 1
-                store("le", k, ib, "le-trans", (("le", nodes[k], a), key))
-            # order-trans: a <= b < c and x < a <= b
-            mask = lt_above[ib] & ~lt_above[ia]
-            while mask:
-                k = (mask & -mask).bit_length() - 1
-                mask &= mask - 1
-                store("lt", ia, k, "order-trans", (key, ("lt", b, nodes[k])))
-            mask = lt_below[ia] & ~lt_below[ib]
-            while mask:
-                k = (mask & -mask).bit_length() - 1
-                mask &= mask - 1
-                store("lt", k, ib, "order-trans", (("lt", nodes[k], a), key))
+                store(op, k, ib, rule, (("le", nodes[k], a), key))
+            if op == "le":
+                # order-trans: a <= b < c and x < a <= b
+                mask = lt_above[ib] & ~lt_above[ia]
+                while mask:
+                    k = (mask & -mask).bit_length() - 1
+                    mask &= mask - 1
+                    store("lt", ia, k, "order-trans", (key, ("lt", b, nodes[k])))
+                mask = lt_below[ia] & ~lt_below[ib]
+                while mask:
+                    k = (mask & -mask).bit_length() - 1
+                    mask &= mask - 1
+                    store("lt", k, ib, "order-trans", (("lt", nodes[k], a), key))
         if len(rels) == done:
             return
     raise HypothesisError("closure did not reach a fixpoint within bounds")

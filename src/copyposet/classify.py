@@ -101,6 +101,16 @@ def _join(*parts: str) -> str:
     return " + ".join(p for p in parts if p)
 
 
+def _compose(inner: SequenceSchema, var: str, range_: OrdinalTerm, expr: str,
+             outer: Callable[[OrdinalTerm], OrdinalTerm],
+             route: str | None = None) -> SequenceSchema:
+    """The schema outer(t(var)) for inner's t; symbolic-only when inner is."""
+    if inner.symbolic_only:
+        return SequenceSchema(var, range_, expr, symbolic_only=True, route=route)
+    return SequenceSchema(var, range_, expr, route=route,
+                          _build=lambda it, b=inner._build: outer(b(it)))
+
+
 def _fund_schema(x: OrdinalTerm, alpha_mode: bool) -> SequenceSchema:
     """Canonical fundamental sequence of a limit term.
 
@@ -137,14 +147,8 @@ def _fund_schema(x: OrdinalTerm, alpha_mode: bool) -> SequenceSchema:
             _build=lambda it, p=prefix, w=wp: add(p, mul(w, add(it, ONE))))
 
     inner = _fund_schema(e, alpha_mode)
-    var = inner.var
-    expr = _join(q_str, f"w^({inner.expr})")
-    if inner.symbolic_only:
-        return SequenceSchema(var, inner.range_, expr, symbolic_only=True)
-    ib = inner._build
-    return SequenceSchema(
-        var, inner.range_, expr,
-        _build=lambda it, p=prefix, b=ib: add(p, omega_power(canon_exp(b(it)))))
+    return _compose(inner, inner.var, inner.range_, _join(q_str, f"w^({inner.expr})"),
+                    lambda t, p=prefix: add(p, omega_power(canon_exp(t))))
 
 
 def _kappa_atom(kappa: OrdinalTerm) -> CardinalAtom:
@@ -154,13 +158,8 @@ def _kappa_atom(kappa: OrdinalTerm) -> CardinalAtom:
 def _theta_schema(theta: OrdinalTerm, kappa: OrdinalTerm) -> SequenceSchema:
     """Case B/C: theta = sup t(i) with cf(t(i)) = kappa, via t(i) = alpha_i + kappa."""
     alpha = _fund_schema(theta, alpha_mode=True)
-    kname = pretty(kappa)
-    if alpha.symbolic_only:
-        return SequenceSchema(alpha.var, alpha.range_,
-                              _join(alpha.expr, kname), symbolic_only=True)
-    ab = alpha._build
-    return SequenceSchema(alpha.var, alpha.range_, _join(alpha.expr, kname),
-                          _build=lambda it, b=ab, k=kappa: add(b(it), k))
+    return _compose(alpha, alpha.var, alpha.range_, _join(alpha.expr, pretty(kappa)),
+                    lambda t, k=kappa: add(t, k))
 
 
 def _case_e_schema(theta: OrdinalTerm, d_k, kappa: OrdinalTerm) -> SequenceSchema:
@@ -181,13 +180,9 @@ def _case_e_schema(theta: OrdinalTerm, d_k, kappa: OrdinalTerm) -> SequenceSchem
             _build=lambda it, th=theta, k=kappa, p=ka: add(th, add(mul(p, it), k)))
     # cf(xi1) = kappa: t(xi) = theta + kappa^(alpha_xi + 1)
     alpha = _fund_schema(xi1, alpha_mode=True)
-    expr = _join(t_str, f"{kname}^(({alpha.expr})+1)")
-    if alpha.symbolic_only:
-        return SequenceSchema("xi", kappa, expr, route="power-limit", symbolic_only=True)
-    ab = alpha._build
-    return SequenceSchema(
-        "xi", kappa, expr, route="power-limit",
-        _build=lambda it, th=theta, k=kappa, b=ab: add(th, power(k, add(b(it), ONE))))
+    return _compose(alpha, "xi", kappa, _join(t_str, f"{kname}^(({alpha.expr})+1)"),
+                    lambda t, th=theta, k=kappa: add(th, power(k, add(t, ONE))),
+                    route="power-limit")
 
 
 def _check_schema(schema: SequenceSchema, below: OrdinalTerm,

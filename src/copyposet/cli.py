@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 from .atoms import AtomError, AtomRegistry, CardinalAtom
@@ -108,22 +109,22 @@ def _add_copies(cop: argparse.ArgumentParser, fmt: argparse.ArgumentParser) -> N
     c.add_argument("set")
 
 
+def _read(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
+        raise _CliInputError(f"cannot read {path}: {exc}") from exc
+
+
 def _load_registry_and_hyps(ns) -> tuple[AtomRegistry, list[Hypothesis]]:
     registry = AtomRegistry()
     for decl in ns.card:
         parse_card(decl, registry)
     hyps: list[Hypothesis] = []
-    for path in ns.assume_file:
-        try:
-            with open(path, encoding="utf-8") as f:
-                text = f.read()
-        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
-            raise _CliInputError(f"cannot read {path}: {exc}") from exc
-        for line in text.splitlines():
-            h = parse_hypothesis_line(line, registry)
-            if h is not None:
-                hyps.append(h)
-    for line in ns.assume:
+    # file lines first; each file is read after the lines before it are parsed
+    file_lines = (line for path in ns.assume_file for line in _read(path).splitlines())
+    for line in itertools.chain(file_lines, ns.assume):
         h = parse_hypothesis_line(line, registry)
         if h is not None:
             hyps.append(h)
@@ -133,13 +134,7 @@ def _load_registry_and_hyps(ns) -> tuple[AtomRegistry, list[Hypothesis]]:
 def _load_set(literal: str) -> finsets.FinPresSet:
     import json
     from . import finsets
-    text = literal
-    if literal.startswith("@"):
-        try:
-            with open(literal[1:], encoding="utf-8") as f:
-                text = f.read()
-        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
-            raise _CliInputError(f"cannot read {literal[1:]}: {exc}") from exc
+    text = _read(literal[1:]) if literal.startswith("@") else literal
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -401,10 +396,9 @@ def _run_one(argv, batch_line: int | None = None) -> int:
 def _run_batch(path: str) -> int:
     import shlex
     try:
-        with open(path, encoding="utf-8") as f:
-            lines = f.read().splitlines()
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+        lines = _read(path).splitlines()
+    except _CliInputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     worst = 0
     for number, line in enumerate(lines, 1):

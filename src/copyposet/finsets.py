@@ -137,8 +137,7 @@ def contains_copy(a: FinPresSet, m: int) -> bool:
         return not a.is_empty()
     if a.rank == 1:
         return any(a.period)
-    sub = (lambda b: contains_copy(b, m - 1)) if a.rank > 1 else (lambda b: b == 1)
-    return any(sub(b) for b in a.period)
+    return any(contains_copy(b, m - 1) for b in a.period)
 
 
 class CriterionReport(Value):

@@ -8,9 +8,9 @@ premises can be replayed against the closure and the classifier.
 """
 from __future__ import annotations
 
-from .atoms import AtomRegistry, builtin
+from .atoms import AtomRegistry, CardinalAtom, builtin
 from .terms import (
-    OMEGA, OrdinalTerm, OrdinalError, compare, cardinality, from_atom,
+    OMEGA, OrdinalTerm, OrdinalError, compare, cardinality, exp_term, from_atom,
     omega_power, canon_exp, pretty, term_to_obj,
 )
 from .classify import CaseReport, classify_exponent
@@ -69,21 +69,10 @@ class AnalysisReport(Value):
         return obj
 
 
-def _delta_atom(delta: OrdinalTerm):
+def _delta_atom(delta: OrdinalTerm) -> CardinalAtom | None:
     """The atom a when delta is the ordinal of a cardinal atom, else None."""
-    if delta.tail == 0 and len(delta.summands) == 1 and delta.summands[0][1] == 1:
-        e = delta.summands[0][0]
-        if not isinstance(e, OrdinalTerm):
-            return e
-    return None
-
-
-def _term_card(t: OrdinalTerm) -> CardinalExpr | None:
-    """The cardinal expression of a cofinality-like term (omega or an atom)."""
-    if t == OMEGA:
-        return ALEPH0
-    a = _delta_atom(t)
-    return None if a is None else atom_expr(a)
+    a = canon_exp(delta)
+    return a if isinstance(a, CardinalAtom) else None
 
 
 def _card_expr(t: OrdinalTerm) -> CardinalExpr | None:
@@ -97,8 +86,8 @@ def _rho(rep: CaseReport) -> CardinalExpr | None:
     """The cardinal rho with CP(rho) completely embedded by T4.7 in cases C, D and E
     (lambda in case C, kappa in cases D/E); None in cases A and B."""
     if rep.label == "C":
-        return _term_card(rep.lam)
-    return _term_card(rep.kappa) if rep.label in ("D", "E") else None
+        return _card_expr(rep.lam)
+    return _card_expr(rep.kappa) if rep.label in ("D", "E") else None
 
 
 def resolve_poset(p: PosetExpr, fb: FactBase) -> PosetExpr:
@@ -125,8 +114,7 @@ class _Engine:
         self.has_hyps = bool(self.hyps)
         self.whole = factorize(alpha)
         # the exponents in CNF order, which are distinct
-        self.deltas = [e if isinstance(e, OrdinalTerm) else from_atom(e)
-                       for e, _c in alpha.summands]
+        self.deltas = [exp_term(e) for e, _c in alpha.summands]
         self.reports: dict[OrdinalTerm, CaseReport] = {
             d: classify_exponent(d) for d in self.deltas}
         # the T5.6 sub-analysis passes its parent's closure, which contains its own
@@ -151,12 +139,12 @@ class _Engine:
             rep = None
             if not d.is_zero():
                 rep = self.reports[d] if d in self.reports else classify_exponent(d)
-            rep_kappa = _term_card(rep.kappa) if rep is not None else None
+            rep_kappa = _card_expr(rep.kappa) if rep is not None else None
             if rep_kappa is not None and rep_kappa != ALEPH0:
                 out += [rep_kappa, pow2_of(rep_kappa), pow2lt_of(rep_kappa),
                         succ_of(rep_kappa), cc_cp_of(rep_kappa), succ_of(pow2_of(rep_kappa))]
             if rep is not None and rep.lam is not None:
-                le = _term_card(rep.lam)
+                le = _card_expr(rep.lam)
                 if le is not None and le != ALEPH0:
                     out += [le, cc_cp_of(le)]
             a = _delta_atom(d)
@@ -295,7 +283,7 @@ class _Engine:
         F = self._factor_poset(d)
         label = rep.label
         ce = _card_expr(d)
-        kappa_e = _term_card(rep.kappa)
+        kappa_e = _card_expr(rep.kappa)
         a = _delta_atom(d)
 
         if self._countable(d):
@@ -340,11 +328,9 @@ class _Engine:
                           (Step("roiso-trans", inst, (("fact", sub), ("fact", header))),
                            Step("T4.10", inst, used)))
             return
-        if label in ("A", "B"):
-            self.emit("RoIso", (F, col(W1, CONTINUUM)),
-                      (Step("T4.10", inst, used + (("case", d, label),)),))
-        elif label in ("D", "E"):
-            self.emit("RoIso", (F, col(ALEPH0, CONTINUUM)),
+        lam = {"A": W1, "B": W1, "D": ALEPH0, "E": ALEPH0}.get(label)  # C: no conclusion
+        if lam is not None:
+            self.emit("RoIso", (F, col(lam, CONTINUUM)),
                       (Step("T4.10", inst, used + (("case", d, label),)),))
 
     def _rule_t52(self, d, F, kappa_e, ce) -> None:

@@ -10,14 +10,15 @@ from copyposet import rules
 from copyposet.atoms import AtomRegistry
 from copyposet.parser import parse_term
 from copyposet.classify import classify_exponent
-from copyposet.cardexpr import parse_hypotheses, rel
+from copyposet.cardexpr import ALEPH0, atom_expr, parse_hypotheses, rel
 from copyposet.cardinals import entails
 from copyposet.catalog import rule_table
 from copyposet.forcing import fact_text, premise_text, render_poset
 from copyposet.rules import _Engine, analyze
-from copyposet.terms import OMEGA, power
+from copyposet.terms import ONE, OMEGA, exp_term, from_atom, power
 from golden_scenarios import SCENARIOS as GOLDEN, scenario_inputs
 from test_cardinals import T56_PRODUCT
+from test_classify import EXAMPLE_LABELS
 
 # inputs beyond the golden battery that the replay and the catalog coverage run
 # over: (alpha, hypothesis lines, card declarations first)
@@ -261,6 +262,38 @@ def test_mixed_product_without_hypotheses_stays_open():
     whole = render_poset(report.factorization)
     assert any(f.kind == "Collapses" and render_poset(f.operands[0]) == whole
                for f in report.facts)
+
+
+def test_card_expr_reads_the_cofinalities_of_reports():
+    """The analyzer reads a report's kappa and lambda through ``_card_expr``. These
+    cofinalities are 1, w or an atom's ordinal, which it reads as no cardinal, aleph0
+    and the atom; checked on the classifier tests' exponents and the goldens'."""
+    registry = AtomRegistry()
+    registry.declare("nu", 60, singular=True)
+    texts = [text for text, _label in EXAMPLE_LABELS]
+    texts += ["w_1*w_1", "w_1^w_1", "nu + w_1", "w^(w+1)", "w^w"]
+    deltas = [parse_term(text, registry) for text in texts]
+    for name, *_rest in GOLDEN:
+        alpha, _hyps, _registry = scenario_inputs(name)
+        deltas += [exp_term(e) for e, _c in alpha.summands]
+    seen = set()
+    for delta in deltas:
+        rep = classify_exponent(delta)
+        for t in (rep.kappa, rep.lam):
+            if t is None:
+                continue
+            if t == ONE:
+                seen.add("one")
+                assert rules._card_expr(t) is None
+            elif t == OMEGA:
+                seen.add("w")
+                assert rules._card_expr(t) is ALEPH0
+            else:
+                (a, coeff), = t.summands
+                assert t == from_atom(a) and coeff == 1
+                seen.add("atom")
+                assert rules._card_expr(t) is atom_expr(a)
+    assert seen == {"one", "w", "atom"}
 
 
 def test_rejects_finite_alpha():

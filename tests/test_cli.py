@@ -260,6 +260,22 @@ def test_assume_file_and_card(tmp_path, capsys):
     assert code == 0 and "Col(w_1, 2^mu)" in out
 
 
+def test_assume_files_are_read_in_order(tmp_path, capsys):
+    """Hypothesis files are parsed in argv order, each read only after the lines before
+    it are parsed, and all of them before the --assume lines, wherever those stand."""
+    bad = tmp_path / "bad.txt"
+    bad.write_text("2^ = w\n")
+    code, out, err = run(capsys, "analyze", "w^w", "--assume-file", str(bad),
+                         "--assume-file", str(tmp_path / "missing.txt"))
+    assert (code, out) == (2, "")
+    assert err == "error: expected a cardinal expression at offset 3\n"
+    good = tmp_path / "good.txt"
+    good.write_text("card mu rank 5\n")
+    code, out, err = run(capsys, "analyze", "w^w", "--assume", "mu < c",
+                         "--assume-file", str(good))
+    assert (code, err) == (0, "") and out.startswith("alpha = w^w\n")
+
+
 def test_batch(tmp_path, capsys):
     f = tmp_path / "batch.txt"
     f.write_text('norm "w_2*w + w_2"\n# comment\ncmp w w^2\n')
@@ -455,6 +471,24 @@ def test_package_exports():
             assert value.__module__ == module.__name__, name
     with pytest.raises(AttributeError, match="no_such_name"):
         copyposet.no_such_name
+
+
+def test_pinned_test_dependencies_agree():
+    """CI's pip install line, pyproject's test extra and the README's install section
+    name the same pytest and hypothesis pins (read with a regex: 3.10 has no tomllib)."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    pin = re.compile(r"\b(pytest|hypothesis)==(\d[\w.]*)")
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    installs = [line for line in workflow.splitlines() if "pip install" in line]
+    assert len(installs) == 1
+    extra = re.search(r"^test = \[(.*)\]$",
+                      (root / "pyproject.toml").read_text(encoding="utf-8"), re.M)
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    install_section = readme.split("## Install and test", 1)[1].split("\n## ", 1)[0]
+    pins = [sorted(set(pin.findall(text)))
+            for text in (installs[0], extra[1], install_section)]
+    assert [name for name, _version in pins[0]] == ["hypothesis", "pytest"]
+    assert pins[0] == pins[1] == pins[2]
 
 
 def test_package_import_defers_the_analyzer():
