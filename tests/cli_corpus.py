@@ -8,7 +8,8 @@ it. Every line runs in this directory (the batch lines read
 
 The lines are drawn from seeded rounds of the benchmark's three workloads (a
 ``derive`` round holds the contradictions too), with every ``analyze`` line in
-text and in JSON, plus help, usage errors, option prefixes and ``--batch`` lines.
+text and in JSON, plus help, usage errors, option prefixes, ``--batch`` lines and
+JSON lines for a product, the rule table and every other subcommand.
 Regenerate the file only when the output changes on purpose, and name each
 changed line in CHANGES.md:
 
@@ -63,6 +64,28 @@ _EXTRA = [
     # --batch: an empty path takes no command and cannot be read; a batch file runs
     # its lines, one of which nests --batch ''
     ["--batch", "", "cmp", "w", "w_1"], ["--batch", ""], ["--batch", "cli_corpus_batch.txt"],
+    # JSON of a product, of the whole rule table and of every other subcommand
+    ["factorize", "w^(w_2)*2 + w^3 + 5", "--format", "json"],
+    *[["analyze", alpha, "--assume", "h < c", "--assume", "c = w_2",
+       "--assume", "2^w_1 = w_2", *fmt]
+      for alpha in ("w^w*2", "w_1*3 + w^w + 5", "w^(w_1+1)*2 + w^w_1")
+      for fmt in ([], ["--format", "json"])],
+    ["classify", "w_2*w_1 + w_2", "--format", "json"],  # case C
+    ["classify", "w_1^w_1", "--format", "json"],  # case E, power-limit route
+    ["rules"], ["rules", "--format", "json"],
+    ["cof", "w_2*w_1", "--format", "json"], ["card", "w^(w_2+w_1)", "--format", "json"],
+    ["cmp", "w_1+w", "w_1*2", "--format", "json"],
+    ["copies", "type", '{"prefix": [], "tail": [{"prefix": "", "period": "1"}]}',
+     "--format", "json"],
+    ["copies", "member", '{"prefix": [], "tail": [{"prefix": "", "period": "1"}]}',
+     "--power", "2", "--format", "json"],
+    ["copies", "subset", '{"prefix": "", "period": "10"}', '{"prefix": "", "period": "1"}',
+     "--format", "json"],
+    ["copies", "fuse", '{"prefix": [], "tail": [{"prefix": "", "period": "1"}]}',
+     '{"prefix": [], "tail": [{"prefix": "", "period": "10"}]}',
+     '{"prefix": [], "tail": [{"prefix": "", "period": "1000"}]}', "--format", "json"],
+    ["copies", "reduce", '{"prefix": [], "tail": [{"prefix": "", "period": "10"}]}',
+     "--format", "json"],
 ]
 
 
