@@ -13,8 +13,8 @@ from .values import Value, init
 
 _BUILTIN_RE = re.compile(r"^w_([1-9][0-9]*)$")
 # the largest k of a w_k name in input: w_k puts w_1..w_k and ~k^2/2 atom-order
-# relations in a closure (analyze "w^w" --assume "w_200 < c" takes ~0.5 s on a
-# 2-vCPU Xeon); the engine itself still builds w_{k+1} for a w_k at the limit
+# relations in a closure (analyze "w^w" --assume "w_200 < c" takes ~0.2 s as a whole
+# process on a 2-vCPU Xeon); the engine itself still builds w_{k+1} for a w_k at the limit
 MAX_BUILTIN_INDEX = 200
 # names the cardinal grammar reads as constants
 _RESERVED = {"w": "omega", "c": "the continuum", "h": "the distributivity number"}

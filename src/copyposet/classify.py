@@ -101,18 +101,31 @@ def _join(*parts: str) -> str:
     return " + ".join(p for p in parts if p)
 
 
-def _compose(inner: SequenceSchema, var: str, range_: OrdinalTerm, expr: str,
-             outer: Callable[[OrdinalTerm], OrdinalTerm],
+def _compose(inner: SequenceSchema, expr: str, outer: Callable[[OrdinalTerm], OrdinalTerm],
              route: str | None = None) -> SequenceSchema:
-    """The schema outer(t(var)) for inner's t; symbolic-only when inner is."""
-    if inner.symbolic_only:
-        return SequenceSchema(var, range_, expr, symbolic_only=True, route=route)
-    return SequenceSchema(var, range_, expr, route=route,
-                          _build=lambda it, b=inner._build: outer(b(it)))
+    """The schema outer(t(var)) for inner's t and var; symbolic-only when inner is."""
+    build = None if inner.symbolic_only else lambda it, b=inner._build: outer(b(it))
+    return SequenceSchema(inner.var, inner.range_, expr, inner.symbolic_only, route, build)
 
 
-def _fund_schema(x: OrdinalTerm, alpha_mode: bool) -> SequenceSchema:
-    """Canonical fundamental sequence of a limit term.
+def _var(range_: OrdinalTerm, whole: OrdinalTerm) -> str:
+    """The variable of a schema for ``whole`` running below range_: n below w, else
+    xi, with "_" appended while it names an atom of whole or the cofinality of one."""
+    names, terms = set(), [whole]
+    while terms:
+        for e, _c in terms.pop().summands:
+            if isinstance(e, CardinalAtom):
+                names |= {e.name, pretty(cofinality(from_atom(e)))}
+            else:
+                terms.append(e)
+    var = "n" if range_ == OMEGA else "xi"
+    while var in names:
+        var += "_"
+    return var
+
+
+def _fund_schema(x: OrdinalTerm, alpha_mode: bool, whole: OrdinalTerm) -> SequenceSchema:
+    """Canonical fundamental sequence of a limit term x, in a variable for ``whole``.
 
     With ``alpha_mode`` the enumeration starts at the peeled prefix itself
     (coefficient i); otherwise coefficient i+1 is used whenever the peeled
@@ -124,7 +137,7 @@ def _fund_schema(x: OrdinalTerm, alpha_mode: bool) -> SequenceSchema:
 
     if isinstance(e, CardinalAtom):
         rng = cofinality(from_atom(e))
-        var = "n" if rng == OMEGA else "xi"
+        var = _var(rng, whole)
         if e.regular:
             return SequenceSchema(var, rng, _join(q_str, var),
                                   _build=lambda it, p=prefix: add(p, it))
@@ -133,39 +146,37 @@ def _fund_schema(x: OrdinalTerm, alpha_mode: bool) -> SequenceSchema:
                               symbolic_only=True)
 
     if e.tail > 0:
+        n = _var(OMEGA, whole)
         eprime = OrdinalTerm(e.summands, e.tail - 1)
         if eprime.is_zero():
-            return SequenceSchema("n", OMEGA, _join(q_str, "n"),
+            return SequenceSchema(n, OMEGA, _join(q_str, n),
                                   _build=lambda it, p=prefix: add(p, it))
         wp = omega_power(canon_exp(eprime))
         if alpha_mode:
             return SequenceSchema(
-                "n", OMEGA, _join(q_str, f"{pretty(wp)}*n"),
+                n, OMEGA, _join(q_str, f"{pretty(wp)}*{n}"),
                 _build=lambda it, p=prefix, w=wp: add(p, mul(w, it)))
         return SequenceSchema(
-            "n", OMEGA, _join(q_str, f"{pretty(wp)}*(n+1)"),
+            n, OMEGA, _join(q_str, f"{pretty(wp)}*({n}+1)"),
             _build=lambda it, p=prefix, w=wp: add(p, mul(w, add(it, ONE))))
 
-    inner = _fund_schema(e, alpha_mode)
-    return _compose(inner, inner.var, inner.range_, _join(q_str, f"w^({inner.expr})"),
+    inner = _fund_schema(e, alpha_mode, whole)
+    return _compose(inner, _join(q_str, f"w^({inner.expr})"),
                     lambda t, p=prefix: add(p, omega_power(canon_exp(t))))
 
 
-def _kappa_atom(kappa: OrdinalTerm) -> CardinalAtom:
-    return kappa.summands[0][0]
+def _theta_schema(delta: OrdinalTerm) -> SequenceSchema:
+    """Case B/C, delta = theta + kappa: theta = sup t(i) with cf(t(i)) = kappa, via
+    t(i) = alpha_i + kappa."""
+    theta, kappa = split_last(delta)
+    alpha = _fund_schema(theta, alpha_mode=True, whole=delta)
+    return _compose(alpha, _join(alpha.expr, pretty(kappa)), lambda t, k=kappa: add(t, k))
 
 
-def _theta_schema(theta: OrdinalTerm, kappa: OrdinalTerm) -> SequenceSchema:
-    """Case B/C: theta = sup t(i) with cf(t(i)) = kappa, via t(i) = alpha_i + kappa."""
-    alpha = _fund_schema(theta, alpha_mode=True)
-    return _compose(alpha, alpha.var, alpha.range_, _join(alpha.expr, pretty(kappa)),
-                    lambda t, k=kappa: add(t, k))
-
-
-def _case_e_schema(theta: OrdinalTerm, d_k, kappa: OrdinalTerm) -> SequenceSchema:
+def _case_e_schema(delta: OrdinalTerm, kappa: OrdinalTerm) -> SequenceSchema:
     """Case E: delta = theta + kappa^{xi1}; two shapes depending on xi1."""
-    atom = _kappa_atom(kappa)
-    xi1, rem = divmod_power(exp_term(d_k), atom)
+    theta, _last = split_last(delta)
+    xi1, rem = divmod_power(exp_term(delta.summands[-1][0]), kappa.summands[0][0])
     if not rem.is_zero():
         raise AssertionError("case E exponent not a clean kappa multiple")
     kname = pretty(kappa)
@@ -174,13 +185,14 @@ def _case_e_schema(theta: OrdinalTerm, d_k, kappa: OrdinalTerm) -> SequenceSchem
         # delta ends with kappa^a * kappa, a >= 1: t(xi) = theta + kappa^a*xi + kappa
         a = OrdinalTerm(xi1.summands, xi1.tail - 1)
         ka = power(kappa, a)
-        piece = f"{kname}*xi" if a == ONE else f"{kname}^({pretty(a)})*xi"
+        xi = _var(kappa, delta)
+        piece = f"{kname}*{xi}" if a == ONE else f"{kname}^({pretty(a)})*{xi}"
         return SequenceSchema(
-            "xi", kappa, _join(t_str, piece, kname), route="successor-step",
+            xi, kappa, _join(t_str, piece, kname), route="successor-step",
             _build=lambda it, th=theta, k=kappa, p=ka: add(th, add(mul(p, it), k)))
-    # cf(xi1) = kappa: t(xi) = theta + kappa^(alpha_xi + 1)
-    alpha = _fund_schema(xi1, alpha_mode=True)
-    return _compose(alpha, "xi", kappa, _join(t_str, f"{kname}^(({alpha.expr})+1)"),
+    # cf(xi1) = kappa, so alpha runs below kappa: t(xi) = theta + kappa^(alpha_xi + 1)
+    alpha = _fund_schema(xi1, alpha_mode=True, whole=delta)
+    return _compose(alpha, _join(t_str, f"{kname}^(({alpha.expr})+1)"),
                     lambda t, th=theta, k=kappa: add(th, power(k, add(t, ONE))),
                     route="power-limit")
 
@@ -216,14 +228,13 @@ def classify_exponent(delta: OrdinalTerm) -> CaseReport:
             return _checked(CaseReport("D", kappa, theta=theta), delta)
         if ct == OMEGA:
             rep = CaseReport("B", kappa, theta=theta, lam=OMEGA,
-                             schema=_theta_schema(theta, kappa))
+                             schema=_theta_schema(delta))
         else:
             rep = CaseReport("C", kappa, theta=theta, lam=ct,
-                             schema=_theta_schema(theta, kappa))
+                             schema=_theta_schema(delta))
         return _checked(rep, delta)
 
-    d_k = delta.summands[-1][0]
-    rep = CaseReport("E", kappa, schema=_case_e_schema(theta, d_k, kappa))
+    rep = CaseReport("E", kappa, schema=_case_e_schema(delta, kappa))
     return _checked(rep, delta)
 
 
@@ -252,11 +263,12 @@ def fundamental_description(delta: OrdinalTerm) -> SequenceSchema:
         raise OrdinalError("fundamental sequences exist only for limit ordinals")
     rep = classify_exponent(delta)
     if rep.label == "A":
-        return _fund_schema(delta, alpha_mode=False)
+        return _fund_schema(delta, alpha_mode=False, whole=delta)
     if rep.label == "E":
         return rep.schema
     # B/C/D: delta = theta + kappa, enumerated as theta + xi
     theta = rep.theta
     t_str = pretty(theta) if not theta.is_zero() else ""
-    return SequenceSchema("xi", rep.kappa, _join(t_str, "xi"),
+    xi = _var(rep.kappa, delta)
+    return SequenceSchema(xi, rep.kappa, _join(t_str, xi),
                           _build=lambda it, th=theta: add(th, it))

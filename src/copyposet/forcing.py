@@ -14,43 +14,23 @@ from .values import Value, init
 
 
 class PosetExpr(Value):
-    # kind -> fields: copy: alpha | sq: arg | prod: factors ((PosetExpr, multiplicity),
-    # ...) | cp: kappa | col: (lam, kappa) | rp: (n, base) | quot: delta (the algebra
-    # P(w^delta)/I) | pos: arg | iter: (first, tag) | ro: arg
-    __slots__ = ("kind", "alpha", "delta", "kappa", "lam", "n", "args", "factors", "tag")
+    """A kind and its operands, laid out per kind as copy (alpha,), sq (p,),
+    prod ((p, m), ...), cp (kappa,), col (lam, kappa), rp (n, p), quot (delta,),
+    pos (p,), iter (p, tag) and ro (p,): p is a PosetExpr, alpha and delta are
+    ordinals, kappa and lam cardinals, m >= 1 and n naturals and tag a str.
+    ``render_poset`` gives each kind's notation."""
+    __slots__ = ("kind", "operands")
 
-    def __init__(self, kind: str, alpha: OrdinalTerm | None = None,
-                 delta: OrdinalTerm | None = None, kappa: CardinalExpr | None = None,
-                 lam: CardinalExpr | None = None, n: int | None = None, args: tuple = (),
-                 factors: tuple = (), tag: str | None = None) -> None:
+    def __init__(self, kind: str, operands: tuple) -> None:
         init(self, "kind", kind)
-        init(self, "alpha", alpha)
-        init(self, "delta", delta)
-        init(self, "kappa", kappa)
-        init(self, "lam", lam)
-        init(self, "n", n)
-        init(self, "args", args)
-        init(self, "factors", factors)
-        init(self, "tag", tag)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.kind, self.alpha, self.delta, self.kappa, self.lam, self.n,
-                     self.args, self.factors, self.tag)
-                    == (other.kind, other.alpha, other.delta, other.kappa, other.lam,
-                        other.n, other.args, other.factors, other.tag))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.alpha, self.delta, self.kappa, self.lam, self.n,
-                     self.args, self.factors, self.tag))
+        init(self, "operands", operands)
 
     def __repr__(self) -> str:
         return f"<{render_poset(self)}>"
 
 
 def sq_copies(alpha: OrdinalTerm) -> PosetExpr:
-    return PosetExpr("sq", args=(PosetExpr("copy", alpha=alpha),))
+    return PosetExpr("sq", (PosetExpr("copy", (alpha,)),))
 
 
 def product(factors: list[tuple[PosetExpr, int]]) -> PosetExpr:
@@ -58,72 +38,83 @@ def product(factors: list[tuple[PosetExpr, int]]) -> PosetExpr:
         raise OrdinalError("product multiplicities must be positive")
     if len(factors) == 1 and factors[0][1] == 1:
         return factors[0][0]
-    return PosetExpr("prod", factors=tuple(factors))
+    return PosetExpr("prod", tuple(factors))
 
 
 def cp(kappa: CardinalExpr) -> PosetExpr:
-    return PosetExpr("cp", kappa=kappa)
+    return PosetExpr("cp", (kappa,))
 
 
 def col(lam: CardinalExpr, kappa: CardinalExpr) -> PosetExpr:
-    return PosetExpr("col", lam=lam, kappa=kappa)
+    return PosetExpr("col", (lam, kappa))
 
 
 def iteration(first: PosetExpr, tag: str) -> PosetExpr:
-    return PosetExpr("iter", args=(first,), tag=tag)
+    return PosetExpr("iter", (first, tag))
 
 
 def ro(base: PosetExpr) -> PosetExpr:
-    return PosetExpr("ro", args=(base,))
+    return PosetExpr("ro", (base,))
+
+
+def substitute(o, resolve):
+    """o with ``resolve`` applied to each cardinal in it: o is a cardinal, a poset, a
+    product's (poset, multiplicity) pair or another operand, which stays as it is."""
+    if isinstance(o, CardinalExpr):
+        return resolve(o)
+    if isinstance(o, PosetExpr):
+        ops = tuple([substitute(x, resolve) for x in o.operands])
+        return o if ops == o.operands else PosetExpr(o.kind, ops)
+    if isinstance(o, tuple):
+        return substitute(o[0], resolve), o[1]
+    return o
 
 
 def render_poset(p: PosetExpr) -> str:
-    if p.kind == "copy":
-        return f"P({pretty(p.alpha)})"
-    if p.kind == "sq":
-        return f"sq({render_poset(p.args[0])})"
-    if p.kind == "prod":
+    kind, ops = p.kind, p.operands
+    if kind == "copy":
+        return f"P({pretty(ops[0])})"
+    if kind == "sq":
+        return f"sq({render_poset(ops[0])})"
+    if kind == "prod":
         parts = []
-        for q, m in p.factors:
+        for q, m in ops:
             txt = render_poset(q)
             parts.append(txt if m == 1 else f"{txt}^{m}")
         return " x ".join(parts)
-    if p.kind == "cp":
-        return f"CP({render_expr(p.kappa)})"
-    if p.kind == "col":
-        return f"Col({render_expr(p.lam)}, {render_expr(p.kappa)})"
-    if p.kind == "rp":
-        return f"rp^{p.n}({render_poset(p.args[0])})"
-    if p.kind == "quot":
-        return f"P(w^({pretty(p.delta)}))/I"
-    if p.kind == "pos":
-        return f"({render_poset(p.args[0])})+"
-    if p.kind == "iter":
-        return f"{render_poset(p.args[0])} * pi[{p.tag}]"
-    if p.kind == "ro":
-        return f"ro({render_poset(p.args[0])})"
-    raise AssertionError(p.kind)
+    if kind == "cp":
+        return f"CP({render_expr(ops[0])})"
+    if kind == "col":
+        return f"Col({render_expr(ops[0])}, {render_expr(ops[1])})"
+    if kind == "rp":
+        return f"rp^{ops[0]}({render_poset(ops[1])})"
+    if kind == "quot":
+        return f"P(w^({pretty(ops[0])}))/I"
+    if kind == "pos":
+        return f"({render_poset(ops[0])})+"
+    if kind == "iter":
+        return f"{render_poset(ops[0])} * pi[{ops[1]}]"
+    if kind == "ro":
+        return f"ro({render_poset(ops[0])})"
+    raise AssertionError(kind)
+
+
+# each kind's JSON key for each operand, a poset operand in a list under "args"; a
+# product lists its (poset, multiplicity) operands as "factors"
+_JSON_KEYS = {"copy": ("alpha",), "sq": ("args",), "cp": ("kappa",),
+              "col": ("lambda", "kappa"), "rp": ("n", "args"), "quot": ("delta",),
+              "pos": ("args",), "iter": ("args", "tag"), "ro": ("args",)}
 
 
 def poset_to_obj(p: PosetExpr) -> dict:
-    obj: dict = {"kind": p.kind}
-    if p.alpha is not None:
-        obj["alpha"] = term_to_obj(p.alpha)
-    if p.delta is not None:
-        obj["delta"] = term_to_obj(p.delta)
-    if p.kappa is not None:
-        obj["kappa"] = render_expr(p.kappa)
-    if p.lam is not None:
-        obj["lambda"] = render_expr(p.lam)
-    if p.n is not None:
-        obj["n"] = p.n
-    if p.args:
-        obj["args"] = [poset_to_obj(a) for a in p.args]
-    if p.factors:
-        obj["factors"] = [[poset_to_obj(q), m] for q, m in p.factors]
-    if p.tag is not None:
-        obj["tag"] = p.tag
-    obj["pretty"] = render_poset(p)
+    obj: dict = {"kind": p.kind, "pretty": render_poset(p)}
+    if p.kind == "prod":
+        obj["factors"] = [[poset_to_obj(q), m] for q, m in p.operands]
+        return obj
+    for key, o in zip(_JSON_KEYS[p.kind], p.operands):
+        obj[key] = ([poset_to_obj(o)] if isinstance(o, PosetExpr)
+                    else render_expr(o) if isinstance(o, CardinalExpr)
+                    else term_to_obj(o) if isinstance(o, OrdinalTerm) else o)
     return obj
 
 
@@ -141,10 +132,10 @@ def rp_refine(delta: OrdinalTerm, n: int) -> PosetExpr:
         raise OrdinalError("reduced-power refinement requires delta >= 1")
     if n < 0:
         raise OrdinalError("the reduced-power index is a natural number")
-    base = PosetExpr("quot", delta=delta)
+    base = PosetExpr("quot", (delta,))
     if n:
-        base = PosetExpr("rp", n=n, args=(base,))
-    return PosetExpr("pos", args=(base,))
+        base = PosetExpr("rp", (n, base))
+    return PosetExpr("pos", (base,))
 
 
 class Step(Value):
@@ -180,9 +171,7 @@ class ForcingFact(Value):
 
     def __init__(self, kind: str, operands: tuple = (), trace: tuple = (),
                  resolved: tuple = ()) -> None:
-        # SigmaClosed | CompletelyEmbeds | Collapses | RoIso | RoNotIso
-        # | ForcingEquivalent | Preserves
-        init(self, "kind", kind)
+        init(self, "kind", kind)  # a key of _SENTENCES
         init(self, "operands", operands)  # PosetExpr / CardinalExpr / str operands
         init(self, "trace", trace)  # Steps
         init(self, "resolved", resolved)  # ((position, resolved text), ...) for display
@@ -212,24 +201,21 @@ def _operand_obj(o):
     return str(o)
 
 
+# each fact kind's sentence over its operands' texts
+_SENTENCES = {
+    "SigmaClosed": "{0} is sigma-closed",
+    "CompletelyEmbeds": "{0} completely embeds into {1}",
+    "Collapses": "{0} collapses {1} to {2}",
+    "RoIso": "ro({0}) ~ ro({1})",
+    "RoNotIso": "ro({0}) is not isomorphic to ro({1})",
+    "ForcingEquivalent": "{0} is forcing equivalent to {1}",
+    "Preserves": "{0} preserves cardinals {1}",
+}
+
+
 def fact_text(f: ForcingFact) -> str:
     ops = [_operand_text(o) for o in f.operands]
-    res = dict(f.resolved)
-    for i in range(len(ops)):
-        if i in res and res[i] != ops[i]:
-            ops[i] = f"{ops[i]} (= {res[i]})"
-    if f.kind == "SigmaClosed":
-        return f"{ops[0]} is sigma-closed"
-    if f.kind == "CompletelyEmbeds":
-        return f"{ops[0]} completely embeds into {ops[1]}"
-    if f.kind == "Collapses":
-        return f"{ops[0]} collapses {ops[1]} to {ops[2]}"
-    if f.kind == "RoIso":
-        return f"ro({ops[0]}) ~ ro({ops[1]})"
-    if f.kind == "RoNotIso":
-        return f"ro({ops[0]}) is not isomorphic to ro({ops[1]})"
-    if f.kind == "ForcingEquivalent":
-        return f"{ops[0]} is forcing equivalent to {ops[1]}"
-    if f.kind == "Preserves":
-        return f"{ops[0]} preserves cardinals {ops[1]}"
-    raise AssertionError(f.kind)
+    for i, text in f.resolved:
+        if text != ops[i]:
+            ops[i] = f"{ops[i]} (= {text})"
+    return _SENTENCES[f.kind].format(*ops)

@@ -21,7 +21,7 @@ from .cardexpr import (
 from .cardinals import FactBase, closure
 from .forcing import (
     ForcingFact, PosetExpr, Step, col, cp, factorize, iteration, poset_to_obj,
-    product, render_poset, ro, rp_refine, sq_copies,
+    product, render_poset, ro, rp_refine, sq_copies, substitute,
 )
 from .values import Value
 from .catalog import SCHEMA_VERSION
@@ -90,18 +90,10 @@ def _rho(rep: CaseReport) -> CardinalExpr | None:
     return _card_expr(rep.kappa) if rep.label in ("D", "E") else None
 
 
-def resolve_poset(p: PosetExpr, fb: FactBase) -> PosetExpr:
-    if p.kind == "cp":
-        return cp(fb.resolve(p.kappa))
-    if p.kind == "col":
-        return col(fb.resolve(p.lam), fb.resolve(p.kappa))
-    if p.factors:
-        return PosetExpr(p.kind, factors=tuple(
-            (resolve_poset(q, fb), m) for q, m in p.factors), tag=p.tag)
-    if p.args:
-        return PosetExpr(p.kind, alpha=p.alpha, delta=p.delta, n=p.n, tag=p.tag,
-                         args=tuple(resolve_poset(a, fb) for a in p.args))
-    return p
+def _collapses(facts, F: PosetExpr) -> list[tuple]:
+    """(fact, from, to) for each of ``facts`` saying that F collapses from to to."""
+    return [(f, f.operands[1], f.operands[2]) for f in facts
+            if f.kind == "Collapses" and f.operands[0] == F]
 
 
 class _Engine:
@@ -121,7 +113,6 @@ class _Engine:
         self.fb = fb or closure(self.hyps, registry, extra_exprs=self._candidates())
         self.facts: dict[tuple, ForcingFact] = {}
         self.blocked: list[tuple[str, list[str]]] = []
-        self.notes: list[str] = []
         self._sub_cache: dict[OrdinalTerm, AnalysisReport] = {}
 
     # -- candidate expressions the rules may query -----------------------------
@@ -158,10 +149,8 @@ class _Engine:
 
     def fact_key(self, kind: str, operands: tuple) -> tuple:
         """Facts are one fact when their kinds and resolved operands are equal."""
-        fb = self.fb
-        return (kind, tuple(fb.resolve(o) if isinstance(o, CardinalExpr)
-                            else resolve_poset(o, fb) if isinstance(o, PosetExpr)
-                            else o for o in operands))
+        resolve = self.fb.resolve
+        return (kind, tuple([substitute(o, resolve) for o in operands]))
 
     def emit(self, kind: str, operands: tuple, steps: tuple) -> ForcingFact:
         key = self.fact_key(kind, operands)
@@ -221,7 +210,7 @@ class _Engine:
                 resolutions[render_expr(e)] = render_expr(r)
         return AnalysisReport(
             alpha=self.alpha, hypotheses=self.hyps, factorization=self.whole,
-            notes=self.notes, facts=list(self.facts.values()),
+            notes=[], facts=list(self.facts.values()),
             ro_conclusion=ro_fact, blocked=self.blocked, resolutions=resolutions)
 
     def _factor_poset(self, d: OrdinalTerm) -> PosetExpr:
@@ -297,15 +286,15 @@ class _Engine:
         if label in ("D", "E") and ce is not None and kappa_e is not None:
             self._rule_t52(d, F, kappa_e, ce)
         if a is not None and a.singular and kappa_e is not None and kappa_e != ALEPH0:
-            self._rule_t54(d, F, a)
+            self._rule_t54(F, a)
         if a is not None and a.regular and label in ("D", "E"):
-            self._rule_ex53(d, F, a)
+            self._rule_ex53(F, a)
         rho = _rho(rep)
         if rho is not None:
-            self._rule_f26e(d, F, rho, a, ce)
+            self._rule_f26e(F, rho, a, ce)
         if (a is not None and a.singular and a.declared_cofinality is None
                 and self.has_hyps):
-            self._rule_t58(d, F, a)
+            self._rule_t58(F, a)
         if ce is not None:
             self._rule_f51(d, F, ce)
         if d.is_successor() and self.has_hyps:
@@ -343,7 +332,7 @@ class _Engine:
                   (Step("T5.2", (("delta", pretty(d)),),
                         (("case", d, self.reports[d].label),) + used),))
 
-    def _rule_t54(self, d, F, a) -> None:
+    def _rule_t54(self, F, a) -> None:
         ae = atom_expr(a)
         cfe = atom_expr(a.declared_cofinality)  # the caller has cf(a) > w
         used = self.check("T5.4", [("lt", pow2_of(cfe), ae), ("lt", cfe, pow2_of(cfe)),
@@ -362,7 +351,7 @@ class _Engine:
                   (Step("T5.4", (("kappa", a.name),), (("fact", coll),) + used),
                    Step("F5.1", (("lambda", "w"),), (("fact", coll),))))
 
-    def _rule_ex53(self, d, F, a) -> None:
+    def _rule_ex53(self, F, a) -> None:
         ae = atom_expr(a)
         ccx = cc_cp_of(ae)
         # the equality decides; it is reported unknown only when the bound does not hold
@@ -373,7 +362,7 @@ class _Engine:
             self.emit("RoIso" if iso else "RoNotIso", (F, col(ALEPH0, pow2_of(ae))),
                       (Step("Ex5.3", (("kappa", a.name),), iso or not_iso),))
 
-    def _rule_f26e(self, d, F, rho, a, ce) -> None:
+    def _rule_f26e(self, F, rho, a, ce) -> None:
         ccx = cc_cp_of(rho)
         # the universe's atoms in skey order: an atom outside it entails no relation
         candidates = [x for x in self.fb.nodes if x.kind == "atom"]
@@ -403,10 +392,7 @@ class _Engine:
     def _rule_f51(self, d, F, ce) -> None:
         target = pow2_of(ce)
         # lambda = w route: an existing collapse of 2^|delta| to w
-        for fact in list(self.facts.values()):
-            if fact.kind != "Collapses" or fact.operands[0] != F:
-                continue
-            frm, to = fact.operands[1], fact.operands[2]
+        for fact, frm, to in _collapses(self.facts.values(), F):
             used = self.check("F5.1", [("eq", to, ALEPH0), ("eq", frm, target)],
                               report=False)
             if used is not None:
@@ -421,10 +407,7 @@ class _Engine:
         sig = self.has_fact("SigmaClosed", (F,))
         if sig is None:
             return
-        for fact in list(self.facts.values()):
-            if fact.kind != "Collapses" or fact.operands[0] != F:
-                continue
-            frm, to = fact.operands[1], fact.operands[2]
+        for fact, frm, to in _collapses(self.facts.values(), F):
             used = self.check("F5.1", [("eq", frm, target), ("eq", to, W1)],
                               report=self.has_hyps)
             if used is None:
@@ -451,14 +434,9 @@ class _Engine:
         subF = self._factor_poset(d0)
         route = None
         witness = None
-        sub_sigma = None
-        for fact in sub.facts:
-            if fact.kind == "SigmaClosed" and fact.operands[0] == subF:
-                sub_sigma = fact
-        for fact in sub.facts:
-            if fact.kind != "Collapses" or fact.operands[0] != subF:
-                continue
-            frm, to = fact.operands[1], fact.operands[2]
+        sub_sigma = next((f for f in sub.facts
+                          if f.kind == "SigmaClosed" and f.operands[0] == subF), None)
+        for fact, frm, to in _collapses(sub.facts, subF):
             if self.check("T5.6", [("eq", frm, target)], report=False) is None:
                 continue
             if self.fb.resolve(to) == ALEPH0:
@@ -485,7 +463,7 @@ class _Engine:
                         ((("subfact", d0, sub_sigma),) if sub_sigma and
                          route == "sigma-closed-collapse-to-w1" else ()))))
 
-    def _rule_t58(self, d, F, a) -> None:
+    def _rule_t58(self, F, a) -> None:
         ae = atom_expr(a)
         used = self.check("T5.8", [("eq", exp_of(ae, ALEPH0), pow2_of(ae))])
         if used is None:
@@ -536,17 +514,12 @@ class _Engine:
                 return
 
     def _pick_conclusion(self) -> ForcingFact | None:
-        whole = resolve_poset(self.whole, self.fb)
-        best = None
-        for (kind, operands), fact in self.facts.items():
-            if kind != "RoIso" or operands[0] != whole:
-                continue
-            rhs = fact.operands[1]
-            if isinstance(rhs, PosetExpr) and rhs.kind == "col":
-                return fact
-            if best is None:
-                best = fact
-        return best
+        """The first isomorphism of sq(P(alpha)) with a collapsing algebra, else its
+        first isomorphism, else None."""
+        whole = substitute(self.whole, self.fb.resolve)
+        isos = [f for (kind, ops), f in self.facts.items()
+                if kind == "RoIso" and ops[0] == whole]
+        return ([f for f in isos if f.operands[1].kind == "col"] or isos or [None])[0]
 
 
 def analyze(alpha: OrdinalTerm, hyps, registry: AtomRegistry) -> AnalysisReport:

@@ -234,7 +234,7 @@ def power(a: OrdinalTerm, b: OrdinalTerm) -> OrdinalTerm:
                 fq: Exponent = nat(f.tail - 1)
             else:
                 fq = f  # 1 + f = f for infinite f
-            q = add(q, omega_power(fq, t) if not (isinstance(fq, OrdinalTerm) and fq.is_zero()) else nat(t))
+            q = add(q, omega_power(fq, t))
         return mul(omega_power(q), nat(_nat_pow(a.tail, b.tail)))
     e0 = a.summands[0][0]
     limit_part = OrdinalTerm(b.summands, 0)

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from copyposet.atoms import AtomRegistry
-from copyposet.parser import parse_term
+from copyposet import cli
+from copyposet.parser import parse_card, parse_term
 from copyposet.classify import classify_exponent, fundamental_description, instantiate
 from copyposet.terms import (
     OMEGA, OrdinalError, add, cnf_base, cofinality, compare, from_atom, nat, pretty,
@@ -105,6 +106,35 @@ def test_schema_expr_matches_builder(registry):
         for n in range(3):
             env = {schema.var: nat(n)}
             assert parse_term(schema.expr, registry, env=env) == instantiate(schema, n)
+
+
+@pytest.mark.parametrize("text,decls,line", [
+    ("n*w + n", ["n rank 5"], "sequence: t(n_) = n*n_ + n for n_ < w"),
+    ("xi^2", ["xi rank 5"], "sequence: t(xi_) = xi*xi_ + xi for xi_ < xi"),
+    # an atom named only as the declared cofinality of one in delta
+    ("mu", ["xi rank 5", "mu rank 9 singular cf xi"],
+     "sequence: t(xi_) = xi^((cofseq_mu(xi_))+1) for xi_ < xi"),
+])
+def test_schema_variable_names_no_atom(text, decls, line, capsys):
+    """A schema's variable is n or xi with "_" appended until it names no atom of
+    delta nor a declared cofinality of one; its expression still parses back."""
+    argv = ["classify", text]
+    for decl in decls:
+        argv += ["--card", decl]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == line
+    registry = AtomRegistry()
+    for decl in decls:
+        parse_card(decl, registry)
+    delta = parse_term(text, registry)
+    schemas = [classify_exponent(delta).schema, fundamental_description(delta)]
+    for schema in schemas:
+        assert schema.var.rstrip("_") in ("n", "xi") and registry.lookup(schema.var) is None
+        if schema.symbolic_only:
+            continue
+        for k in range(3):
+            env = {schema.var: nat(k)}
+            assert parse_term(schema.expr, registry, env=env) == instantiate(schema, k)
 
 
 def _random_exponents(count, seed):

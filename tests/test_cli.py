@@ -491,6 +491,23 @@ def test_pinned_test_dependencies_agree():
     assert pins[0] == pins[1] == pins[2]
 
 
+def test_readme_cli_examples_print_their_comments(capsys):
+    """Every `copyposet ... # -> X` line of the README's CLI section prints X as its
+    first line, run in process; the section's `NAME='...'` lines set the shell
+    variables its commands quote as "$NAME"."""
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("## CLI", 1)[1].split("\n## ", 1)[0]
+    shell = dict(re.findall(r"^(\w+)='(.*)'$", section, re.M))
+    examples = re.findall(r"^copyposet (.*?)\s+# -> (.*)$", section, re.M)
+    assert len(examples) >= 6
+    for command, expected in examples:
+        for name, value in shell.items():
+            command = command.replace(f'"${name}"', shlex.quote(value))
+        code, out, err = run(capsys, *shlex.split(command))
+        assert (code, err, out.splitlines()[0]) == (0, "", expected), command
+
+
 def test_package_import_defers_the_analyzer():
     """`import copyposet` loads neither the closure nor the rule engine; the first
     access to one of their names loads its module alone."""

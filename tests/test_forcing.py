@@ -12,7 +12,7 @@ def test_factorize_example(registry):
     alpha = parse_term("w^(w_2)*2 + w^3 + 5", registry)
     p = factorize(alpha)
     assert p.kind == "prod"
-    (f1, m1), (f2, m2) = p.factors
+    (f1, m1), (f2, m2) = p.operands
     assert (m1, m2) == (2, 1)
     assert render_poset(f1) == "sq(P(w_2))"
     assert render_poset(f2) == "sq(P(w^3))"
@@ -32,9 +32,9 @@ def test_factorize_rejects_finite(registry):
 def test_rp_refine(registry):
     delta = parse_term("w_1", registry)
     p0 = rp_refine(delta, 0)
-    assert p0.kind == "pos" and p0.args[0].kind == "quot"
+    assert p0.kind == "pos" and p0.operands[0].kind == "quot"
     p2 = rp_refine(delta, 2)
-    assert p2.args[0].kind == "rp" and p2.args[0].n == 2
+    assert p2.operands[0].kind == "rp" and p2.operands[0].operands[0] == 2
     assert "rp^2" in render_poset(p2)
     # the countable case: sq P(w^(w+1)) through one reduced power of P(w^w)/I
     p1 = rp_refine(parse_term("w", registry), 1)
