@@ -52,61 +52,75 @@ class _CliDomainError(ValueError):
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser; given a subcommand's name, with that subparser alone.
-    argparse gives the first argument that is not an option to the subcommand, so an
-    argv that starts with the name parses the same with either, help and errors
-    included; the lean one builds 4 parsers for a grammar command, not 19."""
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=("text", "json"), default="text")
-    common = argparse.ArgumentParser(add_help=False, parents=[fmt])
-    common.add_argument("--card", action="append", default=[], metavar="DECL",
-                        help="atom declaration: 'name rank K [singular cf ATOM]'")
-    common.add_argument("--assume", action="append", default=[], metavar="HYP",
-                        help="inline hypothesis line")
-    common.add_argument("--assume-file", action="append", default=[], metavar="PATH")
-
+    """The whole command-line grammar, or given a subcommand's name, that subcommand's
+    parser alone: a top-level parser with the prog and arguments it has in the whole
+    grammar. argparse hands every argument after the subcommand's name to the
+    subcommand's parser, so this parser parses such an argv as the whole grammar
+    does, help and errors included, save arguments it leaves over, which the whole
+    grammar's top level reports (``_parse_line`` parses again for those). A grammar
+    subcommand is 1 parser and ``copies`` 7, its level and its six lab subcommands;
+    the whole grammar is 17."""
+    if command is not None:
+        p = argparse.ArgumentParser(prog=f"copyposet {command}")
+        _add_arguments(p, command)
+        return p
     top = argparse.ArgumentParser(prog="copyposet", usage=_USAGE,
                                   description="poset-of-copies workbench")
     top.add_argument("--batch", metavar="PATH",
                      help="run one sub-invocation per line of PATH")
     sub = top.add_subparsers(dest="command", prog="copyposet")
-    for name in _COMMANDS if command is None else (command,):
-        if name == "copies":
-            _add_copies(sub.add_parser(name, help=_COMMANDS[name]), fmt)
-            continue
-        p = sub.add_parser(name, parents=[common], help=_COMMANDS[name])
-        if name == "cmp":
-            p.add_argument("left")
-            p.add_argument("right")
-        elif name == "rules":
-            p.add_argument("rule_id", nargs="?")
-        else:
-            p.add_argument("expr")
-        if name == "cnfbase":
-            p.add_argument("--base", required=True, metavar="ATOM")
+    for name in _COMMANDS:
+        _add_arguments(sub.add_parser(name, help=_COMMANDS[name]), name)
     return top
 
 
-def _add_copies(cop: argparse.ArgumentParser, fmt: argparse.ArgumentParser) -> None:
+def _add_format(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=("text", "json"), default="text")
+
+
+def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
+    if name == "copies":
+        _add_copies(p)
+        return
+    _add_format(p)
+    p.add_argument("--card", action="append", default=[], metavar="DECL",
+                   help="atom declaration: 'name rank K [singular cf ATOM]'")
+    p.add_argument("--assume", action="append", default=[], metavar="HYP",
+                   help="inline hypothesis line")
+    p.add_argument("--assume-file", action="append", default=[], metavar="PATH")
+    if name == "cmp":
+        p.add_argument("left")
+        p.add_argument("right")
+    elif name == "rules":
+        p.add_argument("rule_id", nargs="?")
+    else:
+        p.add_argument("expr")
+    if name == "cnfbase":
+        p.add_argument("--base", required=True, metavar="ATOM")
+
+
+def _add_copies(cop: argparse.ArgumentParser) -> None:
     # the lab reads no atoms or hypotheses, so its subcommands take --format only; it
     # follows the subcommand: argparse would overwrite an option given before it with
     # the subcommand's default
     csub = cop.add_subparsers(dest="subcommand", required=True)
-    c = csub.add_parser("type", parents=[fmt])
-    c.add_argument("set")
-    c = csub.add_parser("member", parents=[fmt])
+
+    def lab(name: str) -> argparse.ArgumentParser:
+        c = csub.add_parser(name)
+        _add_format(c)
+        return c
+    lab("type").add_argument("set")
+    c = lab("member")
     c.add_argument("set")
     c.add_argument("--power", type=int, required=True, metavar="M")
-    c = csub.add_parser("subset", parents=[fmt])
+    c = lab("subset")
     c.add_argument("left")
     c.add_argument("right")
-    c = csub.add_parser("fuse", parents=[fmt])
-    c.add_argument("sets", nargs="+")
-    c = csub.add_parser("embed", parents=[fmt])
+    lab("fuse").add_argument("sets", nargs="+")
+    c = lab("embed")
     c.add_argument("set")
     c.add_argument("--rank", type=int, required=True)
-    c = csub.add_parser("reduce", parents=[fmt])
-    c.add_argument("set")
+    lab("reduce").add_argument("set")
 
 
 def _read(path: str) -> str:
@@ -359,11 +373,24 @@ def _dispatch_copies(ns) -> int:
     return 0
 
 
+def _parse_line(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``: the same namespace, or the same help or
+    usage error and SystemExit. An argv that starts with a subcommand's name is parsed
+    by that subcommand's parser alone; only when that parser leaves arguments over,
+    an error the whole grammar's top level reports, is the whole grammar built to
+    parse the argv again."""
+    if argv and argv[0] in _COMMANDS:
+        ns, rest = build_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            ns.batch, ns.command = None, argv[0]
+            return ns
+    return build_parser().parse_args(argv)
+
+
 def _run_one(argv, batch_line: int | None = None) -> int:
     """Run one command line; ``batch_line`` numbers a line of a batch file."""
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        ns = parser.parse_args(argv)
+        ns = _parse_line(argv)
     except SystemExit as exc:
         # argparse reports usage errors itself; keep batch runs alive
         return int(exc.code or 0)
@@ -376,7 +403,7 @@ def _run_one(argv, batch_line: int | None = None) -> int:
             return _USAGE_ERROR
         return _run_batch(ns.batch)
     if not ns.command:
-        parser.print_usage(sys.stderr)
+        build_parser().print_usage(sys.stderr)
         return _USAGE_ERROR
     try:
         return _dispatch(ns)

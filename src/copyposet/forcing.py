@@ -185,7 +185,7 @@ class ForcingFact(Value):
                    if self.resolved else {})}
 
 
-def _operand_text(o) -> str:
+def operand_text(o) -> str:
     if isinstance(o, PosetExpr):
         return render_poset(o)
     if isinstance(o, CardinalExpr):
@@ -214,7 +214,7 @@ _SENTENCES = {
 
 
 def fact_text(f: ForcingFact) -> str:
-    ops = [_operand_text(o) for o in f.operands]
+    ops = [operand_text(o) for o in f.operands]
     for i, text in f.resolved:
         if text != ops[i]:
             ops[i] = f"{ops[i]} (= {text})"

@@ -20,8 +20,8 @@ from .cardexpr import (
 )
 from .cardinals import FactBase, closure
 from .forcing import (
-    ForcingFact, PosetExpr, Step, col, cp, factorize, iteration, poset_to_obj,
-    product, render_poset, ro, rp_refine, sq_copies, substitute,
+    ForcingFact, PosetExpr, Step, col, cp, factorize, iteration, operand_text,
+    poset_to_obj, product, render_poset, ro, rp_refine, sq_copies, substitute,
 )
 from .values import Value
 from .catalog import SCHEMA_VERSION
@@ -156,9 +156,8 @@ class _Engine:
         key = self.fact_key(kind, operands)
         fact = self.facts.get(key)
         if fact is None:
-            resolved = tuple(
-                (i, render_expr(r) if isinstance(r, CardinalExpr) else render_poset(r))
-                for i, (o, r) in enumerate(zip(operands, key[1])) if r != o)
+            resolved = tuple((i, operand_text(r))
+                             for i, (o, r) in enumerate(zip(operands, key[1])) if r != o)
             fact = self.facts[key] = ForcingFact(kind, operands, steps, resolved)
         return fact
 

@@ -8,7 +8,7 @@ import pathlib
 from copyposet.atoms import AtomRegistry
 from copyposet.parser import parse_term
 from copyposet.cardexpr import parse_hypotheses
-from copyposet.forcing import _operand_text
+from copyposet.forcing import operand_text
 from copyposet.rules import analyze
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -60,7 +60,7 @@ def run_scenario(name: str):
 def snapshot(report) -> dict:
     def resolved_ops(f):
         resolved = dict(f.resolved)
-        return [resolved.get(i, t) for i, t in enumerate(map(_operand_text, f.operands))]
+        return [resolved.get(i, t) for i, t in enumerate(map(operand_text, f.operands))]
 
     facts = [{"kind": f.kind, "operands": resolved_ops(f),
               "rules": sorted({s.rule for s in f.trace})}

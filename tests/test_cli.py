@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import copyposet
 from copyposet.atoms import MAX_BUILTIN_INDEX, AtomError, AtomRegistry
+from copyposet.cardinals import MAX_UNIVERSE
 from copyposet.cli import _json_write, build_parser, main
 from copyposet.parser import parse_term
 from copyposet.terms import MAX_SUMMANDS
@@ -358,9 +360,10 @@ def test_batch_lines_are_isolated(tmp_path, capsys):
 
 
 def test_one_line_builds_its_subcommand_alone(capsys, monkeypatch):
-    """A command line builds the parsers of its own subcommand only: for analyze, the
-    --format and --card/--assume parents, the top level and analyze's, where the
-    whole command line grammar takes 19."""
+    """A command line builds the parsers of its own subcommand only: analyze's alone,
+    the lab's level with its six subcommands, where the whole command line grammar
+    takes 17; leftover arguments build the whole grammar, whose top level reports
+    them."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -371,10 +374,17 @@ def test_one_line_builds_its_subcommand_alone(capsys, monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     code, out, _err = run(capsys, "analyze", "w^(w_1+1)")
     assert code == 0 and out.startswith("alpha = w^(w_1 + 1)")
-    assert len(built) == 4
+    assert built == ["copyposet analyze"]
+    built.clear()
+    code, out, _err = run(capsys, "copies", "type", '{"prefix": "", "period": "10"}')
+    assert code == 0 and len(built) == 7
     built.clear()
     build_parser()
-    assert len(built) == 19
+    assert len(built) == 17
+    built.clear()
+    code, out, err = run(capsys, "norm", "w", "extra")
+    assert (code, out) == (2, "") and len(built) == 1 + 17
+    assert err.endswith("copyposet: error: unrecognized arguments: extra\n")
 
 
 def _fresh(script: str) -> list[str]:
@@ -550,6 +560,21 @@ def test_builtin_index_limit(capsys):
     code, _out, _err = run(capsys, "analyze", "w^mu", "--card", "mu rank 5000",
                            "--assume", f"succ(w_{MAX_BUILTIN_INDEX}) < mu")
     assert code == 0
+
+
+def test_closure_universe_limit(capsys):
+    """400 declared atoms with a_i < 2^a_i need a closure of 2,020 expressions, past
+    MAX_UNIVERSE: a usage error within a second, before the closure does its
+    quadratic work (15 s and 620 MB without the limit)."""
+    argv = ["analyze", "w^(a_400+1)"]
+    for i in range(1, 401):
+        argv += ["--card", f"a_{i} rank {1000 * i}", "--assume", f"a_{i} < 2^a_{i}"]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (f"error: the closure needs 2020 cardinal expressions, more than the "
+                   f"limit of {MAX_UNIVERSE}\n")
 
 
 def test_cli_corpus_is_byte_identical():
