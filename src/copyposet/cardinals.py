@@ -120,6 +120,10 @@ class FactBase:
                 raise ContradictionError(f"derived both {render_rel(key)} and equality",
                                          self.chain(_rel_key("eq", lhs, rhs), key))
 
+    def relations(self) -> Iterable[Rel]:
+        """Every relation that holds, as keys (op, lhs, rhs)."""
+        return iter(self.rels)
+
     def holds(self, op: str, lhs: CardinalExpr, rhs: CardinalExpr) -> bool:
         if op in ("eq", "le") and lhs == rhs:
             return True
