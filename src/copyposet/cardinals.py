@@ -3,11 +3,14 @@
 The closure is sound and deliberately incomplete: rules fire over the finite
 universe of declared expressions plus subexpressions (and a one-step layer of
 successors / cofinalities the rules need), never inventing unbounded towers.
-Every derived relation carries a provenance chain for auditing. The expressions
-and the hypothesis grammar are in ``cardexpr``.
+Every relation has a derivation for auditing: a stored one carries its rule and
+premises, and one of the order's transitivity alone, kept as a bit, is rebuilt
+from stored ones when asked. The expressions and the hypothesis grammar are in
+``cardexpr``.
 """
 from __future__ import annotations
 
+from collections import deque
 from operator import attrgetter
 from collections.abc import Iterable
 
@@ -67,16 +70,18 @@ class FactBase:
     def __init__(self, hyps: tuple[Hypothesis, ...], universe: set[CardinalExpr]):
         self.hyps = hyps
         self.universe = universe
+        # the relations stored with their provenance (rule, premises), in the order
+        # derived: every equality, and each le/lt relation a rule other than le-trans,
+        # order-trans and lt-weaken concluded first
         self.rels: dict[Rel, tuple[str, tuple]] = {}
-        # indices over rels: equality neighbours in insertion order, and ids 0..n-1
-        # for the universe in skey order with bit rows, bit j of above[op][i] and bit
-        # i of below[op][j] marking the key (op, nodes[i], nodes[j]); every le/lt
-        # relation lies inside the universe
+        # equality neighbours in insertion order, and ids 0..n-1 for the universe in
+        # skey order: bit j of above[op][i] says (op, nodes[i], nodes[j]) holds, stored
+        # or derived by transitivity. Every le/lt relation lies inside the universe,
+        # and the lt rows lie inside the le rows
         self.eq_nbrs: dict[CardinalExpr, dict[CardinalExpr, None]] = {}
         self.nodes = sorted(universe, key=_SKEY)
         self.ids = {x: i for i, x in enumerate(self.nodes)}
         self.above = {op: [0] * len(self.nodes) for op in ("le", "lt")}
-        self.below = {op: [0] * len(self.nodes) for op in ("le", "lt")}
         # the image ids of each node, by id, built once: no rule stores an image
         # outside the universe
         self.images = [_images(x, self.ids) for x in self.nodes]
@@ -98,36 +103,43 @@ class FactBase:
         self.eq_nbrs.setdefault(lhs, {})[rhs] = None
         self.eq_nbrs.setdefault(rhs, {})[lhs] = None
         for known in (("lt", lhs, rhs), ("lt", rhs, lhs)):
-            if known in rels:
+            if self.holds(*known):
                 raise ContradictionError(
                     f"derived both equality and strict order for {render_rel(key)}",
                     self.chain(known, key))
 
     def store(self, op: str, i: int, j: int, rule: str, premises: tuple) -> None:
         """Store (op, nodes[i], nodes[j]), an le or lt relation whose bit the caller
-        has just read unset. A strict order that closes x < x or meets an equality is
-        stored, then raised."""
+        has just read unset, and set its bit, a strict order's in the le row too. A
+        strict order that closes x < x or meets an equality is stored, then raised;
+        the rule loop checks the strict-order bits transitivity sets."""
         lhs, rhs = self.nodes[i], self.nodes[j]
-        key = (op, lhs, rhs)
-        self.rels[key] = (rule, premises)
-        self.above[op][i] |= 1 << j
-        self.below[op][j] |= 1 << i
+        self.rels[(op, lhs, rhs)] = (rule, premises)
+        self.above["le"][i] |= 1 << j
         if op == "lt":
-            if i == j:
-                raise ContradictionError(f"derived {render_rel(key)}", self.chain(key))
-            # the chain derives the relation already known first, then the new one
-            if rhs in self.eq_nbrs.get(lhs, ()):
-                raise ContradictionError(f"derived both {render_rel(key)} and equality",
-                                         self.chain(_rel_key("eq", lhs, rhs), key))
+            self.above["lt"][i] |= 1 << j
+            if i == j or rhs in self.eq_nbrs.get(lhs, ()):
+                _raise_strict(self, lhs, rhs)
 
     def relations(self) -> Iterable[Rel]:
-        """Every relation that holds, as keys (op, lhs, rhs)."""
-        return iter(self.rels)
+        """Every relation that holds, as keys (op, lhs, rhs): the equalities, then the
+        le and lt bits."""
+        yield from (k for k in self.rels if k[0] == "eq")
+        nodes = self.nodes
+        for op, rows in self.above.items():
+            for x, row in zip(nodes, rows):
+                while row:
+                    low = row & -row
+                    yield (op, x, nodes[low.bit_length() - 1])
+                    row ^= low
 
     def holds(self, op: str, lhs: CardinalExpr, rhs: CardinalExpr) -> bool:
         if op in ("eq", "le") and lhs == rhs:
             return True
-        return _rel_key(op, lhs, rhs) in self.rels
+        if op == "eq":
+            return _rel_key(op, lhs, rhs) in self.rels
+        i, j = self.ids.get(lhs), self.ids.get(rhs)
+        return i is not None and j is not None and self.above[op][i] >> j & 1 == 1
 
     def entails_rel(self, op: str, lhs: CardinalExpr, rhs: CardinalExpr) -> str:
         if self.holds(op, lhs, rhs):
@@ -140,24 +152,85 @@ class FactBase:
             return "no"
         return "unknown"
 
-    def chain(self, *keys: Rel) -> list[str]:
-        """Derivations of the keys, in order, each premise before its first use."""
-        out: list[str] = []
+    def derivation(self, *keys: Rel) -> list[tuple[Rel, str, tuple]]:
+        """(relation, rule, premises) lines deriving the keys, in order, each premise
+        on an earlier line unless it is x = x or x <= x. A stored relation shows its
+        provenance. A relation of transitivity alone is rebuilt, through le-trans,
+        order-trans and lt-weaken, from a shortest path of stored le/lt relations,
+        each stored before the relation that cites it: the rule loop sets a bit only
+        from the bits of relations stored already, so there is such a path, and every
+        chain is finite and replays."""
+        rels, ids, above = self.rels, self.ids, self.above
+        pos = {k: n for n, k in enumerate(rels)}
+        edges: dict[CardinalExpr, list[Rel]] = {}
+        for k in rels:
+            if k[0] != "eq":
+                edges.setdefault(k[1], []).append(k)
+        out: list[tuple[Rel, str, tuple]] = []
         seen: set = set()
 
-        def walk(k: Rel) -> None:
-            if k in seen or k not in self.rels:
+        def walk(k: Rel, bound: int) -> None:
+            if k in seen:
                 return
-            seen.add(k)
-            rule, premises = self.rels[k]
-            for p in premises:
-                if isinstance(p, tuple):
-                    walk(p)
-            out.append(f"{render_rel(k)}  [{rule}]")
+            if k in rels:
+                rule, premises = rels[k]
+                for p in premises:
+                    walk(p, pos[k])
+                seen.add(k)
+                out.append((k, rule, premises))
+                return
+            op, a, c = k
+            if op == "eq" or op == "le" and a is c or not above[op][ids[a]] >> ids[c] & 1:
+                return
+            path = shortest_path(a, c, op == "lt", bound)
+            for e in path:
+                walk(e, bound)
+            cur = path[0]
+            for e in path[1:]:
+                if cur[0] == "lt" == e[0]:
+                    cur = derived(("le", a, cur[2]), "lt-weaken", (cur,), bound)
+                step = "lt" if "lt" in (cur[0], e[0]) else "le"
+                cur = derived((step, a, e[2]), "order-trans" if step == "lt" else "le-trans",
+                              (cur, e), bound)
+            if cur != k:
+                derived(k, "lt-weaken", (cur,), bound)
+
+        def derived(k: Rel, rule: str, premises: tuple, bound: int) -> Rel:
+            if k in rels and pos[k] < bound:
+                walk(k, bound)
+            elif k not in seen:
+                seen.add(k)
+                out.append((k, rule, premises))
+            return k
+
+        def shortest_path(a, c, strict: bool, bound: int) -> list[Rel]:
+            # breadth first over (node, whether the path so far has an lt step)
+            prev: dict[tuple, tuple | None] = {(a, False): None}
+            queue = deque(prev)
+            while queue:
+                state = queue.popleft()
+                for e in edges.get(state[0], ()):
+                    if pos[e] >= bound:
+                        continue
+                    nxt = (e[2], state[1] or e[0] == "lt")
+                    if e[2] is c and (nxt[1] or not strict):
+                        path = [e]
+                        while prev[state] is not None:
+                            state, edge = prev[state]
+                            path.append(edge)
+                        return path[::-1]
+                    if nxt not in prev:
+                        prev[nxt] = (state, e)
+                        queue.append(nxt)
+            raise AssertionError(f"no stored path from {render_expr(a)} to {render_expr(c)}")
 
         for key in keys:
-            walk(key)
+            walk(key, len(rels))
         return out
+
+    def chain(self, *keys: Rel) -> list[str]:
+        """Derivations of the keys, in order, each premise before its first use."""
+        return [f"{render_rel(k)}  [{rule}]" for k, rule, _premises in self.derivation(*keys)]
 
     def resolve(self, x: CardinalExpr) -> CardinalExpr:
         """Most canonical member of x's equality class (atoms first): descend to the
@@ -315,22 +388,29 @@ def closure(hyps: Iterable[Hypothesis], registry: AtomRegistry,
 
 
 def _run_rules(fb: FactBase) -> None:
-    """Semi-naive rounds (Bancilhon & Ramakrishnan 1986): the relation rules join
-    only the relations stored since the previous round (the delta) against all
-    stored ones, through the bit rows; the per-node rules re-check the universe.
-    Every stored le/lt relation lies inside the universe: the hypotheses' operands
-    are in it, and the rules below only store images that are. The loop works on
-    universe ids: a rule concluding le or lt reads the conclusion's bit just before
-    it stores the relation through ``FactBase.store``, the one store path of ``add``
-    too (a join reads its row mask once, as each of its stores sets only the bit of
-    its own, distinct conclusion), so the stored order and provenance are those of
-    calling ``add`` every time."""
+    """Rounds until one derives nothing. A round runs the per-node rules, then the
+    rules of the equalities stored since the last round (the delta, as in semi-naive
+    evaluation: Bancilhon & Ramakrishnan 1986), then one pass over the order's bit
+    rows. Every stored le/lt relation lies inside the universe: the hypotheses'
+    operands are in it, and the rules below only store images that are.
+
+    The order is kept as its transitive closure in the rows of ``fb.above``
+    (Warren 1975): le-trans, order-trans and lt-weaken only set bits, and every other
+    rule reads a conclusion's bit before it stores the relation with its provenance
+    through ``FactBase.store``. A row's bits not yet done are its delta. The pass
+    takes each row's delta until there is none: it ORs in the rows its new bits
+    point to (the forward join), applies the rules of one le or lt relation to each
+    new bit in one loop, and then ORs the row into the rows whose done bits point to
+    it (the backward join), so each bit is joined and ruled on once."""
     uni = fb.universe
-    rels, ids, nodes, images, add, store = (
-        fb.rels, fb.ids, fb.nodes, fb.images, fb.add, fb.store)
-    le_above, lt_above = fb.above["le"], fb.above["lt"]
-    le_below, lt_below = fb.below["le"], fb.below["lt"]
+    rels, ids, nodes, images, add, store, eq_nbrs = (
+        fb.rels, fb.ids, fb.nodes, fb.images, fb.add, fb.store, fb.eq_nbrs)
+    le, lt = fb.above["le"], fb.above["lt"]
     exps = [x for x in nodes if x.kind == "exp"]
+    n = len(nodes)
+    le_done, lt_done = [0] * n, [0] * n
+    # bit i of le_below[k] (lt_below[k]) marks bit k of row i done as le (lt)
+    le_below, lt_below = [0] * n, [0] * n
 
     def emit(op, l, r_, rule, *prem):
         # an operand outside the universe, or None from a lookup, stores nothing
@@ -339,85 +419,122 @@ def _run_rules(fb: FactBase) -> None:
 
     done = 0
     for round_no in range(100):
+        size = len(rels)
+        _node_rules(fb, emit, round_no == 0)
         delta = list(rels)[done:]
         done += len(delta)
-        _node_rules(fb, emit, round_no == 0)
         for key in delta:
             op, a, b = key
-            prem = (key,)
-            if op == "eq":
-                # a GCH equation may name a node outside the universe
-                ia, ib = ids.get(a), ids.get(b)
-                img_a = _images(a, ids) if ia is None else images[ia]
-                img_b = _images(b, ids) if ib is None else images[ib]
-                if ia is not None and ib is not None:
-                    if not le_above[ia] >> ib & 1:
-                        store("le", ia, ib, "eq-weaken", prem)
-                    if not le_above[ib] >> ia & 1:
-                        store("le", ib, ia, "eq-weaken", prem)
-                # congruence under equality for applied constructors
-                for la, lb in zip(img_a[:5], img_b[:5]):
-                    if la != lb and la is not None and lb is not None:
-                        add("eq", nodes[la], nodes[lb], "congruence", prem)
-                # looked up, not built: an exp that is not live is no node
-                for x in exps:
-                    xb, xe = x.args
-                    for old, new in ((a, b), (b, a)):
-                        if xb is old or xe is old:
-                            cand = find("exp", args=(new if xb is old else xb,
-                                                     new if xe is old else xe))
-                            if cand in uni:
-                                add("eq", x, cand, "congruence", prem)
+            if op != "eq":
                 continue
-            ia, ib = ids[a], ids[b]
-            sa, pa = images[ia][:2]
-            sb, pb, _cf, _weak, _cc, pred_b = images[ib]
-            if op == "lt":
-                if not le_above[ia] >> ib & 1:
-                    store("le", ia, ib, "lt-weaken", prem)
-                # y < succ(x) gives y <= x
-                if pred_b is not None and not le_above[ia] >> pred_b & 1:
-                    store("le", ia, pred_b, "below-successor", prem)
-                if sa is not None and not le_above[sa] >> ib & 1:
-                    store("le", sa, ib, "no-between", prem)
-                c_above, c_below, rule = lt_above, lt_below, "order-trans"
-            else:
-                if a is not b and le_above[ib] >> ia & 1:
-                    add("eq", a, b, "antisymmetry", (key, ("le", b, a)))
-                c_above, c_below, rule = le_above, le_below, "le-trans"
-            # succ-mono and the join through the stored <= conclude the delta's op,
-            # whose rows c_above and c_below hold what is stored already
-            if sa is not None and sb is not None and not c_above[sa] >> sb & 1:
-                store(op, sa, sb, "succ-mono", prem)
-            if pa is not None and pb is not None and not le_above[pa] >> pb & 1:
-                store("le", pa, pb, "pow2-mono", prem)
-            # a op b <= c and x <= a op b; the row masks leave out the conclusions
-            # already stored (lt with lt goes through lt-weaken)
-            mask = le_above[ib] & ~c_above[ia]
-            while mask:
-                k = (mask & -mask).bit_length() - 1
-                mask &= mask - 1
-                store(op, ia, k, rule, (key, ("le", b, nodes[k])))
-            mask = le_below[ia] & ~c_below[ib]
-            while mask:
-                k = (mask & -mask).bit_length() - 1
-                mask &= mask - 1
-                store(op, k, ib, rule, (("le", nodes[k], a), key))
-            if op == "le":
-                # order-trans: a <= b < c and x < a <= b
-                mask = lt_above[ib] & ~lt_above[ia]
+            prem = (key,)
+            # a GCH equation may name a node outside the universe
+            ia, ib = ids.get(a), ids.get(b)
+            img_a = _images(a, ids) if ia is None else images[ia]
+            img_b = _images(b, ids) if ib is None else images[ib]
+            if ia is not None and ib is not None:
+                if not le[ia] >> ib & 1:
+                    store("le", ia, ib, "eq-weaken", prem)
+                if not le[ib] >> ia & 1:
+                    store("le", ib, ia, "eq-weaken", prem)
+            # congruence under equality for applied constructors
+            for la, lb in zip(img_a[:5], img_b[:5]):
+                if la != lb and la is not None and lb is not None:
+                    add("eq", nodes[la], nodes[lb], "congruence", prem)
+            # looked up, not built: an exp that is not live is no node
+            for x in exps:
+                xb, xe = x.args
+                for old, new in ((a, b), (b, a)):
+                    if xb is old or xe is old:
+                        cand = find("exp", args=(new if xb is old else xb,
+                                                 new if xe is old else xe))
+                        if cand in uni:
+                            add("eq", x, cand, "congruence", prem)
+
+        moved = False
+        for i in range(n - 1, -1, -1):
+            if le[i] == le_done[i] and lt[i] == lt_done[i]:
+                continue
+            moved = True
+            x, bit_i = nodes[i], 1 << i
+            sa, pa = images[i][:2]
+            while True:
+                new_le, new_lt = le[i] & ~le_done[i], lt[i] & ~lt_done[i]
+                if not (new_le or new_lt):
+                    break
+                le_done[i] |= new_le
+                lt_done[i] |= new_lt
+                join_le = join_lt = 0
+                if new_lt:
+                    equal = bit_i
+                    for y in eq_nbrs.get(x, ()):
+                        if y in ids:
+                            equal |= 1 << ids[y]
+                    if new_lt & equal:
+                        _raise_strict(fb, x, nodes[(new_lt & equal).bit_length() - 1])
+                mask = new_lt
                 while mask:
-                    k = (mask & -mask).bit_length() - 1
-                    mask &= mask - 1
-                    store("lt", ia, k, "order-trans", (key, ("lt", b, nodes[k])))
-                mask = lt_below[ia] & ~lt_below[ib]
+                    low = mask & -mask
+                    mask ^= low
+                    k = low.bit_length() - 1
+                    join_lt |= le[k]  # x < k <= y
+                    lt_below[k] |= bit_i
+                    sb, _pb, _cf, _weak, _cc, pred_k = images[k]
+                    prem = (("lt", x, nodes[k]),)
+                    # y < succ(z) gives y <= z, and y < z gives succ(y) <= z
+                    if pred_k is not None and not le[i] >> pred_k & 1:
+                        store("le", i, pred_k, "below-successor", prem)
+                    if sa is not None:
+                        if not le[sa] >> k & 1:
+                            store("le", sa, k, "no-between", prem)
+                        if sb is not None and not lt[sa] >> sb & 1:
+                            store("lt", sa, sb, "succ-mono", prem)
+                mask = new_le
                 while mask:
-                    k = (mask & -mask).bit_length() - 1
-                    mask &= mask - 1
-                    store("lt", k, ib, "order-trans", (("lt", nodes[k], a), key))
-        if len(rels) == done:
+                    low = mask & -mask
+                    mask ^= low
+                    k = low.bit_length() - 1
+                    join_le |= le[k]  # x <= k <= y
+                    join_lt |= lt[k]  # x <= k < y
+                    le_below[k] |= bit_i
+                    sb, pb = images[k][:2]
+                    prem = (("le", x, nodes[k]),)
+                    if k != i and le[k] >> i & 1:
+                        add("eq", x, nodes[k], "antisymmetry", (prem[0], ("le", nodes[k], x)))
+                    if sa is not None and sb is not None and not le[sa] >> sb & 1:
+                        store("le", sa, sb, "succ-mono", prem)
+                    if pa is not None and pb is not None and not le[pa] >> pb & 1:
+                        store("le", pa, pb, "pow2-mono", prem)
+                le[i] |= join_le | join_lt
+                lt[i] |= join_lt
+            row_le, row_lt = le[i], lt[i]
+            mask = le_below[i] & ~bit_i
+            while mask:  # z <= x <= y and z <= x < y
+                low = mask & -mask
+                mask ^= low
+                z = low.bit_length() - 1
+                le[z] |= row_le
+                lt[z] |= row_lt
+            mask = lt_below[i] & ~bit_i
+            while mask:  # z < x <= y
+                low = mask & -mask
+                mask ^= low
+                z = low.bit_length() - 1
+                le[z] |= row_le
+                lt[z] |= row_le
+        if not moved and len(rels) == size:
             return
     raise HypothesisError("closure did not reach a fixpoint within bounds")
+
+
+def _raise_strict(fb: FactBase, x: CardinalExpr, y: CardinalExpr) -> None:
+    """Raise the contradiction of a derived x < y where x = y, or x < x."""
+    key = ("lt", x, y)
+    if x is y:
+        raise ContradictionError(f"derived {render_rel(key)}", fb.chain(key))
+    # the chain derives the equality first, then the strict order
+    raise ContradictionError(f"derived both {render_rel(key)} and equality",
+                             fb.chain(_rel_key("eq", x, y), key))
 
 
 def _node_rules(fb: FactBase, emit, first: bool) -> None:

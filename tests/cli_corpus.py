@@ -11,7 +11,8 @@ The lines are drawn from seeded rounds of the benchmark's three workloads (a
 text and in JSON, plus help, usage errors, option prefixes, ``--batch`` lines and
 JSON lines for a product, the rule table and every other subcommand.
 Regenerate the file only when the output changes on purpose, and name each
-changed line in CHANGES.md:
+changed line in CHANGES.md; the script prints every line whose digest changed (or
+that is new) and counts the lines that kept theirs:
 
     PYTHONPATH=src python3 tests/cli_corpus.py
 """
@@ -139,12 +140,20 @@ def read() -> list[tuple[str, list[str]]]:
 
 
 def main() -> None:
+    old = {shlex.join(argv): sha for sha, argv in read()} if CORPUS.exists() else {}
     argvs = _argvs()
     with corpus_setting():
         lines = [f"{digest(argv)} {shlex.join(argv)}" for argv in argvs]
     header = "# <sha256 of [status, stdout, stderr] as JSON> <argv>; see cli_corpus.py\n"
     CORPUS.write_text(header + "\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {len(lines)} lines to {CORPUS}")
+    kept = 0
+    for number, line in enumerate(lines, 1):
+        sha, _, command = line.partition(" ")
+        if old.get(command) == sha:
+            kept += 1
+        else:
+            print(f"{'changed' if command in old else 'new'}: line {number}: {command}")
+    print(f"wrote {len(lines)} lines to {CORPUS}; {kept} kept their digest")
 
 
 if __name__ == "__main__":

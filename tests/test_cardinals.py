@@ -251,22 +251,22 @@ class TestClosure:
         h2 = h1 + parse_hypotheses("h < c", reg)
         fb1 = closure(h1, reg)
         fb2 = closure(h2, reg)
-        assert set(fb1.rels) <= set(fb2.rels)
+        assert set(fb1.relations()) <= set(fb2.relations())
 
     def test_idempotent(self, reg):
         # refeeding the derived relations adds nothing about the original
         # expressions (the universe itself grows by a derived layer)
         hyps = parse_hypotheses("h < c\nc = w_2\n2^w_1 = w_2", reg)
         fb = closure(hyps, reg)
-        again = [rel(op, l, r_) for (op, l, r_) in fb.rels]
+        again = [rel(op, l, r_) for (op, l, r_) in fb.relations()]
         fb2 = closure(hyps + again, reg)
         u0 = fb.universe
-        restricted = {k for k in fb2.rels if k[1] in u0 and k[2] in u0}
-        assert restricted == set(fb.rels)
+        restricted = {k for k in fb2.relations() if k[1] in u0 and k[2] in u0}
+        assert restricted == set(fb.relations())
 
     def test_provenance_audit(self, reg):
         """A relation stored as a hypothesis is one, and every premise a relation
-        cites is stored; in the second set, cc-tree meets 2^<w, which is w itself."""
+        cites holds; in the second set, cc-tree meets 2^<w, which is w itself."""
         for text in ("h < c\nc = w_2\n2^w_1 = w_2", "cc(CP(w)) = w_2"):
             hyps = parse_hypotheses(text, reg)
             fb = closure(hyps, reg)
@@ -276,8 +276,7 @@ class TestClosure:
                     assert (key[0], key[1], key[2]) in hyp_rels or \
                            (key[0], key[2], key[1]) in hyp_rels
                 for p in premises:
-                    if isinstance(p, tuple):
-                        assert p in fb.rels, (text, key, p)
+                    assert fb.holds(*p), (text, key, p)
 
     def test_cc_bounds_builtin(self, reg):
         fb = closure([], reg, extra_exprs=[cc_cp_of(_w(reg, 1))])
@@ -469,33 +468,33 @@ def _provenance_digest(fb) -> str:
 
 # sha256 of every stored relation with its rule and premises, in stored order: the
 # sorted FIXPOINT_DIGESTS cannot see the order or the provenance move, and the order
-# picks the derivations that traces and contradiction chains print. Generated before
-# the closure loop tested the le/lt bit rows ahead of FactBase.add
+# picks the derivations that contradiction chains print. Generated when the closure
+# came to keep le-trans, order-trans and lt-weaken as bits alone
 PROVENANCE_DIGESTS = {
-    "ex53_negative": "04f62b6d2cb732de2ac2aec7a9abfdb9e844b9a38c67f87ca15c32d97e52214d",
-    "ex57_cohen": "11e6200c2421b203adf96a312a1c1a5c8c516f5ad25ddaa62b0446d9b6d472ec",
-    "saturate_2": "9955c6eee2f2d096124a89376cf83d7fdb6dc0a177a9c77a9da5d4e91e69cfac",
-    "saturate_3": "4776df7d69e30e54475120e80cb2ed66055614276fd5b2d57deb5949ae43206d",
-    "saturate_4": "5e89004be684d58703b80b6bd064cd7f0c80fbb84c583e8156e01ac2f82029e9",
-    "saturate_5": "fe4aadf1baf6f3262dec33ef632da72ea00d6cef4789792fa5aac5484d8ad7c9",
-    "saturate_6": "c19a53ed8627d31a03daccce94d9eb72ef18794ba804210872e25823893cca0f",
-    "saturate_7": "112b1b0f49403167ab48ee3bc923d0341378b06981adcb4d19416bf33796bbec",
-    "saturate_8": "1beb6cbc576bdac23817ef371cb672ca3ea47a29f28d6145eba387d0593d0e4b",
-    "t410_case_a": "d9d4c99cdb63ebbd3456e4649d47e4fb68f77676463689c18b7199fbf36dddac",
-    "t410_case_b": "c2e45046bb1032c4fb3a1cce0071f8ec1555e18fcb54ea9b8a3bd0cf9a9c6b02",
-    "t410_case_d": "d9d4c99cdb63ebbd3456e4649d47e4fb68f77676463689c18b7199fbf36dddac",
-    "t410_case_e": "c2e45046bb1032c4fb3a1cce0071f8ec1555e18fcb54ea9b8a3bd0cf9a9c6b02",
-    "t410_countable": "4ee5ad3a14e4e9bd8b7cbfaa4d3de822be204ce56721b5e8af6b400b13c07ed9",
-    "t52_ch": "787284bfca100b26de6350b03219ca7b459ff687c74cf0a9cfe09e263486136c",
-    "t52_power_pinch": "39d8ddfd530c0bb2a8b5ac23b1eeebaae488ff2fb28bb4815d4c790db6e16aea",
-    "t54_singular": "e752578e79743634a300e3bdd5ba0e75e990cdfdd404a9901eaab79b043d3fef",
-    "t56_n1": "39d8ddfd530c0bb2a8b5ac23b1eeebaae488ff2fb28bb4815d4c790db6e16aea",
-    "t56_n2": "39d8ddfd530c0bb2a8b5ac23b1eeebaae488ff2fb28bb4815d4c790db6e16aea",
-    "t58_mu_a": "2c90c2c30471e06b2d43ac82e0be33d931e8a856d0a906984aca32d9e6f42e89",
-    "t58_mu_b": "35b4dccf9cb2fc5d0ff52d72ce2caa8c8e2a8e04d83de589218a481ac7516164",
-    "t58_mu_c": "8dac029900f19bdfa2689d1385003c7d7826b45748281548f404652a20eeeec3",
-    "t58_mu_d": "5ec163da57b83682f1b5b8e0236c4f8c070a52af27f09e76629419d55602b5d6",
-    "t56_product": "5207360d7637dbdce5d363c58012ff98bb905fef45fc2921974ebd2cf362e550",
+    "ex53_negative": "131e6e41306bf80c0e5735d6aebe4069378661e1f96a5c0f14c6a59ea62555c0",
+    "ex57_cohen": "b0cba9dcdd929291cc91673e08e8fafaf356a70e47d4e66444070d66e745b550",
+    "saturate_2": "20ddaed95214cda60b2d8c604bc590f88123e977adfa62989478aada7d3bd107",
+    "saturate_3": "97e981ecf2029962e95a5b88dae67be9d62289cdf1e004717b48c114f65c1332",
+    "saturate_4": "c30b3b7d14eff4175e797be99b213d078c528ee5b85f81a0ddb9dfff442b4e54",
+    "saturate_5": "c0e113444c1c5bf4d14cb449510f0d1b3f0398b03f3b8be1c6090b48ec959a93",
+    "saturate_6": "885d7309c2f5661b3dc7b048ab5a3f889839b6955c281c18315e9afe8474870b",
+    "saturate_7": "40622561dc4dcf649f6c42bb391df9fcba9ddd59295f2275a493487093842905",
+    "saturate_8": "69f6bdce7fd43b94c454c9486f76c33f9227f159b4ef43d004e372229ac46980",
+    "t410_case_a": "0eab979083e61997b5874a8032de2a04673cf3150e1337b0d3bd07e828808712",
+    "t410_case_b": "8f3be9712e6eb7526090a1354abacecadf6418612e3ae06a0fc8eba30d9b601a",
+    "t410_case_d": "0eab979083e61997b5874a8032de2a04673cf3150e1337b0d3bd07e828808712",
+    "t410_case_e": "8f3be9712e6eb7526090a1354abacecadf6418612e3ae06a0fc8eba30d9b601a",
+    "t410_countable": "68546e0c9c8fce3db8c6f8e6a7ef62c46b2796627c8a25b1c8ead6ed450e8c4b",
+    "t52_ch": "fa835be91e30bd50e39c0b3424e0b9a42f0d73e68bc944ad039d959c95b159f4",
+    "t52_power_pinch": "a994fba4cf39a1f6f745e8967723ffc284f5258951e5dff89dd8025a99c0d735",
+    "t54_singular": "04cb56f5f8b3b320f1d3ea48c0b2a76920cf75bc16a4e36dae657c0dd696af52",
+    "t56_n1": "a994fba4cf39a1f6f745e8967723ffc284f5258951e5dff89dd8025a99c0d735",
+    "t56_n2": "a994fba4cf39a1f6f745e8967723ffc284f5258951e5dff89dd8025a99c0d735",
+    "t58_mu_a": "d2f00aa56e3e53ac5c1d558f8959b74dd95403f9d21595524b53b11716a3887e",
+    "t58_mu_b": "effd0650df913dcc18dac6b2e97c3b70aa1350eaeeeffc71680b591cf38d4925",
+    "t58_mu_c": "17a7f770e86b16a5da82cf37271576c3639fa7c3691f5c7688e37e6a3def6179",
+    "t58_mu_d": "15d7d18ca3fc245a6aa35753f23d74db0c1f1234eefc07c99539255ea1d787ef",
+    "t56_product": "29b4edfe8780950f2e00a8e53e0df6b8266456cb1295e114f510c987b2ef6c8b",
 }
 
 
@@ -556,15 +555,13 @@ def _corpus_group(hyps) -> str:
 
 
 # sha256 of the outcomes of _corpus(_ROUNDTRIP_REG), in order, each followed by a NUL,
-# one digest per _corpus_group. The 266 sets that name neither and the 13 that name
-# cf(c) keep the outcomes they had before the cc-tree fix, and their digests were
-# computed without it: the rest's outcomes date from before the rule loop worked on
-# universe ids, the cf(c) sets' from when Koenig's rule came to cover c. The 21 that
-# name cc(CP(w)) were generated with the fix, which made cc-tree cite no premise for
-# 2^<w = w (it cited w = w, which is never stored)
-CORPUS_DIGEST = "ae9af639927875b27ede57cef81bbfff4d2b8c6f63fb2e8b2ff8871fd586e81c"
-CORPUS_CF_C_DIGEST = "e24e7d4bb69cc9acabbae64221d1e9781b7d768fb961ac91e51597689045f3d2"
-CORPUS_CC_CP_W_DIGEST = "7c1fec86a4ba92f3afab363601f40f5526c6ea8d63cdcf250d25ee5f997e08e9"
+# one digest per _corpus_group: 266 sets name neither, 13 cf(c) (Koenig's rule came to
+# cover c) and 21 cc(CP(w)) (cc-tree came to cite no premise for 2^<w = w). All three
+# were generated when the closure came to keep le-trans, order-trans and lt-weaken as
+# bits alone; RELATION_SET_DIGEST pins what the closures hold
+CORPUS_DIGEST = "50e7d248094ba488ecf54274364d3b2946e363496c46fa589f011e9cab4130a4"
+CORPUS_CF_C_DIGEST = "4142c46285d5e953618316f7118cdfa98fc4b4f0d467342565fb817343b96324"
+CORPUS_CC_CP_W_DIGEST = "85f77311517b63c460ca700b09172d928a47e70410572760ad7dd74d8206efa7"
 
 
 def test_corpus_outcomes_pinned():
@@ -757,40 +754,44 @@ def test_t56_sub_analysis_shares_the_closure(monkeypatch, name):
         assert sub.fb is parent.fb
         fresh = rules._Engine(sub.alpha, hyps, registry).fb
         assert fresh.universe <= parent.fb.universe
-        assert fresh.rels.keys() <= parent.fb.rels.keys()
+        assert set(fresh.relations()) <= set(parent.fb.relations())
         sizes.append(len(fresh.universe))
     assert sizes
     if name == "t56_product":  # both sub-problems, w^(w_2) and w^(w_1)
         assert (sizes, len(parent.fb.universe)) == ([21, 21], 27)
 
 
-# the `derive` benchmark's contradictory sets, and Cantor's theorem broken outright;
-# between them, one set per store of the closure's joins that can raise: order-trans
-# from an le or an lt key, forward (to a stored (b, c)) or backward (from a stored
-# (x, a)), against an equality or closing x < x, and antisymmetry against a strict
-# order. A backward store cannot close x < x, as the forward join of its key finds the
-# cycle first. New entries go in the middle, as test_cli reads the first and the last
-CONTRADICTIONS = [("w^(w_1)", "CH\nc = w_2"),  # lt key, backward, equality
-                  ("w^(w_1+1)", "2^w_1 = w_1"),  # cantor, equality
-                  ("w^w", "h < c\nc = w_1"),  # le key, forward, equality
-                  ("w^w", "w_1 < c\nc = w_1"),  # hypothesis, strict order
-                  ("w^(w_1*w_1)", "w_2 < w_1"),  # lt key, forward, w_2 < w_2
-                  ("w^w", "c < w_1"),  # le key, forward, h < h
-                  ("w^w", "h = w"),  # lt key, forward, equality
-                  ("w^w", "h < c\nc <= w_1"),  # antisymmetry
-                  ("w^w", "2^w = w")]  # le key, backward, equality
-# sha256 of each entry's contradiction chain text, generated with PROVENANCE_DIGESTS;
-# the three before the last, when the corpus pin was added
+# the `derive` benchmark's contradictory sets, Cantor's theorem broken outright, and
+# two sets of their own; between them, every way the closure raises: a stored strict
+# order that closes x < x or meets an equality, a strict order of transitivity alone
+# that does either (its chain rebuilt from stored relations), and an equality that
+# meets a strict order. New entries go in the middle, as test_cli reads the first and
+# the last
+CONTRADICTIONS = [("w^(w_1)", "CH\nc = w_2"),  # transitive strict order, equality
+                  ("w^(w_1+1)", "2^w_1 = w_1"),  # stored strict order (cantor), equality
+                  ("w^w", "h < c\nc = w_1"),  # equality (antisymmetry), strict order
+                  ("w^w", "w_1 < c\nc = w_1"),  # equality (hypothesis), strict order
+                  ("w^(w_1*w_1)", "w_2 < w_1"),  # equality (antisymmetry), atom order
+                  ("w^w", "MA mu=c"),  # stored strict order (MA), c < c
+                  ("w^w", "cc(CP(succ(h))) < w_4\nh < w_3"),  # transitive, x < x
+                  ("w^w", "c < w_1"),  # equality (antisymmetry), strict order
+                  ("w^w", "h = w"),  # equality (congruence), strict order
+                  ("w^w", "h < c\nc <= w_1"),  # equality (antisymmetry), strict order
+                  ("w^w", "2^w = w")]  # equality (antisymmetry), strict order
+# sha256 of each entry's contradiction chain text, generated when the closure came to
+# keep le-trans, order-trans and lt-weaken as bits and rebuild them in chains
 CHAIN_DIGESTS = [
-    "71fd1dbdc38a92ca7840f7196f18ca33dc90cd63ad28410d3ab54888a9a546cb",
+    "8e2d612bb76ddac6eedde969875a2dbc07984c13cfd8b6f412183cfc8b34aeb4",
     "1b0155a4c441613ac3a3bd14b28ef015bdba11d5a236cf656ebfc09ad6b5c920",
-    "7121ae7a423b0379d74b09e4bab4840647d24bbd19c470e2d28947ed84cf5480",
+    "3880e63e93b844c2f54be305c0cfc2fae7dc8a8b749fa07f035ebdc094b59a0a",
     "0279bfc8a7ab9c40fb091f5744c899b88c0527313d7c61eb06be20731b602259",
-    "9687f9f4bede73391fb99c5c3bc94e9e12fdaa32b7763ac78ec83dd27db01da1",
-    "8ffa9361a954e81ebc0c9bda32550c69a93b4cf9345670f2daaafe4e5dcc2917",
-    "2b5f22de712884bd939b9d63ea74e9cb3feee4879ca71914b8a05904a6fe91b1",
-    "e24b423fb9218a7bf6fcdf495818585a5a0be1e7ee72325fd41ddb0788b8ee49",
-    "a5128530ee23460cfe063bd0211b89149e08223cfe736aa1a92694456f6b31cd",
+    "e72a35da0fb15d9baedcbaccfa90ab8f1b617eb9e0f2804ec5a09518f279a5d0",
+    "f6571e8468c9d03f5654e263e0d36f6eeda2e2b2351f941ae1a6494d5e72283f",
+    "cbf8d4586d9928c4d4d364d02f2a098f3b50b57bc5f81a942aa22fd3b45606c2",
+    "00326274e43da4d62dd8d5be520e087a9fddf3878f34d84221202f76f3020b65",
+    "4b32ac10b55e8b7846abe5d4a09c0b888100d572a03f2348a42f9d2901483d07",
+    "472b6b1780ca93f10af4cfb56294fb01694cd854a012169bd1de32f69b51646a",
+    "ae2e5273b050c1c56d70387193084c17c6b145212babeae2c96f88a84adc0f77",
 ]
 
 
@@ -804,40 +805,80 @@ def test_contradiction_chain_pinned(problem, digest):
     assert hashlib.sha256("\n".join(exc.value.chain).encode()).hexdigest() == digest
 
 
+# the rules whose conclusions the closure keeps as bits alone, rebuilt in a chain
+_TRANSITIVE = {"le-trans", "order-trans", "lt-weaken"}
+
+
+def _follows(key, rule, premises) -> bool:
+    """Whether key follows from premises by the transitive rule."""
+    if rule == "lt-weaken":
+        return key[0] == "le" and premises == (("lt", key[1], key[2]),)
+    (op1, a, b), (op2, b2, c) = premises
+    ops, op = ({"le"}, "le") if rule == "le-trans" else ({"le", "lt"}, "lt")
+    return b is b2 and {op1, op2} == ops and key == (op, a, c)
+
+
+def _record_derivations(monkeypatch) -> list:
+    """(fact base, lines) of every FactBase.derivation call from now on."""
+    calls = []
+    real = cardinals.FactBase.derivation
+
+    def recording(self, *keys):
+        calls.append((self, real(self, *keys)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cardinals.FactBase, "derivation", recording)
+    return calls
+
+
+def _check_replays(exc, fb, lines) -> None:
+    """The contradiction's chain is the derivation's lines and replays: each line's
+    premises are on an earlier line (or are x = x or x <= x), a stored line shows its
+    provenance and a rebuilt one follows from its premises by its transitive rule,
+    and the chain ends at the raising relation after the one it conflicts with, or
+    at x < x."""
+    assert [f"{render_rel(k)}  [{rule}]" for k, rule, _p in lines] == exc.chain
+    earlier: list = []
+    for key, rule, premises in lines:
+        for p in premises:
+            assert p in earlier or p[0] != "lt" and p[1] is p[2], (key, p)
+        if rule in _TRANSITIVE:
+            assert _follows(key, rule, premises), (key, rule, premises)
+        else:
+            assert fb.rels[key] == (rule, premises)
+        earlier.append(key)
+    op, a, b = earlier.pop()
+    if op == "eq":
+        assert {("lt", a, b), ("lt", b, a)} & set(earlier)
+    else:
+        assert op == "lt" and (a is b or cardinals._rel_key("eq", a, b) in earlier)
+
+
 @pytest.mark.parametrize("alpha_text,text", CONTRADICTIONS)
 def test_contradiction_chain_shape(monkeypatch, alpha_text, text):
-    """The chain ends at the raising relation and derives every premise before use,
-    so it carries both halves of the conflict."""
-    bases = []
-    real_init = cardinals.FactBase.__init__
-
-    def recording_init(self, *args):
-        real_init(self, *args)
-        bases.append(self)
-
-    monkeypatch.setattr(cardinals.FactBase, "__init__", recording_init)
+    """The chain replays and carries both halves of the conflict."""
+    calls = _record_derivations(monkeypatch)
     reg = AtomRegistry()
     hyps = parse_hypotheses(text, reg)
     with pytest.raises(ContradictionError) as exc:
         rules.analyze(parse_term(alpha_text, reg), hyps, reg)
-    chain = exc.value.chain
-    fb = bases[-1]
-    line_of = {k: f"{render_rel(k)}  [{rule}]" for k, (rule, _p) in fb.rels.items()}
-    last = list(fb.rels)[-1]
-    assert chain and chain[-1] == line_of[last]
-    key_of = {line: k for k, line in line_of.items()}
-    earlier: set = set()
-    for line in chain:
-        key = key_of[line]
-        for p in fb.rels[key][1]:
-            if isinstance(p, tuple):
-                assert p in fb.rels and p in earlier, (line, p)
-        earlier.add(key)
-    if last[1] != last[2]:
-        # the relation the raising one conflicts with is derived in the chain too
-        other = "lt" if last[0] == "eq" else "eq"
-        assert {(other, last[1], last[2]), (other, last[2], last[1])} & earlier
+    _check_replays(exc.value, *calls[-1])
 
+
+def test_corpus_contradiction_chains_replay(monkeypatch):
+    """So does the chain of every contradictory set among the 2,000 of the relation-set
+    pin, which raise in each of the closure's ways."""
+    calls = _record_derivations(monkeypatch)
+    raised = 0
+    for hyps in _corpus(_ROUNDTRIP_REG, n=2000, seed=7):
+        try:
+            closure(hyps, _ROUNDTRIP_REG)
+        except ContradictionError as exc:
+            _check_replays(exc, *calls[-1])
+            raised += 1
+        except HypothesisError:
+            pass
+    assert raised > 900
 
 
 # the per-node rules that read no stored relation
