@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 
 from .atoms import AtomError, AtomRegistry, CardinalAtom
@@ -43,6 +44,18 @@ _USAGE = """%(prog)s [-h] [--batch PATH]
                  ..."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser with its invalid-choice message written out in one form:
+    later patch releases (3.13.13, say) list the choices without their quotes, and
+    argparse has no public hook for the message."""
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {value!r} (choose from {choices})")
+
+
 class _CliInputError(ValueError):
     """Bad command-line input (exit status 2)."""
 
@@ -61,11 +74,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     subcommand is 1 parser and ``copies`` 7, its level and its six lab subcommands;
     the whole grammar is 17."""
     if command is not None:
-        p = argparse.ArgumentParser(prog=f"copyposet {command}")
+        p = _Parser(prog=f"copyposet {command}")
         _add_arguments(p, command)
         return p
-    top = argparse.ArgumentParser(prog="copyposet", usage=_USAGE,
-                                  description="poset-of-copies workbench")
+    top = _Parser(prog="copyposet", usage=_USAGE, description="poset-of-copies workbench")
     top.add_argument("--batch", metavar="PATH",
                      help="run one sub-invocation per line of PATH")
     sub = top.add_subparsers(dest="command", prog="copyposet")
@@ -293,6 +305,11 @@ def _dispatch(ns) -> int:
         from .rules import analyze
         t = parse_term(ns.expr, registry)
         report = analyze(t, hyps, registry)
+        # the text lines and the report's JSON object (large for a long alpha) are
+        # each built only when printed
+        if ns.format == "json":
+            _emit(ns, (), report.to_obj())
+            return 0
         lines = [f"alpha = {pretty(t)}",
                  f"factorization: {render_poset(report.factorization)}"]
         lines += [f"fact: {fact_text(f)}" for f in report.facts]
@@ -302,8 +319,7 @@ def _dispatch(ns) -> int:
             lines.append("conclusion: undetermined")
             for rid, prems in report.blocked:
                 lines.append(f"  blocked {rid}: unknown " + "; ".join(prems))
-        # the report's JSON object is large for a long alpha: built only when printed
-        _emit(ns, lines, report.to_obj() if ns.format == "json" else None)
+        _emit(ns, lines, None)
     elif cmd == "rules":
         if ns.rule_id:
             info = rule_lookup(ns.rule_id)
@@ -443,7 +459,19 @@ def _run_batch(path: str) -> int:
 
 
 def main(argv=None) -> int:
-    return _run_one(list(sys.argv[1:] if argv is None else argv))
+    try:
+        status = _run_one(list(sys.argv[1:] if argv is None else argv))
+        sys.stdout.flush()
+    except OSError as exc:  # stdout is closed (a broken pipe) or full
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        # what stdout still buffers goes to devnull, so the flush at exit reports
+        # nothing more (as the Python docs advise for SIGPIPE)
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError):  # a stream with no file descriptor
+            pass
+        return _DOMAIN_ERROR
+    return status
 
 
 if __name__ == "__main__":

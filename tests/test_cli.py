@@ -587,6 +587,52 @@ def test_cli_corpus_is_byte_identical():
     assert changed == []
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["frobnicate", "w"], "copyposet: error: argument command: invalid choice: "
+     "'frobnicate' (choose from 'norm', 'cmp', 'cof', 'card', 'cnfbase', 'classify', "
+     "'factorize', 'analyze', 'rules', 'copies')"),
+    (["--batch", "b.txt", "frobnicate"], "copyposet: error: argument command: invalid "
+     "choice: 'frobnicate' (choose from 'norm', 'cmp', 'cof', 'card', 'cnfbase', "
+     "'classify', 'factorize', 'analyze', 'rules', 'copies')"),
+    (["norm", "w", "--format", "xml"], "copyposet norm: error: argument --format: "
+     "invalid choice: 'xml' (choose from 'text', 'json')"),
+    (["copies", "--format", "json", "type", "{}"], "copyposet copies: error: argument "
+     "subcommand: invalid choice: 'json' (choose from 'type', 'member', 'subset', "
+     "'fuse', 'embed', 'reduce')"),
+    (["copies", "reduce", "{}", "--format", "xml"], "copyposet copies reduce: error: "
+     "argument --format: invalid choice: 'xml' (choose from 'text', 'json')"),
+])
+def test_invalid_choice_messages(capsys, argv, message):
+    """An invalid choice is reported with the choices quoted, whatever argparse's own
+    message on this Python release: later patch releases drop the quotes."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err.splitlines()[-1]) == (2, "", message)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_unwritable_stdout_is_an_error():
+    """A full stdout, or a pipe whose reader has gone, ends in one error line and
+    exit 1, with no traceback and nothing more reported at exit."""
+    src = str(pathlib.Path(copyposet.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-m", "copyposet.cli", "analyze", "w^(w_1+2)",
+            "--assume", "2^w_1 = w_2", "--format", "json"]
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, env=env,
+                              timeout=60)
+    assert (done.returncode, done.stderr) == (
+        1, b"error: cannot write output: [Errno 28] No space left on device\n")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(argv[:5], stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (
+        1, b"error: cannot write output: [Errno 32] Broken pipe\n")
+
+
 def test_no_command_usage(capsys):
     code, _out, _err = run(capsys)
     assert code == 2
