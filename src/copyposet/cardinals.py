@@ -23,11 +23,13 @@ from .cardexpr import (
 
 _SKEY = attrgetter("skey")
 # the most nodes a closure's universe may have; more is a HypothesisError (exit 2).
-# The stored order grows with the square of the universe: the builtin worst case,
-# w_1..w_200 with GCH and w_i < 2^w_i, has 819 nodes and takes ~4 s and ~200 MB as
-# a whole process on a 2-vCPU Xeon, and 164 declared atoms with GCH and a_i < 2^a_i
-# (849 nodes) ~4.5 s and ~245 MB, where 400 declared atoms (2,020 nodes) took 15 s
-# and 620 MB
+# The cost lies in the order's relations, whose number depends on how dense the order
+# is. Whole processes on a 2-vCPU Xeon, Python 3.11.7: the builtin worst case,
+# w_1..w_200 with GCH and w_i < 2^w_i, has 819 nodes and 670,571 relations (129,748
+# stored) and takes ~0.8 s of closure and 50 MB, and 164 declared atoms with GCH and
+# a_i < 2^a_i (838 nodes) ~0.9 s and 69 MB; storing every relation, they took 2.5 s
+# and 203 MB, and 2.6 s and 245 MB. 400 declared atoms (2,020 nodes) took 15 s and
+# 620 MB before this bound
 MAX_UNIVERSE = 850
 
 
@@ -222,7 +224,6 @@ class FactBase:
                     if nxt not in prev:
                         prev[nxt] = (state, e)
                         queue.append(nxt)
-            raise AssertionError(f"no stored path from {render_expr(a)} to {render_expr(c)}")
 
         for key in keys:
             walk(key, len(rels))
