@@ -10,6 +10,17 @@ from copyposet.terms import OrdinalTerm, canon_exp, cmp_exp, nat
 from termcheck import check_canonical
 
 
+@pytest.fixture(autouse=True)
+def no_kept_closures():
+    """Each test starts and ends with no closure kept for reuse: ``rules.analyze``
+    keeps closures for the whole process, so a test recording the closures it builds
+    would see none for a problem an earlier test analyzed."""
+    from copyposet import rules
+    rules._CLOSURES.clear()
+    yield
+    rules._CLOSURES.clear()
+
+
 @pytest.fixture
 def registry() -> AtomRegistry:
     return AtomRegistry()
