@@ -325,3 +325,120 @@ def test_readme_library_example():
                           env=dict(os.environ, PYTHONPATH=str(root / "src")), timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [promised[2:]]
+
+
+# -- closures kept for reuse ---------------------------------------------------------
+
+def _count_closures(monkeypatch) -> list:
+    """The argument lists of every closure built from now on, raising or not."""
+    calls = []
+    real = rules.closure
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rules, "closure", counting)
+    return calls
+
+
+def _answers(capsys, lines, forget: bool) -> list:
+    """(status, stdout, stderr) of each line through cli.main; with ``forget``, no
+    closure is kept from one line to the next."""
+    from copyposet.cli import main
+    out = []
+    for argv in lines:
+        if forget:
+            rules._CLOSURES.clear()
+        status = main(argv)
+        out.append((status, *capsys.readouterr()))
+    return out
+
+
+def _saturate_ladder() -> list:
+    """The saturate benchmark's lines for n = 1, 2: k = 2..8, each spelling of alpha
+    it sends, both sides of 2^w_1 = w_2 and both orders of the hypothesis lines."""
+    lines = []
+    for n in (1, 2):
+        for k in range(2, 9):
+            for alpha in (f"w^(w_1+{n})", f"w_1*w^{n}", f"w^(1+w_1+{n})"):
+                for pinch in ("2^w_1 = w_2", "w_2 = 2^w_1"):
+                    hyps = ["GCH", pinch, f"w_{k} < 2^w_{k}"]
+                    for order in (hyps, hyps[::-1]):
+                        lines.append(["analyze", alpha, "--format", "json",
+                                      *(arg for h in order for arg in ("--assume", h))])
+    return lines
+
+
+def test_saturate_ladder_reuses_its_closures(monkeypatch, capsys):
+    """The ladder's 168 lines need 14 closures, one per k and side of the pinch, and
+    print the same bytes as when every line builds its own."""
+    built = _count_closures(monkeypatch)
+    lines = _saturate_ladder()
+    kept = _answers(capsys, lines, forget=False)
+    assert len(lines) == 168 and len(built) == 14
+    assert all(status == 0 for status, _out, _err in kept)
+    assert _answers(capsys, lines, forget=True) == kept
+    assert len(built) == 14 + 168
+
+
+def test_contradiction_builds_its_closure_every_time(monkeypatch, capsys):
+    """A closure that raises is not kept: each run of a contradictory line builds it
+    again and prints the same chain."""
+    built = _count_closures(monkeypatch)
+    argv = ["analyze", "w^(w_1)", "--assume", "CH", "--assume", "c = w_2"]
+    runs = _answers(capsys, [argv] * 3, forget=False)
+    assert len(built) == 3 and rules._CLOSURES == {}
+    status, out, err = runs[0]
+    assert (status, out) == (1, "") and err.startswith("error: contradictory hypotheses")
+    assert "  w_2 = c  [hypothesis]" in err.splitlines()
+    assert runs == [runs[0]] * 3
+
+
+def _singular_problem(rank: int):
+    """analyze's inputs for w^mu with mu singular of rank ``rank``: a distinct closure
+    for each rank."""
+    registry = AtomRegistry()
+    registry.declare("mu", rank, singular=True)
+    return (parse_term("w^mu", registry), parse_hypotheses("2^mu = succ(mu)", registry),
+            registry)
+
+
+def test_kept_closures_stay_within_the_bound():
+    """More distinct problems than MEMO_NODES admits: the nodes kept never pass it,
+    and the oldest closures go out first."""
+    held = []
+    size = len(_Engine(*_singular_problem(50)).fb.universe)
+    ranks = range(50, 50 + rules.MEMO_NODES // size + 20)
+    for rank in ranks:
+        analyze(*_singular_problem(rank))
+        held.append(sum(len(fb.universe) for fb in rules._CLOSURES.values()))
+    assert max(held) <= rules.MEMO_NODES < len(ranks) * size
+    kept = [fb.nodes for fb in rules._CLOSURES.values()]
+    newest = [_Engine(*_singular_problem(rank)).fb.nodes
+              for rank in ranks[len(ranks) - len(kept):]]
+    assert kept == newest
+
+
+def test_closure_larger_than_the_bound_is_not_kept(monkeypatch):
+    monkeypatch.setattr(rules, "MEMO_NODES", 5)
+    analyze(*_singular_problem(50))
+    assert rules._CLOSURES == {}
+
+
+def test_kept_closure_answers_as_the_closure_and_derives_nothing():
+    """A kept closure has the closure's nodes, relations, resolutions and equality
+    provenance, and it refuses to derive rather than print a partial chain."""
+    from copyposet.cardinals import FactBase
+    alpha, hyps, registry = _singular_problem(50)
+    engine = _Engine(alpha, hyps, registry)
+    fb = engine.fb
+    full = rules.closure(hyps, registry, extra_exprs=engine._candidates())
+    assert isinstance(fb, FactBase) and fb is next(iter(rules._CLOSURES.values()))
+    assert fb.nodes == full.nodes and set(fb.relations()) == set(full.relations())
+    assert [fb.resolve(x) for x in fb.nodes] == [full.resolve(x) for x in full.nodes]
+    assert fb.rels == {k: v for k, v in full.rels.items() if k[0] == "eq"}
+    key = next(k for k in full.rels if k[0] != "eq")
+    assert fb.holds(*key) and full.chain(key)
+    with pytest.raises(TypeError, match="no provenance"):
+        fb.chain(key)
