@@ -89,8 +89,9 @@ def full_set(rank: int) -> FinPresSet:
 
 def from_indices(indices) -> FinPresSet:
     """Finite rank-1 set from explicit naturals."""
-    top = max(indices) + 1 if indices else 0
-    return make(1, tuple(1 if i in set(indices) else 0 for i in range(top)), (0,))
+    chosen = set(indices)
+    top = max(chosen) + 1 if chosen else 0
+    return make(1, tuple(1 if i in chosen else 0 for i in range(top)), (0,))
 
 
 def fp_bool(op: str, a: FinPresSet, b: FinPresSet) -> FinPresSet:
@@ -106,7 +107,13 @@ def fp_bool(op: str, a: FinPresSet, b: FinPresSet) -> FinPresSet:
                    "intersect": lambda x, y: x & y,
                    "diff": lambda x, y: x & (1 - y)}[op]
     else:
-        combine = lambda x, y: fp_bool(op, x, y)
+        pairs: dict = {}  # blocks repeat, so each distinct pair is combined once
+
+        def combine(x, y):
+            done = pairs.get((x, y))
+            if done is None:
+                done = pairs[x, y] = fp_bool(op, x, y)
+            return done
     prefix = tuple(combine(a.block(i), b.block(i)) for i in range(lead))
     period = tuple(combine(a.block(lead + j), b.block(lead + j)) for j in range(span))
     return make(a.rank, prefix, period)

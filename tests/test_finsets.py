@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+import time
 
 import pytest
 
@@ -180,6 +183,22 @@ class TestFuseChain:
         small = make(2, (), (make(1, (1,), (0,)),))
         with pytest.raises(FinPresError, match="co-ideal"):
             fuse_chain([small])
+
+
+    def test_long_prefix_fuses_within_a_second(self, tmp_path, capsys):
+        """A member with a prefix of 20,000 blocks fuses within a second and prints
+        the bytes it printed when from_indices rebuilt its index set for every index
+        (18 s on a 2-vCPU Xeon)."""
+        from copyposet.cli import main
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps({"prefix": [], "tail": [{"period": "1"}]}))
+        b.write_text(json.dumps({"prefix": [{"period": "0"}] * 20000,
+                                 "tail": [{"period": "1"}, {"period": "0"}]}))
+        start = time.perf_counter()
+        assert main(["copies", "fuse", f"@{a}", f"@{b}"]) == 0
+        assert time.perf_counter() - start < 1
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
+            "23f026e4e17bf6942fea9d2150f63648c78f289c36d3de33bf5b60546efc99e5"
 
 
 class TestIdealLaws:
