@@ -90,37 +90,25 @@ W1 = atom_expr(builtin(1))
 W2 = atom_expr(builtin(2))
 
 
-def find(kind: str, atom: CardinalAtom | None = None,
-         args: tuple = ()) -> CardinalExpr | None:
-    """The live instance of (kind, atom, args), or None; unlike the constructor it
-    builds nothing and leaves the intern table as it is."""
-    ref = _INTERNED.get((kind, atom, args))
-    return None if ref is None else ref()
-
-
-# The image constructors below take the node maker: ``CardinalExpr`` builds the image,
-# ``find`` gives it only when it is live (None otherwise, also for an argument that is
-# None, which no live expression holds)
-
-def succ_of(x: CardinalExpr, make=CardinalExpr) -> CardinalExpr:
+def succ_of(x: CardinalExpr) -> CardinalExpr:
     if x.kind == "aleph0":
         return W1
     if x.kind == "atom" and x.atom.builtin_index is not None:
-        return make("atom", builtin(x.atom.builtin_index + 1))
-    return make("succ", args=(x,))
+        return atom_expr(builtin(x.atom.builtin_index + 1))
+    return CardinalExpr("succ", args=(x,))
 
 
-def pred_of(x: CardinalExpr, make=CardinalExpr) -> CardinalExpr | None:
+def pred_of(x: CardinalExpr) -> CardinalExpr | None:
     """The y with succ(y) = x, when x is recognizably a successor cardinal."""
     if x.kind == "succ":
         return x.args[0]
     if x.kind == "atom" and x.atom.builtin_index is not None:
         k = x.atom.builtin_index
-        return ALEPH0 if k == 1 else make("atom", builtin(k - 1))
+        return ALEPH0 if k == 1 else atom_expr(builtin(k - 1))
     return None
 
 
-def cf_of(x: CardinalExpr, make=CardinalExpr) -> CardinalExpr:
+def cf_of(x: CardinalExpr) -> CardinalExpr:
     if x.kind == "aleph0":
         return ALEPH0
     if x.kind == "atom":
@@ -128,36 +116,36 @@ def cf_of(x: CardinalExpr, make=CardinalExpr) -> CardinalExpr:
             return x
         if x.atom.declared_cofinality is None:
             return ALEPH0
-        return make("atom", x.atom.declared_cofinality)
+        return atom_expr(x.atom.declared_cofinality)
     if x.kind == "succ":
         return x  # successor cardinals are regular
-    return make("cf", args=(x,))
+    return CardinalExpr("cf", args=(x,))
 
 
-def pow2_of(x: CardinalExpr, make=CardinalExpr) -> CardinalExpr:
+def pow2_of(x: CardinalExpr) -> CardinalExpr:
     if x.kind == "aleph0":
         return CONTINUUM
-    return make("pow2", args=(x,))
+    return CardinalExpr("pow2", args=(x,))
 
 
-def pow2lt_of(x: CardinalExpr, make=CardinalExpr) -> CardinalExpr:
+def pow2lt_of(x: CardinalExpr) -> CardinalExpr:
     """Weak power 2^{<x}; collapses through successor steps."""
     if x.kind == "aleph0":
         return ALEPH0
     if x.kind == "succ":
-        return pow2_of(x.args[0], make)
+        return pow2_of(x.args[0])
     if x.kind == "atom" and x.atom.builtin_index is not None:
         k = x.atom.builtin_index
-        return CONTINUUM if k == 1 else make("pow2", args=(make("atom", builtin(k - 1)),))
-    return make("pow2lt", args=(x,))
+        return CONTINUUM if k == 1 else pow2_of(atom_expr(builtin(k - 1)))
+    return CardinalExpr("pow2lt", args=(x,))
 
 
 def exp_of(base: CardinalExpr, ex: CardinalExpr) -> CardinalExpr:
     return CardinalExpr("exp", args=(base, ex))
 
 
-def cc_cp_of(x: CardinalExpr, make=CardinalExpr) -> CardinalExpr:
-    return make("cc_cp", args=(x,))
+def cc_cp_of(x: CardinalExpr) -> CardinalExpr:
+    return CardinalExpr("cc_cp", args=(x,))
 
 
 def render_expr(e: CardinalExpr) -> str:

@@ -17,7 +17,7 @@ from collections.abc import Iterable
 from .atoms import AtomError, AtomRegistry, CardinalAtom, builtin
 from .cardexpr import (
     ALEPH0, CONTINUUM, DIST_H, W1, CardinalExpr, ContradictionError, Hypothesis,
-    HypothesisError, Rel, atom_expr, cc_cp_of, cf_of, exp_of, find, pow2_of, pow2lt_of,
+    HypothesisError, Rel, atom_expr, cc_cp_of, cf_of, exp_of, pow2_of, pow2lt_of,
     pred_of, render_expr, render_rel, succ_of,
 )
 
@@ -27,9 +27,8 @@ _SKEY = attrgetter("skey")
 # is. Whole processes on a 2-vCPU Xeon, Python 3.11.7: the builtin worst case,
 # w_1..w_200 with GCH and w_i < 2^w_i, has 819 nodes and 670,571 relations (129,748
 # stored) and takes ~0.8 s of closure and 50 MB, and 164 declared atoms with GCH and
-# a_i < 2^a_i (838 nodes) ~0.9 s and 69 MB; storing every relation, they took 2.5 s
-# and 203 MB, and 2.6 s and 245 MB. 400 declared atoms (2,020 nodes) took 15 s and
-# 620 MB before this bound
+# a_i < 2^a_i (838 nodes) ~0.9 s and 69 MB. 400 declared atoms (2,020 nodes) took
+# 15 s and 620 MB before this bound
 MAX_UNIVERSE = 850
 
 
@@ -51,6 +50,7 @@ def rigid_compare(a: CardinalExpr, b: CardinalExpr) -> int | None:
 # -- the fact base and its closure ----------------------------------------------
 
 def _rel_key(op: str, lhs: CardinalExpr, rhs: CardinalExpr) -> Rel:
+    """The key of a relation: an equality's sides in ``skey`` order."""
     if op == "eq" and lhs.skey > rhs.skey:
         lhs, rhs = rhs, lhs
     return (op, lhs, rhs)
@@ -61,11 +61,11 @@ _SUCC, _POW2, _CF, _WEAK, _CC, _PRED = range(6)  # the images' places in a row
 
 def _images(x: CardinalExpr, ids: dict[CardinalExpr, int]) -> tuple:
     """The ids of succ(x), 2^x, cf(x), 2^<x, cc(CP(x)) and the y with succ(y) = x;
-    None for an image outside the universe. The images are looked up, not built:
-    ``fb.universe`` holds every node alive, so an image that is not interned now is
-    no node, and the ids are those the constructors' images would give."""
-    return tuple(map(ids.get, (succ_of(x, find), pow2_of(x, find), cf_of(x, find),
-                               pow2lt_of(x, find), cc_cp_of(x, find), pred_of(x, find))))
+    None for an image outside the universe. Each image is built by its constructor
+    and looked up in ``ids``: as expressions are hash-consed, an image in the
+    universe is that node."""
+    return tuple(map(ids.get, (succ_of(x), pow2_of(x), cf_of(x), pow2lt_of(x),
+                               cc_cp_of(x), pred_of(x))))
 
 
 class FactBase:
@@ -97,7 +97,7 @@ class FactBase:
             if not self.above[op][i] >> j & 1:
                 self.store(op, i, j, rule, premises)
             return
-        key = ("eq", rhs, lhs) if lhs.skey > rhs.skey else ("eq", lhs, rhs)
+        key = _rel_key("eq", lhs, rhs)
         rels = self.rels
         if lhs is rhs or key in rels:
             return
@@ -442,13 +442,12 @@ def _run_rules(fb: FactBase) -> None:
             for la, lb in zip(img_a[:5], img_b[:5]):
                 if la != lb and la is not None and lb is not None:
                     add("eq", nodes[la], nodes[lb], "congruence", prem)
-            # looked up, not built: an exp that is not live is no node
+            # built, then looked up: an exp outside the universe stores nothing
             for x in exps:
                 xb, xe = x.args
                 for old, new in ((a, b), (b, a)):
                     if xb is old or xe is old:
-                        cand = find("exp", args=(new if xb is old else xb,
-                                                 new if xe is old else xe))
+                        cand = exp_of(new if xb is old else xb, new if xe is old else xe)
                         if cand in uni:
                             add("eq", x, cand, "congruence", prem)
 
@@ -550,9 +549,9 @@ def _node_rules(fb: FactBase, emit, first: bool) -> None:
         if first:
             if kind == "pow2":
                 emit("lt", x.args[0], x, "cantor")
-                emit("lt", x.args[0], cf_of(x, find), "koenig")
+                emit("lt", x.args[0], cf_of(x), "koenig")
             elif kind == "c":  # c is 2^w, which pow2_of gives a kind of its own
-                emit("lt", ALEPH0, cf_of(x, find), "koenig")
+                emit("lt", ALEPH0, cf_of(x), "koenig")
             elif kind == "pow2lt":
                 emit("le", x.args[0], x, "weakpow-above")
                 emit("le", x, pow2_of(x.args[0]), "weakpow-below")

@@ -5,7 +5,7 @@ chains a fixed rule catalog. A rule fires only when the hypothesis closure
 answers *yes* on every premise; premises answered *unknown* are reported in
 the blocked list, never assumed. Every emitted fact carries a trace whose
 premises can be replayed against the closure and the classifier. A process
-keeps the closures it builds, within ``MEMO_NODES``, and reuses each for the
+keeps the closures it builds, within ``MEMO_RELATIONS``, and reuses each for the
 analyses that need the same one.
 """
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .cardexpr import (
     ALEPH0, CONTINUUM, DIST_H, W1, W2, CardinalExpr, atom_expr, cc_cp_of, exp_of,
     pow2_of, pow2lt_of, render_expr, render_rel, succ_of,
 )
-from .cardinals import FactBase, closure
+from .cardinals import FactBase, _rel_key, closure
 from .forcing import (
     ForcingFact, PosetExpr, Step, col, cp, factorize, iteration, operand_text,
     poset_to_obj, product, render_poset, ro, rp_refine, sq_copies, substitute,
@@ -92,50 +92,38 @@ def _rho(rep: CaseReport) -> CardinalExpr | None:
     return _card_expr(rep.kappa) if rep.label in ("D", "E") else None
 
 
-# the most universe nodes the closures kept for reuse may hold together; a new closure
-# pushes the oldest ones out. Measured with tracemalloc (Python 3.11.7), a kept node
-# costs 0.9-2.2 KB: the 14 closures of the saturate benchmark's ladder hold 400 nodes
-# and 0.55 MB, the 26 of its derive workload 471 nodes and 0.41 MB, and the builtin
-# worst case (w_1..w_200 with GCH and w_i < 2^w_i) 819 nodes and 1.8 MB; so the kept
-# closures stay under about 4.5 MB
-MEMO_NODES = 2000
+# the most stored relations (``len(fb.rels)``) the closures kept for reuse may hold
+# together; a new closure pushes the oldest ones out. By tracemalloc (Python 3.11.7)
+# a kept closure costs about 250 B per stored relation when dense and 350 B when
+# sparse (23 nodes, 134 relations), so the kept closures stay under about 4.5 MB;
+# w^w under the builtin worst case (w_1..w_200 with GCH and w_i < 2^w_i) stores
+# 128,271 and holds 31 MB, and is not kept
+MEMO_RELATIONS = 12000
 
 # closure inputs -> the closure kept for reuse, oldest first
 _CLOSURES: dict[tuple, FactBase] = {}
-
-
-class _Reused(FactBase):
-    """A closed FactBase kept for reuse. It shares the closure's universe, nodes, order
-    rows, equalities and images, so ``holds``, ``entails_rel`` and ``resolve`` answer
-    as the closure's do, but it keeps the provenance of the equalities alone: it has
-    no derivations."""
-
-    def __init__(self, fb: FactBase) -> None:
-        self.hyps, self.universe, self.nodes, self.ids = fb.hyps, fb.universe, fb.nodes, fb.ids
-        self.above, self.eq_nbrs, self.images = fb.above, fb.eq_nbrs, fb.images
-        self.rels = {k: v for k, v in fb.rels.items() if k[0] == "eq"}
-
-    def derivation(self, *keys: tuple) -> list:
-        raise TypeError("a reused closure keeps no provenance for its order")
 
 
 def _closed(hyps: tuple, registry: AtomRegistry, candidates: list) -> FactBase:
     """The closure of the hypotheses over the candidates and the registry's declared
     atoms, built once per process while it stays among the kept ones (tabling: Tamaki
     & Sato 1986). What the engine reads of it, the nodes, which relations hold and
-    each node's resolution, follows from its relation set, and that does not depend on
-    the order of the hypothesis lines, so the key takes them as a set. A closure that
-    raises is not kept, so a contradiction is raised, with its chain, every time."""
-    key = (frozenset(hyps), frozenset(candidates),
+    each node's resolution, follows from its relation set, and that depends neither
+    on the order of the hypothesis lines nor on the sides of an equality, so the key
+    takes the hypotheses as a set, each equality's sides in ``skey`` order. A closure
+    that raises is not kept, so a contradiction is raised, with its chain, every
+    time."""
+    key = (frozenset(_rel_key(h.op, h.lhs, h.rhs) if h.kind == "rel" else h for h in hyps),
+           frozenset(candidates),
            frozenset(a for a in registry.atoms() if a.builtin_index is None))
     fb = _CLOSURES.get(key)
     if fb is None:
-        fb = _Reused(closure(hyps, registry, extra_exprs=candidates))
-        size = len(fb.universe)
-        if size <= MEMO_NODES:
-            held = sum(len(kept.universe) for kept in _CLOSURES.values())
-            while held + size > MEMO_NODES:
-                held -= len(_CLOSURES.pop(next(iter(_CLOSURES))).universe)
+        fb = closure(hyps, registry, extra_exprs=candidates)
+        size = len(fb.rels)
+        if size <= MEMO_RELATIONS:
+            held = sum(len(kept.rels) for kept in _CLOSURES.values())
+            while held + size > MEMO_RELATIONS:
+                held -= len(_CLOSURES.pop(next(iter(_CLOSURES))).rels)
             _CLOSURES[key] = fb
     return fb
 

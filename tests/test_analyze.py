@@ -1,7 +1,9 @@
 import os
 import pathlib
+import gc
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -10,14 +12,14 @@ from copyposet import rules
 from copyposet.atoms import AtomRegistry
 from copyposet.parser import parse_term
 from copyposet.classify import classify_exponent
-from copyposet.cardexpr import ALEPH0, atom_expr, parse_hypotheses, rel
+from copyposet.cardexpr import ALEPH0, atom_expr, parse_hypotheses, rel, render_rel
 from copyposet.cardinals import entails
 from copyposet.catalog import rule_table
 from copyposet.forcing import fact_text, premise_text, render_poset
 from copyposet.rules import _Engine, analyze
 from copyposet.terms import ONE, OMEGA, exp_term, from_atom, power
 from golden_scenarios import SCENARIOS as GOLDEN, scenario_inputs
-from test_cardinals import T56_PRODUCT
+from test_cardinals import T56_PRODUCT, check_lines_replay
 from test_classify import EXAMPLE_LABELS
 
 # inputs beyond the golden battery that the replay and the catalog coverage run
@@ -371,15 +373,27 @@ def _saturate_ladder() -> list:
 
 
 def test_saturate_ladder_reuses_its_closures(monkeypatch, capsys):
-    """The ladder's 168 lines need 14 closures, one per k and side of the pinch, and
-    print the same bytes as when every line builds its own."""
+    """The ladder's 168 lines need 7 closures, one per k, as the key puts the sides of
+    2^w_1 = w_2 in order, and print the same bytes as when every line builds its own."""
     built = _count_closures(monkeypatch)
     lines = _saturate_ladder()
     kept = _answers(capsys, lines, forget=False)
-    assert len(lines) == 168 and len(built) == 14
+    assert len(lines) == 168 and len(built) == 7
     assert all(status == 0 for status, _out, _err in kept)
     assert _answers(capsys, lines, forget=True) == kept
-    assert len(built) == 14 + 168
+    assert len(built) == 7 + 168
+
+
+@pytest.mark.parametrize("first,second,shared", [
+    ("2^w_1 = w_2", "w_2 = 2^w_1", True), ("2^w_1 < w_3", "w_3 < 2^w_1", False)])
+def test_equality_sides_share_a_closure(monkeypatch, capsys, first, second, shared):
+    """a = b and b = a are one hypothesis to the kept closures, while a < b and b < a
+    are two."""
+    built = _count_closures(monkeypatch)
+    lines = [["analyze", "w^(w_1+1)", "--assume", h] for h in (first, second)]
+    answers = _answers(capsys, lines, forget=False)
+    assert [status for status, _out, _err in answers] == [0, 0]
+    assert len(built) == len(rules._CLOSURES) == (1 if shared else 2)
 
 
 def test_contradiction_builds_its_closure_every_time(monkeypatch, capsys):
@@ -405,15 +419,15 @@ def _singular_problem(rank: int):
 
 
 def test_kept_closures_stay_within_the_bound():
-    """More distinct problems than MEMO_NODES admits: the nodes kept never pass it,
-    and the oldest closures go out first."""
+    """More distinct problems than MEMO_RELATIONS admits: the stored relations kept
+    never pass it, and the oldest closures go out first."""
     held = []
-    size = len(_Engine(*_singular_problem(50)).fb.universe)
-    ranks = range(50, 50 + rules.MEMO_NODES // size + 20)
+    size = len(_Engine(*_singular_problem(50)).fb.rels)
+    ranks = range(50, 50 + rules.MEMO_RELATIONS // size + 20)
     for rank in ranks:
         analyze(*_singular_problem(rank))
-        held.append(sum(len(fb.universe) for fb in rules._CLOSURES.values()))
-    assert max(held) <= rules.MEMO_NODES < len(ranks) * size
+        held.append(sum(len(fb.rels) for fb in rules._CLOSURES.values()))
+    assert max(held) <= rules.MEMO_RELATIONS < len(ranks) * size
     kept = [fb.nodes for fb in rules._CLOSURES.values()]
     newest = [_Engine(*_singular_problem(rank)).fb.nodes
               for rank in ranks[len(ranks) - len(kept):]]
@@ -421,24 +435,63 @@ def test_kept_closures_stay_within_the_bound():
 
 
 def test_closure_larger_than_the_bound_is_not_kept(monkeypatch):
-    monkeypatch.setattr(rules, "MEMO_NODES", 5)
+    monkeypatch.setattr(rules, "MEMO_RELATIONS", 5)
     analyze(*_singular_problem(50))
     assert rules._CLOSURES == {}
 
 
-def test_kept_closure_answers_as_the_closure_and_derives_nothing():
-    """A kept closure has the closure's nodes, relations, resolutions and equality
-    provenance, and it refuses to derive rather than print a partial chain."""
-    from copyposet.cardinals import FactBase
+def test_builtin_worst_case_is_not_kept():
+    """w_1..w_200 with GCH and w_i < 2^w_i stores more relations than the bound."""
+    text = "GCH\n" + "\n".join(f"w_{i} < 2^w_{i}" for i in range(1, 201))
+    report, _registry, _hyps = _run("w^w", text)
+    assert report.facts and rules._CLOSURES == {}
+
+
+def _dense_problem(k: int):
+    """analyze's inputs for the saturate ladder's problem at k, which k = 20 and up
+    makes a closure of 44 nodes or more and 660 stored relations or more."""
+    registry = AtomRegistry()
+    return (parse_term("w^(w_1+1)", registry),
+            parse_hypotheses(f"GCH\n2^w_1 = w_2\nw_{k} < 2^w_{k}", registry), registry)
+
+
+@pytest.mark.parametrize("problem,first", [(_singular_problem, 50), (_dense_problem, 20)])
+def test_kept_closures_at_the_bound_take_at_most_4_5_mb(problem, first):
+    """Filled up to MEMO_RELATIONS, with sparse closures (23 nodes and 134 stored
+    relations each) or dense ones, the kept closures take at most 4.5 MB by
+    tracemalloc: what clearing the table frees."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        _Engine(*problem(first))
+        oldest = next(iter(rules._CLOSURES))
+        while oldest in rules._CLOSURES:  # until a closure pushes the first one out
+            first += 1
+            _Engine(*problem(first))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        rules._CLOSURES.clear()
+        gc.collect()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert freed <= 4.5e6
+
+
+def test_kept_closure_answers_as_a_fresh_one():
+    """The closure analyze keeps is the one it built: it has a fresh closure's nodes,
+    relations, provenance and resolutions, and the chain of each relation replays as
+    a contradiction's does."""
     alpha, hyps, registry = _singular_problem(50)
     engine = _Engine(alpha, hyps, registry)
     fb = engine.fb
-    full = rules.closure(hyps, registry, extra_exprs=engine._candidates())
-    assert isinstance(fb, FactBase) and fb is next(iter(rules._CLOSURES.values()))
-    assert fb.nodes == full.nodes and set(fb.relations()) == set(full.relations())
-    assert [fb.resolve(x) for x in fb.nodes] == [full.resolve(x) for x in full.nodes]
-    assert fb.rels == {k: v for k, v in full.rels.items() if k[0] == "eq"}
-    key = next(k for k in full.rels if k[0] != "eq")
-    assert fb.holds(*key) and full.chain(key)
-    with pytest.raises(TypeError, match="no provenance"):
-        fb.chain(key)
+    assert _Engine(alpha, hyps, registry).fb is fb is next(iter(rules._CLOSURES.values()))
+    fresh = rules.closure(hyps, registry, extra_exprs=engine._candidates())
+    assert fb.nodes == fresh.nodes and list(fb.relations()) == list(fresh.relations())
+    assert list(fb.rels.items()) == list(fresh.rels.items())
+    assert [fb.resolve(x) for x in fb.nodes] == [fresh.resolve(x) for x in fresh.nodes]
+    for key in fb.relations():
+        lines = fb.derivation(key)
+        assert fb.chain(key) == [f"{render_rel(k)}  [{rule}]" for k, rule, _p in lines]
+        keys = check_lines_replay(fb, lines)
+        assert key in keys or key[0] == "le" and key[1] is key[2]
