@@ -1,6 +1,6 @@
+import gc
 import os
 import pathlib
-import gc
 import subprocess
 import sys
 import tracemalloc
