@@ -87,6 +87,13 @@ _EXTRA = [
      '{"prefix": [], "tail": [{"prefix": "", "period": "1000"}]}', "--format", "json"],
     ["copies", "reduce", '{"prefix": [], "tail": [{"prefix": "", "period": "10"}]}',
      "--format", "json"],
+    # two exponents over one delta0, each with its own T5.6 sub-analysis of w^(w_1);
+    # T5.6 on a countable delta0, which its guard leaves to the countable rules
+    *[["analyze", alpha, "--assume", hyp, *fmt]
+      for alpha, hyp in (("w^(w_1+2) + w^(w_1+1)", "2^w_1 = w_2"), ("w^(w+1)", "CH"),
+                         ("w^(w+1)", "2^w_1 = w_2"))
+      for fmt in ([], ["--format", "json"])],
+    ["cnfbase", "w_2*w_1", "--base", "zeta"],  # an unknown base atom
 ]
 
 

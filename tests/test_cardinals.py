@@ -660,6 +660,41 @@ def test_image_table_matches_the_constructors_on_the_corpus():
     assert closed > 100
 
 
+def test_universe_holds_the_arguments_of_its_nodes(monkeypatch):
+    """Every node's arguments are nodes, over every closure of the corpus sets,
+    contradictory ones too, and of the pinned problems. So a stored equality's side
+    outside the universe, which a GCH equation may name, has none of the images the
+    equality delta pairs in it, and is no exp node's argument: the rule loop
+    concludes nothing from such an equality."""
+    built, real_init = [], cardinals.FactBase.__init__
+
+    def recording(self, *args):
+        real_init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(cardinals.FactBase, "__init__", recording)
+    for hyps in _corpus(_ROUNDTRIP_REG):
+        try:
+            closure(hyps, _ROUNDTRIP_REG)
+        except HypothesisError:  # a contradiction too
+            pass
+    for name in PROVENANCE_DIGESTS:
+        rules.analyze(*_problem(name))
+    outside = 0
+    for fb in built:
+        for x in fb.nodes:
+            assert all(a in fb.ids for a in x.args), render_expr(x)
+        for op, a, b in fb.rels:
+            for x in (a, b):
+                if op == "eq" and x not in fb.ids:
+                    outside += 1
+                    assert cardinals._images(x, fb.ids)[:cardinals._PRED] == (
+                        None,) * cardinals._PRED, render_expr(x)
+    # 300 corpus sets and the 20 distinct closures of the pinned problems; 739 stored
+    # equality sides lie outside their universe
+    assert len(built) == 320 and outside == 739
+
+
 def test_rebuilt_fact_base_has_the_same_images():
     """A FactBase built again over a closure's universe has the closure's image table."""
     problems = [s[0] for s in SCENARIOS] + [f"saturate_{k}" for k in range(2, 9)]
