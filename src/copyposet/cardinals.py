@@ -288,7 +288,9 @@ def closure(hyps: Iterable[Hypothesis], registry: AtomRegistry,
 
     # universe: subexpressions, standard constants, declared atoms; a builtin enters
     # only through an expression, so the closure is a function of the hypotheses,
-    # the expressions and the declarations alone
+    # the expressions and the declarations alone. It holds every argument of its
+    # nodes. A GCH equation may name an expression outside it, which only the
+    # premise lookups of cc-tree and singular-weakpow read
     uni: set[CardinalExpr] = {ALEPH0, CONTINUUM, DIST_H, W1}
     for h in hyps:
         if h.kind == "rel":
@@ -428,18 +430,19 @@ def _run_rules(fb: FactBase) -> None:
             op, a, b = key
             if op != "eq":
                 continue
-            prem = (key,)
-            # a GCH equation may name a node outside the universe
+            # a GCH equation may name an expression outside the universe: none of its
+            # images paired below is a node, and as every node's arguments are nodes,
+            # no exp node has it as an argument, so such an equality concludes nothing
             ia, ib = ids.get(a), ids.get(b)
-            img_a = _images(a, ids) if ia is None else images[ia]
-            img_b = _images(b, ids) if ib is None else images[ib]
-            if ia is not None and ib is not None:
-                if not le[ia] >> ib & 1:
-                    store("le", ia, ib, "eq-weaken", prem)
-                if not le[ib] >> ia & 1:
-                    store("le", ib, ia, "eq-weaken", prem)
+            if ia is None or ib is None:
+                continue
+            prem = (key,)
+            if not le[ia] >> ib & 1:
+                store("le", ia, ib, "eq-weaken", prem)
+            if not le[ib] >> ia & 1:
+                store("le", ib, ia, "eq-weaken", prem)
             # congruence under equality for applied constructors
-            for la, lb in zip(img_a[:5], img_b[:5]):
+            for la, lb in zip(images[ia][:_PRED], images[ib][:_PRED]):
                 if la != lb and la is not None and lb is not None:
                     add("eq", nodes[la], nodes[lb], "congruence", prem)
             # built, then looked up: an exp outside the universe stores nothing
@@ -606,6 +609,5 @@ def entails(hyps: Iterable[Hypothesis], relation: Hypothesis,
             registry: AtomRegistry) -> str:
     if relation.kind != "rel":
         raise HypothesisError("entailment queries must be relations")
-    fb = closure(hyps, registry,
-                 extra_exprs=tuple(subexprs(relation.lhs)) + tuple(subexprs(relation.rhs)))
+    fb = closure(hyps, registry, extra_exprs=(relation.lhs, relation.rhs))
     return fb.entails_rel(relation.op, relation.lhs, relation.rhs)

@@ -252,25 +252,38 @@ def _dispatch(ns) -> int:
     if cmd == "copies":
         return _dispatch_copies(ns)
     registry, hyps = _load_registry_and_hyps(ns)
-    if cmd == "norm":
-        t = parse_term(ns.expr, registry)
-        _emit(ns, [pretty(t)], {"input": ns.expr, "pretty": pretty(t),
-                                "term": term_to_obj(t)})
-    elif cmd == "cmp":
+    if cmd == "cmp":
         a = parse_term(ns.left, registry)
         b = parse_term(ns.right, registry)
         word = {-1: "less", 0: "equal", 1: "greater"}[compare(a, b)]
         _emit(ns, [word], {"result": word})
+        return 0
+    if cmd == "rules":
+        if ns.rule_id:
+            info = rule_lookup(ns.rule_id)
+            if info is None:
+                raise _CliInputError(f"no rule {ns.rule_id!r}")
+            _emit(ns, [f"{info.id}: {info.premises} => {info.conclusion}"],
+                  {"rule": {"id": info.id, "premises": info.premises,
+                            "conclusion": info.conclusion}})
+        else:
+            table = rule_table()
+            _emit(ns, [f"{r.id}: {r.premises} => {r.conclusion}" for r in table],
+                  {"rules": [{"id": r.id, "premises": r.premises,
+                              "conclusion": r.conclusion} for r in table]})
+        return 0
+    # every other command reads one expression
+    t = parse_term(ns.expr, registry)
+    if cmd == "norm":
+        _emit(ns, [pretty(t)], {"input": ns.expr, "pretty": pretty(t),
+                                "term": term_to_obj(t)})
     elif cmd == "cof":
-        t = parse_term(ns.expr, registry)
         c = cofinality(t)
         _emit(ns, [pretty(c)], {"cofinality": term_to_obj(c), "pretty": pretty(c)})
     elif cmd == "card":
-        t = parse_term(ns.expr, registry)
         cv = cardinality(t)
         _emit(ns, [str(cv)], {"cardinality": str(cv)})
     elif cmd == "cnfbase":
-        t = parse_term(ns.expr, registry)
         base = registry.lookup(ns.base)
         if base is None:
             raise _CliInputError(f"unknown base atom {ns.base!r}")
@@ -284,7 +297,6 @@ def _dispatch(ns) -> int:
             "remainder": term_to_obj(b.remainder),
             "indecomposable_input": is_indecomposable(t)})
     elif cmd == "classify":
-        t = parse_term(ns.expr, registry)
         rep = classify_exponent(t)
         lines = [f"case {rep.label}", f"kappa = {pretty(rep.kappa)}"]
         if rep.theta is not None:
@@ -296,14 +308,12 @@ def _dispatch(ns) -> int:
                          f" for {rep.schema.var} < {pretty(rep.schema.range_)}")
         _emit(ns, lines, rep.to_obj())
     elif cmd == "factorize":
-        t = parse_term(ns.expr, registry)
         p = factorize(t)
         notes = _cp_notes(t)
         lines = [render_poset(p)] + notes
         _emit(ns, lines, {"factorization": poset_to_obj(p), "notes": notes})
-    elif cmd == "analyze":
+    else:  # analyze
         from .rules import analyze
-        t = parse_term(ns.expr, registry)
         report = analyze(t, hyps, registry)
         # the text lines and the report's JSON object (large for a long alpha) are
         # each built only when printed
@@ -320,21 +330,6 @@ def _dispatch(ns) -> int:
             for rid, prems in report.blocked:
                 lines.append(f"  blocked {rid}: unknown " + "; ".join(prems))
         _emit(ns, lines, None)
-    elif cmd == "rules":
-        if ns.rule_id:
-            info = rule_lookup(ns.rule_id)
-            if info is None:
-                raise _CliInputError(f"no rule {ns.rule_id!r}")
-            _emit(ns, [f"{info.id}: {info.premises} => {info.conclusion}"],
-                  {"rule": {"id": info.id, "premises": info.premises,
-                            "conclusion": info.conclusion}})
-        else:
-            table = rule_table()
-            _emit(ns, [f"{r.id}: {r.premises} => {r.conclusion}" for r in table],
-                  {"rules": [{"id": r.id, "premises": r.premises,
-                              "conclusion": r.conclusion} for r in table]})
-    else:
-        raise _CliInputError("a command is required (see --help)")
     return 0
 
 
@@ -372,18 +367,15 @@ def _dispatch_copies(ns) -> int:
             b = _load_set(ns.right)
             v = finsets.subset_mod_ideal(a, b)
             _emit(ns, ["yes" if v else "no"], {"subset_mod_ideal": v})
-        elif sub == "fuse":
-            chain = [_load_set(s) for s in ns.sets]
-            fused = finsets.fuse_chain(chain)
-            _emit(ns, [json.dumps(finsets.to_obj(fused))], {"fused": finsets.to_obj(fused)})
-        elif sub == "embed":
-            s = _load_set(ns.set)
-            out = finsets.embed_subset(s, ns.rank)
-            _emit(ns, [json.dumps(finsets.to_obj(out))], {"embedded": finsets.to_obj(out)})
-        elif sub == "reduce":
-            a = _load_set(ns.set)
-            out = finsets.reduction(a)
-            _emit(ns, [json.dumps(finsets.to_obj(out))], {"reduction": finsets.to_obj(out)})
+        else:  # fuse, embed and reduce each print one set
+            if sub == "fuse":
+                key, out = "fused", finsets.fuse_chain([_load_set(s) for s in ns.sets])
+            elif sub == "embed":
+                key, out = "embedded", finsets.embed_subset(_load_set(ns.set), ns.rank)
+            else:
+                key, out = "reduction", finsets.reduction(_load_set(ns.set))
+            obj = finsets.to_obj(out)
+            _emit(ns, [json.dumps(obj)], {key: obj})
     except finsets.FinPresError as exc:
         raise _CliDomainError(str(exc)) from exc
     return 0

@@ -151,7 +151,6 @@ class _Engine:
         self.fb = fb or _closed(self.hyps, registry, self._candidates())
         self.facts: dict[tuple, ForcingFact] = {}
         self.blocked: list[tuple[str, list[str]]] = []
-        self._sub_cache: dict[OrdinalTerm, AnalysisReport] = {}
 
     # -- candidate expressions the rules may query -----------------------------
 
@@ -462,12 +461,9 @@ class _Engine:
         if self._countable(d0):
             return
         target = pow2_of(_card_expr(d0))  # d0 >= w_1, so |d0| is an atom
-        sub = self._sub_cache.get(d0)
-        if sub is None:
-            # the parent's candidates include d0's, so its closure contains the one
-            # of w^d0 under the same hypotheses: the sub-analysis runs on it
-            sub = self._sub_cache[d0] = _Engine(
-                omega_power(canon_exp(d0)), self.hyps, None, self.fb).run()
+        # the parent's candidates include d0's, so its closure contains the one of
+        # w^d0 under the same hypotheses: the sub-analysis runs on it
+        sub = _Engine(omega_power(canon_exp(d0)), self.hyps, None, self.fb).run()
         subF = self._factor_poset(d0)
         route = None
         witness = None

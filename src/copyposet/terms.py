@@ -125,9 +125,6 @@ def cmp_exp(e: Exponent, f: Exponent) -> int:
     if isinstance(e, CardinalAtom):
         if isinstance(f, CardinalAtom):
             return (e.rank > f.rank) - (e.rank < f.rank)
-        # one-step unfolding with an equality guard against re-unfolding
-        if canon_exp(f) is e or canon_exp(f) == e:
-            return 0
         return compare(from_atom(e), f)
     if isinstance(f, CardinalAtom):
         return -cmp_exp(f, e)
@@ -385,8 +382,6 @@ def cnf_base(a: OrdinalTerm, base: CardinalAtom) -> BaseCNF:
 # -- printing and serialization ----------------------------------------------
 
 def _needs_parens(e: OrdinalTerm) -> bool:
-    if e.is_finite():
-        return False
     if e.tail > 0 or len(e.summands) > 1:
         return True
     return e.summands[0][1] != 1
