@@ -106,15 +106,24 @@ _JSON_KEYS = {"copy": ("alpha",), "sq": ("args",), "cp": ("kappa",),
               "pos": ("args",), "iter": ("args", "tag"), "ro": ("args",)}
 
 
-def poset_to_obj(p: PosetExpr) -> dict:
-    obj: dict = {"kind": p.kind, "pretty": render_poset(p)}
-    if p.kind == "prod":
-        obj["factors"] = [[poset_to_obj(q), m] for q, m in p.operands]
+def poset_to_obj(p: PosetExpr, memo: dict | None = None) -> dict:
+    """p's JSON object. Each poset's object is built once and kept in ``memo``, so
+    the posets met again share it: pass one dict to share objects across calls (one
+    report's facts name many posets more than once)."""
+    if memo is None:
+        memo = {}
+    obj = memo.get(p)
+    if obj is not None:
         return obj
-    for key, o in zip(_JSON_KEYS[p.kind], p.operands):
-        obj[key] = ([poset_to_obj(o)] if isinstance(o, PosetExpr)
-                    else render_expr(o) if isinstance(o, CardinalExpr)
-                    else term_to_obj(o) if isinstance(o, OrdinalTerm) else o)
+    obj = {"kind": p.kind, "pretty": render_poset(p)}
+    if p.kind == "prod":
+        obj["factors"] = [[poset_to_obj(q, memo), m] for q, m in p.operands]
+    else:
+        for key, o in zip(_JSON_KEYS[p.kind], p.operands):
+            obj[key] = ([poset_to_obj(o, memo)] if isinstance(o, PosetExpr)
+                        else render_expr(o) if isinstance(o, CardinalExpr)
+                        else term_to_obj(o) if isinstance(o, OrdinalTerm) else o)
+    memo[p] = obj
     return obj
 
 
@@ -176,9 +185,10 @@ class ForcingFact(Value):
         init(self, "trace", trace)  # Steps
         init(self, "resolved", resolved)  # ((position, resolved text), ...) for display
 
-    def to_obj(self) -> dict:
+    def to_obj(self, memo: dict | None = None) -> dict:
+        """The fact's JSON object; ``memo`` is ``poset_to_obj``'s."""
         return {"kind": self.kind,
-                "operands": [_operand_obj(o) for o in self.operands],
+                "operands": [_operand_obj(o, memo) for o in self.operands],
                 "pretty": fact_text(self),
                 "trace": [s.to_obj() for s in self.trace],
                 **({"resolved": {str(i): t for i, t in self.resolved}}
@@ -193,9 +203,9 @@ def operand_text(o) -> str:
     return str(o)
 
 
-def _operand_obj(o):
+def _operand_obj(o, memo: dict | None):
     if isinstance(o, PosetExpr):
-        return poset_to_obj(o)
+        return poset_to_obj(o, memo)
     if isinstance(o, CardinalExpr):
         return {"cardinal": render_expr(o)}
     return str(o)

@@ -6,9 +6,12 @@ answers *yes* on every premise; premises answered *unknown* are reported in
 the blocked list, never assumed. Every emitted fact carries a trace whose
 premises can be replayed against the closure and the classifier. A process
 keeps the closures it builds, within ``MEMO_RELATIONS``, and reuses each for the
-analyses that need the same one.
+analyses that need the same one. The facts of each T5.6 sub-analysis are kept
+with the closure it ran on, so it runs once per closure and delta0.
 """
 from __future__ import annotations
+
+import weakref
 
 from .atoms import AtomRegistry, CardinalAtom, builtin
 from .terms import (
@@ -50,17 +53,20 @@ class AnalysisReport(Value):
         self.resolutions = resolutions  # rendered expr -> rendered resolution
 
     def to_obj(self) -> dict:
+        """The report's JSON object, in which each poset's object is built once and
+        shared wherever the poset occurs."""
+        memo: dict = {}
         obj = {
             "schema_version": SCHEMA_VERSION,
             "alpha": term_to_obj(self.alpha),
             "alpha_pretty": pretty(self.alpha),
             "hypotheses": [h.render() for h in self.hypotheses],
-            "factorization": poset_to_obj(self.factorization),
+            "factorization": poset_to_obj(self.factorization, memo),
             "notes": list(self.notes),
-            "facts": [f.to_obj() for f in self.facts],
+            "facts": [f.to_obj(memo) for f in self.facts],
         }
         if self.ro_conclusion is not None:
-            obj["ro_conclusion"] = self.ro_conclusion.to_obj()
+            obj["ro_conclusion"] = self.ro_conclusion.to_obj(memo)
         else:
             obj["undetermined"] = {
                 "blocked_rules": [
@@ -102,6 +108,13 @@ MEMO_RELATIONS = 12000
 
 # closure inputs -> the closure kept for reuse, oldest first
 _CLOSURES: dict[tuple, FactBase] = {}
+
+# closure -> {delta0: the facts of the T5.6 sub-analysis of w^delta0 run on it}. The
+# sub-analysis reads only delta0 and the closure (its hypotheses are the closure's,
+# and it runs only when there are some), so its facts are kept with the closure and
+# leave with it: when the table of kept closures drops it, or when a closure that is
+# not kept dies with its request
+_SUB_FACTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _closed(hyps: tuple, registry: AtomRegistry, candidates: list) -> FactBase:
@@ -462,14 +475,19 @@ class _Engine:
             return
         target = pow2_of(_card_expr(d0))  # d0 >= w_1, so |d0| is an atom
         # the parent's candidates include d0's, so its closure contains the one of
-        # w^d0 under the same hypotheses: the sub-analysis runs on it
-        sub = _Engine(omega_power(canon_exp(d0)), self.hyps, None, self.fb).run()
+        # w^d0 under the same hypotheses: the sub-analysis runs on it, once per closure
+        # and d0
+        subs = _SUB_FACTS.setdefault(self.fb, {})
+        sub_facts = subs.get(d0)
+        if sub_facts is None:
+            sub_facts = subs[d0] = tuple(
+                _Engine(omega_power(canon_exp(d0)), self.hyps, None, self.fb).run().facts)
         subF = self._factor_poset(d0)
         route = None
         witness = None
-        sub_sigma = next((f for f in sub.facts
+        sub_sigma = next((f for f in sub_facts
                           if f.kind == "SigmaClosed" and f.operands[0] == subF), None)
-        for fact, frm, to in _collapses(sub.facts, subF):
+        for fact, frm, to in _collapses(sub_facts, subF):
             if self.check("T5.6", [("eq", frm, target)], report=False) is None:
                 continue
             if self.fb.resolve(to) == ALEPH0:
