@@ -5,12 +5,13 @@ chains a fixed rule catalog. A rule fires only when the hypothesis closure
 answers *yes* on every premise; premises answered *unknown* are reported in
 the blocked list, never assumed. Every emitted fact carries a trace whose
 premises can be replayed against the closure and the classifier. A process
-keeps the closures it builds, within ``MEMO_RELATIONS``, and reuses each for the
-analyses that need the same one. The facts of each T5.6 sub-analysis are kept
-with the closure it ran on, so it runs once per closure and delta0.
+keeps the closures it builds, within ``MEMO_RELATIONS``, and each analysis with the
+closure it ran on, within ``MEMO_FACTS``: the engine runs once per closure and alpha
+for ``analyze`` and for the T5.6 sub-analysis alike.
 """
 from __future__ import annotations
 
+import itertools
 import weakref
 
 from .atoms import AtomRegistry, CardinalAtom, builtin
@@ -46,11 +47,11 @@ class AnalysisReport(Value):
         self.alpha = alpha
         self.hypotheses = hypotheses
         self.factorization = factorization
-        self.notes = notes
-        self.facts = facts
+        self.notes = list(notes)  # copies, so a kept report shares no list with a request's
+        self.facts = list(facts)
         self.ro_conclusion = ro_conclusion
-        self.blocked = blocked  # (rule_id, [premise strings])
-        self.resolutions = resolutions  # rendered expr -> rendered resolution
+        self.blocked = [(rid, list(ps)) for rid, ps in blocked]  # (rule_id, [premises])
+        self.resolutions = dict(resolutions)  # rendered expr -> rendered resolution
 
     def to_obj(self) -> dict:
         """The report's JSON object, in which each poset's object is built once and
@@ -65,8 +66,8 @@ class AnalysisReport(Value):
             "notes": list(self.notes),
             "facts": [f.to_obj(memo) for f in self.facts],
         }
-        if self.ro_conclusion is not None:
-            obj["ro_conclusion"] = self.ro_conclusion.to_obj(memo)
+        if self.ro_conclusion is not None:  # one of the facts: it shares their object
+            obj["ro_conclusion"] = obj["facts"][self.facts.index(self.ro_conclusion)]
         else:
             obj["undetermined"] = {
                 "blocked_rules": [
@@ -109,12 +110,17 @@ MEMO_RELATIONS = 12000
 # closure inputs -> the closure kept for reuse, oldest first
 _CLOSURES: dict[tuple, FactBase] = {}
 
-# closure -> {delta0: the facts of the T5.6 sub-analysis of w^delta0 run on it}. The
-# sub-analysis reads only delta0 and the closure (its hypotheses are the closure's,
-# and it runs only when there are some), so its facts are kept with the closure and
-# leave with it: when the table of kept closures drops it, or when a closure that is
-# not kept dies with its request
-_SUB_FACTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# the most facts the kept analyses may hold together: 0.9 to 1.2 KB each by tracemalloc
+# (Python 3.11.7), so about 0.5 MB in all; w^10000 + ... + w has 40,003, not kept
+MEMO_FACTS = 400
+
+# closure -> {alpha: (use number, report)}, least recently used first. The engine
+# reads a closure only through entails_rel, resolve and its nodes, which change
+# nothing, and the hypotheses only through whether there are any, which the closure's
+# key holds: so an analysis depends only on (closure, alpha). It leaves with its
+# closure, when the kept closures drop it or when one not kept dies with its request
+_ANALYSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_USES = itertools.count()
 
 
 def _closed(hyps: tuple, registry: AtomRegistry, candidates: list) -> FactBase:
@@ -139,6 +145,27 @@ def _closed(hyps: tuple, registry: AtomRegistry, candidates: list) -> FactBase:
                 held -= len(_CLOSURES.pop(next(iter(_CLOSURES))).rels)
             _CLOSURES[key] = fb
     return fb
+
+
+class _Analyses(dict):  # alpha -> (use number, report); ``facts`` counts their facts
+    facts = 0
+
+
+def _analysis(alpha: OrdinalTerm, hyps: tuple, fb: FactBase,
+              engine: _Engine | None = None) -> AnalysisReport:
+    """alpha's report over the closure fb, run by ``engine`` (or a new one) on a miss."""
+    table = _ANALYSES.setdefault(fb, _Analyses())
+    report = table.pop(alpha, (0, None))[1]
+    if report is None:
+        report = (engine or _Engine(alpha, hyps, None, fb)).run()
+        if len(report.facts) > MEMO_FACTS:
+            return report
+        table.facts += len(report.facts)
+        while sum(t.facts for t in _ANALYSES.values()) > MEMO_FACTS:  # least recent out
+            t = min(filter(None, _ANALYSES.values()), key=lambda t: next(iter(t.values())))
+            t.facts -= len(t.pop(next(iter(t)))[1].facts)
+    table[alpha] = next(_USES), report
+    return report
 
 
 def _collapses(facts, F: PosetExpr) -> list[tuple]:
@@ -249,9 +276,6 @@ class _Engine:
         for d in self.deltas:
             self._factor_conditional(d)
         self._product_level()
-        self.blocked = [(rid, list(ps)) for rid, ps in
-                        dict.fromkeys((rid, tuple(ps)) for rid, ps in self.blocked)]
-        ro_fact = self._pick_conclusion()
         resolutions = {}
         for e in (CONTINUUM, DIST_H, pow2_of(W1)):
             r = self.fb.resolve(e)
@@ -259,8 +283,9 @@ class _Engine:
                 resolutions[render_expr(e)] = render_expr(r)
         return AnalysisReport(
             alpha=self.alpha, hypotheses=self.hyps, factorization=self.whole,
-            notes=[], facts=list(self.facts.values()),
-            ro_conclusion=ro_fact, blocked=self.blocked, resolutions=resolutions)
+            notes=[], facts=self.facts.values(), ro_conclusion=self._pick_conclusion(),
+            blocked=dict.fromkeys((rid, tuple(ps)) for rid, ps in self.blocked),
+            resolutions=resolutions)
 
     def _factor_poset(self, d: OrdinalTerm) -> PosetExpr:
         return sq_copies(omega_power(canon_exp(d)))
@@ -469,19 +494,11 @@ class _Engine:
     def _rule_t56(self, d, F) -> None:
         n = d.tail
         d0 = OrdinalTerm(d.summands, 0)
-        if n < 1 or d0.is_zero() or not d0.is_limit():
-            return
-        if self._countable(d0):
+        if self._countable(d0):  # d0 = 0 too; else d0, of tail 0, is a limit
             return
         target = pow2_of(_card_expr(d0))  # d0 >= w_1, so |d0| is an atom
-        # the parent's candidates include d0's, so its closure contains the one of
-        # w^d0 under the same hypotheses: the sub-analysis runs on it, once per closure
-        # and d0
-        subs = _SUB_FACTS.setdefault(self.fb, {})
-        sub_facts = subs.get(d0)
-        if sub_facts is None:
-            sub_facts = subs[d0] = tuple(
-                _Engine(omega_power(canon_exp(d0)), self.hyps, None, self.fb).run().facts)
+        # on the parent's closure: its candidates include d0's, so it contains w^d0's own
+        sub_facts = _analysis(omega_power(canon_exp(d0)), self.hyps, self.fb).facts
         subF = self._factor_poset(d0)
         route = None
         witness = None
@@ -574,5 +591,8 @@ class _Engine:
 
 
 def analyze(alpha: OrdinalTerm, hyps, registry: AtomRegistry) -> AnalysisReport:
-    """Forward-chain the rule catalog over sq(P(alpha)) under the hypotheses."""
-    return _Engine(alpha, hyps, registry).run()
+    """Forward-chain the rule catalog over sq(P(alpha)) under the hypotheses, once per
+    closure and alpha within a process (``_analysis``); each call gets its own report."""
+    engine = _Engine(alpha, hyps, registry)
+    kept = _analysis(alpha, engine.hyps, engine.fb, engine)
+    return AnalysisReport(alpha, engine.hyps, *kept._values()[2:])

@@ -12,13 +12,16 @@ from termcheck import check_canonical
 
 @pytest.fixture(autouse=True)
 def no_kept_closures():
-    """Each test starts and ends with no closure kept for reuse: ``rules.analyze``
-    keeps closures for the whole process, so a test recording the closures it builds
-    would see none for a problem an earlier test analyzed."""
+    """Each test starts and ends with no closure and no analysis kept for reuse:
+    ``rules.analyze`` keeps them for the whole process, so a test recording the
+    closures it builds or the analyses it runs would see none for a problem an
+    earlier test analyzed."""
     from copyposet import rules
     rules._CLOSURES.clear()
+    rules._ANALYSES.clear()
     yield
     rules._CLOSURES.clear()
+    rules._ANALYSES.clear()
 
 
 @pytest.fixture

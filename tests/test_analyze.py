@@ -1,6 +1,8 @@
 import gc
+import hashlib
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -15,7 +17,9 @@ from copyposet.classify import classify_exponent
 from copyposet.cardexpr import ALEPH0, atom_expr, parse_hypotheses, rel, render_rel
 from copyposet.cardinals import entails
 from copyposet.catalog import rule_table
-from copyposet.forcing import fact_text, poset_to_obj, premise_text, render_poset
+from copyposet.forcing import (
+    ForcingFact, fact_text, poset_to_obj, premise_text, render_poset,
+)
 from copyposet.rules import _Engine, analyze
 from copyposet.terms import ONE, OMEGA, exp_term, from_atom, power
 from golden_scenarios import SCENARIOS as GOLDEN, scenario_inputs
@@ -344,6 +348,41 @@ def test_report_json_builds_each_poset_once():
     assert held <= 0.5 * held_alone
 
 
+def test_report_json_builds_the_conclusion_once(monkeypatch):
+    """The conclusion is one of the facts and shares their object: a saturate report
+    builds 6 fact objects for its 6 facts, and the conclusion's equals its own."""
+    calls = []
+    real = ForcingFact.to_obj
+    monkeypatch.setattr(ForcingFact, "to_obj",
+                        lambda self, memo=None: calls.append(self) or real(self, memo))
+    report = analyze(*_ladder_problem(1))
+    obj = report.to_obj()
+    assert len(calls) == len(report.facts) == 6
+    at = report.facts.index(report.ro_conclusion)
+    assert obj["ro_conclusion"] is obj["facts"][at]
+    assert obj["ro_conclusion"] == real(report.ro_conclusion)
+
+
+def test_t56_leaves_a_finite_exponent_to_the_countable_rules(capsys):
+    """w^3, a successor exponent over delta0 = 0, is the one kind of input whose
+    T5.6 guard sees a finite delta0: it is countable, so the rule stays out."""
+    from copyposet.cli import main
+    assert main(["analyze", "w^3", "--assume", "CH"]) == 0
+    assert capsys.readouterr() == ("\n".join([
+        "alpha = w^3",
+        "factorization: sq(P(w^3))",
+        "fact: sq(P(w^3)) is sigma-closed",
+        "fact: CP(w) completely embeds into sq(P(w^3))",
+        "fact: sq(P(w^3)) is forcing equivalent to CP(w) * pi[sigma-closed separative]",
+        "fact: sq(P(w^3)) collapses c (= w_1) to h (= w_1)",
+        "fact: ro(sq(P(w^3))) ~ ro(CP(w))",
+        "conclusion: ro(sq(P(w^3))) ~ ro(CP(w))"]) + "\n", "")
+    assert main(["analyze", "w^3", "--assume", "CH", "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and hashlib.sha256(out.encode()).hexdigest() == (
+        "76d3f1fe75fde1330053aeefa9af2e5c2778e418ecfacee63158225b6a54da8c")
+
+
 def test_readme_library_example():
     """The README's Library snippet runs and prints the line its closing comment shows."""
     root = pathlib.Path(copyposet.__file__).resolve().parent.parent.parent
@@ -390,13 +429,13 @@ def _count_sub_analyses(monkeypatch) -> list:
 
 def _answers(capsys, lines, forget: bool) -> list:
     """(status, stdout, stderr) of each line through cli.main; with ``forget``, no
-    closure and no sub-analysis is kept from one line to the next."""
+    closure and no analysis is kept from one line to the next."""
     from copyposet.cli import main
     out = []
     for argv in lines:
         if forget:
             rules._CLOSURES.clear()
-            rules._SUB_FACTS.clear()
+            rules._ANALYSES.clear()
         status = main(argv)
         out.append((status, *capsys.readouterr()))
     return out
@@ -432,14 +471,37 @@ def test_saturate_ladder_reuses_its_closures(monkeypatch, capsys):
     assert len(built) == len(subs) == 7 + 168
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_one_process_prints_what_a_fresh_one_prints(capsys, seed):
+    """A seeded shuffle of two derive rounds (the goldens in their spellings and the
+    contradictions) and 24 ladder lines, each in JSON or in text: in one process,
+    every line prints what it prints with no closure and no analysis kept."""
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    rng = random.Random(seed)
+    rounds = workloads.rounds("derive", seed)
+    lines = [r.argv for r in next(rounds) + next(rounds)]
+    lines += rng.sample(_saturate_ladder(), 24)
+    lines = [argv if rng.random() < 0.5 else argv[:2] + argv[4:] for argv in lines]
+    rng.shuffle(lines)
+    kept = _answers(capsys, lines, forget=False)
+    assert sum(status == 1 for status, _out, _err in kept) == 8
+    assert _answers(capsys, lines, forget=True) == kept
+
+
 def test_sub_analyses_leave_with_their_closures(monkeypatch, capsys):
-    """A closure's sub-analysis facts are dropped with it from the kept closures."""
+    """A closure's analyses, its sub-analysis among them, are dropped with it from
+    the kept closures."""
     subs = _count_sub_analyses(monkeypatch)
     lines = [["analyze", f"w^(w_1+{n})", "--assume", "2^w_1 = w_2"] for n in (1, 2)]
     _answers(capsys, lines, forget=False)
-    assert len(subs) == len(rules._CLOSURES) == len(rules._SUB_FACTS) == 1
+    assert len(subs) == len(rules._CLOSURES) == len(rules._ANALYSES) == 1
+    (fb, table), = rules._ANALYSES.items()
+    assert fb is next(iter(rules._CLOSURES.values())) and len(table) == 3
+    del fb, table
     rules._CLOSURES.clear()
-    assert len(rules._SUB_FACTS) == 0
+    assert len(rules._ANALYSES) == 0
 
 
 @pytest.mark.parametrize("argv,status", [
@@ -447,13 +509,13 @@ def test_sub_analyses_leave_with_their_closures(monkeypatch, capsys):
     (["analyze", "w^(w_1+1)", "--assume", "CH", "--assume", "c = w_2"], 1)],
     ids=["too-large", "raises"])
 def test_closure_not_kept_keeps_no_sub_analysis(monkeypatch, capsys, argv, status):
-    """A closure too large to keep takes its sub-analysis facts with it when its
-    request ends, and one that raises never has any."""
+    """A closure too large to keep takes its analyses, and its sub-analysis, with it
+    when its request ends, and one that raises never has any."""
     monkeypatch.setattr(rules, "MEMO_RELATIONS", 5)
     subs = _count_sub_analyses(monkeypatch)
     answers = _answers(capsys, [argv], forget=False)
     assert answers[0][0] == status and len(subs) == 1 - status
-    assert rules._CLOSURES == {} and len(rules._SUB_FACTS) == 0
+    assert rules._CLOSURES == {} and len(rules._ANALYSES) == 0
 
 
 def test_one_sub_analysis_for_two_exponents_over_one_delta0(monkeypatch, capsys):
@@ -463,6 +525,118 @@ def test_one_sub_analysis_for_two_exponents_over_one_delta0(monkeypatch, capsys)
     (status, out, _err), = _answers(capsys, [argv], forget=False)
     assert status == 0 and len(subs) == 1
     assert out.count("~ ro(Col(w_1, 2^w_1) (= Col(w_1, w_2)))") == 2
+
+
+def _count_runs(monkeypatch) -> list:
+    """The alpha of every analysis the engine runs from now on, sub-analyses too."""
+    alphas = []
+    real = rules._Engine.run
+
+    def counting(self):
+        alphas.append(self.alpha)
+        return real(self)
+
+    monkeypatch.setattr(rules._Engine, "run", counting)
+    return alphas
+
+
+def _ladder_problem(n: int, k: int = 2):
+    """analyze's inputs for the saturate ladder's problem w^(w_1+n) at k, whose
+    closure is the same for every n."""
+    registry = AtomRegistry()
+    return (parse_term(f"w^(w_1+{n})", registry),
+            parse_hypotheses(f"GCH\n2^w_1 = w_2\nw_{k} < 2^w_{k}", registry), registry)
+
+
+def _kept_facts() -> int:
+    """The facts of the kept analyses, counted one by one."""
+    return sum(len(r.facts) for t in rules._ANALYSES.values() for _use, r in t.values())
+
+
+def test_repeated_problem_runs_the_engine_once(monkeypatch):
+    """A problem met again is looked up with its closure, and its report equals the
+    one run for it, with the request's own hypothesis lines."""
+    runs = _count_runs(monkeypatch)
+    first = analyze(*_ladder_problem(1))
+    registry = AtomRegistry()
+    alpha = parse_term("w_1*w", registry)
+    hyps = parse_hypotheses("w_2 < 2^w_2\nw_2 = 2^w_1\nGCH", registry)
+    again = analyze(alpha, hyps, registry)
+    assert len(runs) == 2  # w^(w_1+1) and its sub-analysis of w^(w_1)
+    assert again.hypotheses == tuple(hyps) != first.hypotheses
+    assert again.to_obj() == {**first.to_obj(),
+                              "hypotheses": ["w_2 < 2^w_2", "w_2 = 2^w_1", "GCH"]}
+    again.facts.clear()
+    again.blocked.append(("T5.6", []))
+    assert analyze(*_ladder_problem(1)).to_obj() == first.to_obj()
+
+
+def test_analysis_larger_than_the_budget_is_not_kept(monkeypatch):
+    """An analysis of more facts than MEMO_FACTS is run again each time, while its
+    sub-analysis of w^(w_1), of 6 facts, is kept and runs once."""
+    runs = _count_runs(monkeypatch)
+    monkeypatch.setattr(rules, "MEMO_FACTS", 6)
+    alpha, hyps, registry = _ladder_problem(1)
+    alpha = parse_term("w^(w_1+2) + w^(w_1+1)", registry)
+    for _ in range(3):
+        report = analyze(alpha, hyps, registry)
+    sub = parse_term("w^(w_1)", registry)
+    assert len(report.facts) > rules.MEMO_FACTS and runs == [alpha, sub, alpha, alpha]
+    (table,) = rules._ANALYSES.values()
+    assert list(table) == [sub] and _kept_facts() == 6
+
+
+def test_least_recently_used_analysis_leaves_first(monkeypatch):
+    """The analysis met longest ago leaves first: w^(w_1+1), met again, outlives
+    w^(w_1+2), and the sub-analysis of w^(w_1), met by every run, outlives both."""
+    runs = _count_runs(monkeypatch)
+    a1, a2, a3, a4 = (_ladder_problem(n)[0] for n in (1, 2, 3, 4))
+    sub = parse_term("w^(w_1)", AtomRegistry())
+    analyze(*_ladder_problem(1))
+    monkeypatch.setattr(rules, "MEMO_FACTS", _kept_facts() + 6)  # room for one more
+    for n in (2, 1, 3):
+        analyze(*_ladder_problem(n))
+    (table,) = rules._ANALYSES.values()
+    assert list(table) == [a1, sub, a3]
+    analyze(*_ladder_problem(4))
+    assert list(table) == [a3, sub, a4]
+    assert runs == [a1, sub, a2, a3, a4] and _kept_facts() == rules.MEMO_FACTS
+
+
+def test_ladder_sub_analyses_survive_50_saturate_rounds(monkeypatch):
+    """50 rounds of the saturate ladder push older analyses out, but not the 7
+    sub-analyses of w^(w_1), one per closure, which every round meets again."""
+    runs = _count_runs(monkeypatch)
+    for n in range(1, 51):
+        for k in range(2, 9):
+            analyze(*_ladder_problem(n, k))
+    sub = parse_term("w^(w_1)", AtomRegistry())
+    assert len(runs) == 350 + runs.count(sub) and runs.count(sub) == 7
+    assert 350 * 6 > rules.MEMO_FACTS >= _kept_facts()
+    assert len(rules._ANALYSES) == 7 and all(sub in t for t in rules._ANALYSES.values())
+
+
+def test_kept_analyses_at_the_bound_take_at_most_0_6_mb():
+    """Filled to MEMO_FACTS with the saturate ladder's analyses, the kept analyses take
+    at most 0.6 MB by tracemalloc (0.41 MB measured with Python 3.11.7): what
+    clearing the table frees, the closures staying kept."""
+    for k in range(2, 9):
+        analyze(*_ladder_problem(1, k))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for n in range(2, 12):
+            for k in range(2, 9):
+                analyze(*_ladder_problem(n, k))
+        assert rules.MEMO_FACTS - 6 < _kept_facts() <= rules.MEMO_FACTS
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        rules._ANALYSES.clear()
+        gc.collect()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(rules._CLOSURES) == 7 and freed <= 0.6e6
 
 
 @pytest.mark.parametrize("first,second,shared", [

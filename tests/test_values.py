@@ -6,6 +6,7 @@ import pickle
 
 import pytest
 
+from copyposet import rules
 from copyposet.atoms import AtomRegistry, CardinalAtom
 from copyposet.cardexpr import Hypothesis, parse_cardinal_expr, parse_hypothesis_line
 from copyposet.catalog import RuleInfo, rule_lookup
@@ -31,6 +32,9 @@ def _term(text="w^(w_2*w_1 + mu)*3 + w^5 + 2"):
 
 
 def _report() -> AnalysisReport:
+    """A report run from scratch: no closure or analysis kept by an earlier call."""
+    rules._CLOSURES.clear()
+    rules._ANALYSES.clear()
     reg = AtomRegistry()
     hyps = [parse_hypothesis_line("2^w_1 = w_2", reg)]
     return analyze(parse_term("w^(w_1+1)", reg), hyps, reg)
