@@ -4,15 +4,11 @@
 chains a fixed rule catalog. A rule fires only when the hypothesis closure
 answers *yes* on every premise; premises answered *unknown* are reported in
 the blocked list, never assumed. Every emitted fact carries a trace whose
-premises can be replayed against the closure and the classifier. A process
-keeps the closures it builds, within ``MEMO_RELATIONS``, and each analysis with the
-closure it ran on, within ``MEMO_FACTS``: the engine runs once per closure and alpha
-for ``analyze`` and for the T5.6 sub-analysis alike.
+premises can be replayed against the closure and the classifier. A process keeps
+the closures it builds, within ``MEMO_RELATIONS``, and the analyses, keyed by the
+closure's key and alpha, within ``MEMO_FACTS``, each least recently used out first.
 """
 from __future__ import annotations
-
-import itertools
-import weakref
 
 from .atoms import AtomRegistry, CardinalAtom, builtin
 from .terms import (
@@ -99,72 +95,74 @@ def _rho(rep: CaseReport) -> CardinalExpr | None:
     return _card_expr(rep.kappa) if rep.label in ("D", "E") else None
 
 
-# the most stored relations (``len(fb.rels)``) the closures kept for reuse may hold
-# together; a new closure pushes the oldest ones out. By tracemalloc (Python 3.11.7)
-# a kept closure costs about 250 B per stored relation when dense and 350 B when
-# sparse (23 nodes, 134 relations), so the kept closures stay under about 4.5 MB;
-# w^w under the builtin worst case (w_1..w_200 with GCH and w_i < 2^w_i) stores
-# 128,271 and holds 31 MB, and is not kept
-MEMO_RELATIONS = 12000
+class _Kept(dict):
+    """key -> value, least recently used first, with ``held`` the sum of the values'
+    sizes; ``keep`` refuses a value over the bound and pushes the oldest out to fit."""
 
-# closure inputs -> the closure kept for reuse, oldest first
-_CLOSURES: dict[tuple, FactBase] = {}
+    def __init__(self, size) -> None:
+        super().__init__()
+        self.size, self.held = size, 0
+
+    def find(self, key):
+        value = self.pop(key, None)
+        if value is not None:
+            self[key] = value
+        return value
+
+    def keep(self, key, value, bound: int) -> None:
+        size = self.size(value)
+        if size <= bound:
+            self.held += size
+            while self.held > bound:
+                self.held -= self.size(self.pop(next(iter(self))))
+            self[key] = value
+
+    def clear(self) -> None:
+        super().clear()
+        self.held = 0
+
+
+# the most stored relations (``len(fb.rels)``) the kept closures may hold together. By
+# tracemalloc (Python 3.11.7) a kept closure costs about 250 B per stored relation when
+# dense and 350 B when sparse (23 nodes, 134 relations), so they stay under about 4.5 MB;
+# w^w under the builtin worst case (w_1..w_200 with GCH and w_i < 2^w_i) stores 128,271
+# and holds 31 MB, and is not kept
+MEMO_RELATIONS = 12000
+_CLOSURES = _Kept(lambda fb: len(fb.rels))  # the closure key (``_closed``) -> closure
 
 # the most facts the kept analyses may hold together: 0.9 to 1.2 KB each by tracemalloc
 # (Python 3.11.7), so about 0.5 MB in all; w^10000 + ... + w has 40,003, not kept
 MEMO_FACTS = 400
-
-# closure -> {alpha: (use number, report)}, least recently used first. The engine
-# reads a closure only through entails_rel, resolve and its nodes, which change
-# nothing, and the hypotheses only through whether there are any, which the closure's
-# key holds: so an analysis depends only on (closure, alpha). It leaves with its
-# closure, when the kept closures drop it or when one not kept dies with its request
-_ANALYSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_USES = itertools.count()
+# (closure key, alpha) -> report. The engine reads of the closure only what its key fixes
+# (entails_rel, resolve, nodes), and of the hypotheses only whether there are any; so a
+# kept report answers also when its closure was pushed out and built again, or not kept
+_ANALYSES = _Kept(lambda report: len(report.facts))
 
 
-def _closed(hyps: tuple, registry: AtomRegistry, candidates: list) -> FactBase:
-    """The closure of the hypotheses over the candidates and the registry's declared
-    atoms, built once per process while it stays among the kept ones (tabling: Tamaki
-    & Sato 1986). What the engine reads of it, the nodes, which relations hold and
-    each node's resolution, follows from its relation set, and that depends neither
-    on the order of the hypothesis lines nor on the sides of an equality, so the key
-    takes the hypotheses as a set, each equality's sides in ``skey`` order. A closure
-    that raises is not kept, so a contradiction is raised, with its chain, every
-    time."""
+def _closed(hyps: tuple, registry: AtomRegistry, candidates: list) -> tuple:
+    """The key and the closure of the hypotheses over the candidates and the registry's
+    declared atoms, built once while it stays kept (tabling: Tamaki & Sato 1986). The
+    engine reads its nodes, which relations hold and each node's resolution, all fixed
+    by its relation set, which ignores the order of the hypothesis lines and the sides
+    of an equality: the key takes the hypotheses as a set, each equality's sides in
+    ``skey`` order. A contradiction is not kept, so its chain is raised every time."""
     key = (frozenset(_rel_key(h.op, h.lhs, h.rhs) if h.kind == "rel" else h for h in hyps),
            frozenset(candidates),
            frozenset(a for a in registry.atoms() if a.builtin_index is None))
-    fb = _CLOSURES.get(key)
+    fb = _CLOSURES.find(key)
     if fb is None:
         fb = closure(hyps, registry, extra_exprs=candidates)
-        size = len(fb.rels)
-        if size <= MEMO_RELATIONS:
-            held = sum(len(kept.rels) for kept in _CLOSURES.values())
-            while held + size > MEMO_RELATIONS:
-                held -= len(_CLOSURES.pop(next(iter(_CLOSURES))).rels)
-            _CLOSURES[key] = fb
-    return fb
+        _CLOSURES.keep(key, fb, MEMO_RELATIONS)
+    return key, fb
 
 
-class _Analyses(dict):  # alpha -> (use number, report); ``facts`` counts their facts
-    facts = 0
-
-
-def _analysis(alpha: OrdinalTerm, hyps: tuple, fb: FactBase,
-              engine: _Engine | None = None) -> AnalysisReport:
-    """alpha's report over the closure fb, run by ``engine`` (or a new one) on a miss."""
-    table = _ANALYSES.setdefault(fb, _Analyses())
-    report = table.pop(alpha, (0, None))[1]
+def _analysis(alpha: OrdinalTerm, on: _Engine, engine=None) -> AnalysisReport:
+    """alpha's report over ``on``'s closure, run by ``engine`` or a new one if not kept."""
+    key = (on.key, alpha)
+    report = _ANALYSES.find(key)
     if report is None:
-        report = (engine or _Engine(alpha, hyps, None, fb)).run()
-        if len(report.facts) > MEMO_FACTS:
-            return report
-        table.facts += len(report.facts)
-        while sum(t.facts for t in _ANALYSES.values()) > MEMO_FACTS:  # least recent out
-            t = min(filter(None, _ANALYSES.values()), key=lambda t: next(iter(t.values())))
-            t.facts -= len(t.pop(next(iter(t)))[1].facts)
-    table[alpha] = next(_USES), report
+        report = (engine or _Engine(alpha, on.hyps, None, on.fb)).run()
+        _ANALYSES.keep(key, report, MEMO_FACTS)
     return report
 
 
@@ -182,13 +180,13 @@ class _Engine:
         self.alpha = alpha
         self.hyps = tuple(hyps)
         self.has_hyps = bool(self.hyps)
-        self.whole = factorize(alpha)
         # the exponents in CNF order, which are distinct
         self.deltas = [exp_term(e) for e, _c in alpha.summands]
         self.reports: dict[OrdinalTerm, CaseReport] = {
             d: classify_exponent(d) for d in self.deltas}
-        # the T5.6 sub-analysis passes its parent's closure, which contains its own
-        self.fb = fb or _closed(self.hyps, registry, self._candidates())
+        # a T5.6 sub-analysis (of w^d0, which has none of its own) gets its parent's closure
+        self.key, self.fb = ((None, fb) if fb else
+                             _closed(self.hyps, registry, self._candidates()))
         self.facts: dict[tuple, ForcingFact] = {}
         self.blocked: list[tuple[str, list[str]]] = []
 
@@ -271,6 +269,7 @@ class _Engine:
     # -- the pipeline -----------------------------------------------------------
 
     def run(self) -> AnalysisReport:
+        self.whole = factorize(self.alpha)
         for d in self.deltas:
             self._factor_core(d)
         for d in self.deltas:
@@ -498,7 +497,7 @@ class _Engine:
             return
         target = pow2_of(_card_expr(d0))  # d0 >= w_1, so |d0| is an atom
         # on the parent's closure: its candidates include d0's, so it contains w^d0's own
-        sub_facts = _analysis(omega_power(canon_exp(d0)), self.hyps, self.fb).facts
+        sub_facts = _analysis(omega_power(canon_exp(d0)), self).facts
         subF = self._factor_poset(d0)
         route = None
         witness = None
@@ -594,5 +593,5 @@ def analyze(alpha: OrdinalTerm, hyps, registry: AtomRegistry) -> AnalysisReport:
     """Forward-chain the rule catalog over sq(P(alpha)) under the hypotheses, once per
     closure and alpha within a process (``_analysis``); each call gets its own report."""
     engine = _Engine(alpha, hyps, registry)
-    kept = _analysis(alpha, engine.hyps, engine.fb, engine)
+    kept = _analysis(alpha, engine, engine)
     return AnalysisReport(alpha, engine.hyps, *kept._values()[2:])

@@ -490,27 +490,37 @@ def test_one_process_prints_what_a_fresh_one_prints(capsys, seed):
     assert _answers(capsys, lines, forget=True) == kept
 
 
-def test_sub_analyses_leave_with_their_closures(monkeypatch, capsys):
-    """A closure's analyses, its sub-analysis among them, are dropped with it from
-    the kept closures."""
-    subs = _count_sub_analyses(monkeypatch)
+def test_kept_analyses_outlive_their_closures(monkeypatch, capsys):
+    """An analysis is kept by its closure's key, not with the closure: once the kept
+    closures are cleared, the same problem builds its closure again, runs the engine
+    0 times and prints the same bytes."""
     lines = [["analyze", f"w^(w_1+{n})", "--assume", "2^w_1 = w_2"] for n in (1, 2)]
-    _answers(capsys, lines, forget=False)
-    assert len(subs) == len(rules._CLOSURES) == len(rules._ANALYSES) == 1
-    (fb, table), = rules._ANALYSES.items()
-    assert fb is next(iter(rules._CLOSURES.values())) and len(table) == 3
-    del fb, table
+    first = _answers(capsys, lines, forget=False)
+    built = _count_closures(monkeypatch)
+    runs = _count_runs(monkeypatch)
     rules._CLOSURES.clear()
-    assert len(rules._ANALYSES) == 0
+    assert _answers(capsys, lines, forget=False) == first
+    assert len(built) == 1 and runs == []
+
+
+def test_closure_not_kept_keeps_its_analyses(monkeypatch, capsys):
+    """A closure too large to keep is built for every request, but its analysis and
+    the sub-analysis are kept: a second run runs the engine 0 times."""
+    monkeypatch.setattr(rules, "MEMO_RELATIONS", 5)
+    runs = _count_runs(monkeypatch)
+    argv = ["analyze", "w^(w_1+1)", "--assume", "2^w_1 = w_2"]
+    first = _answers(capsys, [argv], forget=False)
+    alpha, sub = runs
+    assert first[0][0] == 0 and sub == parse_term("w^(w_1)", AtomRegistry())
+    assert rules._CLOSURES == {} and _kept_alphas() == [sub, alpha]
+    assert _answers(capsys, [argv], forget=False) == first and runs == [alpha, sub]
 
 
 @pytest.mark.parametrize("argv,status", [
-    (["analyze", "w^(w_1+1)", "--assume", "2^w_1 = w_2"], 0),
     (["analyze", "w^(w_1+1)", "--assume", "CH", "--assume", "c = w_2"], 1)],
-    ids=["too-large", "raises"])
+    ids=["raises"])
 def test_closure_not_kept_keeps_no_sub_analysis(monkeypatch, capsys, argv, status):
-    """A closure too large to keep takes its analyses, and its sub-analysis, with it
-    when its request ends, and one that raises never has any."""
+    """A closure that raises never has any analysis kept."""
     monkeypatch.setattr(rules, "MEMO_RELATIONS", 5)
     subs = _count_sub_analyses(monkeypatch)
     answers = _answers(capsys, [argv], forget=False)
@@ -550,7 +560,14 @@ def _ladder_problem(n: int, k: int = 2):
 
 def _kept_facts() -> int:
     """The facts of the kept analyses, counted one by one."""
-    return sum(len(r.facts) for t in rules._ANALYSES.values() for _use, r in t.values())
+    return sum(len(r.facts) for r in rules._ANALYSES.values())
+
+
+def _kept_alphas() -> list:
+    """The alphas of the kept analyses, least recently used first, which are all over
+    one closure."""
+    (_closure,) = {key for key, _alpha in rules._ANALYSES}
+    return [alpha for _key, alpha in rules._ANALYSES]
 
 
 def test_repeated_problem_runs_the_engine_once(monkeypatch):
@@ -582,8 +599,7 @@ def test_analysis_larger_than_the_budget_is_not_kept(monkeypatch):
         report = analyze(alpha, hyps, registry)
     sub = parse_term("w^(w_1)", registry)
     assert len(report.facts) > rules.MEMO_FACTS and runs == [alpha, sub, alpha, alpha]
-    (table,) = rules._ANALYSES.values()
-    assert list(table) == [sub] and _kept_facts() == 6
+    assert _kept_alphas() == [sub] and _kept_facts() == rules._ANALYSES.held == 6
 
 
 def test_least_recently_used_analysis_leaves_first(monkeypatch):
@@ -596,11 +612,11 @@ def test_least_recently_used_analysis_leaves_first(monkeypatch):
     monkeypatch.setattr(rules, "MEMO_FACTS", _kept_facts() + 6)  # room for one more
     for n in (2, 1, 3):
         analyze(*_ladder_problem(n))
-    (table,) = rules._ANALYSES.values()
-    assert list(table) == [a1, sub, a3]
+    assert _kept_alphas() == [a1, sub, a3]
     analyze(*_ladder_problem(4))
-    assert list(table) == [a3, sub, a4]
-    assert runs == [a1, sub, a2, a3, a4] and _kept_facts() == rules.MEMO_FACTS
+    assert _kept_alphas() == [a3, sub, a4]
+    assert runs == [a1, sub, a2, a3, a4]
+    assert _kept_facts() == rules._ANALYSES.held == rules.MEMO_FACTS
 
 
 def test_ladder_sub_analyses_survive_50_saturate_rounds(monkeypatch):
@@ -612,8 +628,9 @@ def test_ladder_sub_analyses_survive_50_saturate_rounds(monkeypatch):
             analyze(*_ladder_problem(n, k))
     sub = parse_term("w^(w_1)", AtomRegistry())
     assert len(runs) == 350 + runs.count(sub) and runs.count(sub) == 7
-    assert 350 * 6 > rules.MEMO_FACTS >= _kept_facts()
-    assert len(rules._ANALYSES) == 7 and all(sub in t for t in rules._ANALYSES.values())
+    assert 350 * 6 > rules.MEMO_FACTS >= _kept_facts() == rules._ANALYSES.held
+    closures = {key for key, _alpha in rules._ANALYSES}
+    assert len(closures) == 7 and all((key, sub) in rules._ANALYSES for key in closures)
 
 
 def test_kept_analyses_at_the_bound_take_at_most_0_6_mb():
@@ -629,6 +646,7 @@ def test_kept_analyses_at_the_bound_take_at_most_0_6_mb():
             for k in range(2, 9):
                 analyze(*_ladder_problem(n, k))
         assert rules.MEMO_FACTS - 6 < _kept_facts() <= rules.MEMO_FACTS
+        assert _kept_facts() == rules._ANALYSES.held
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
         rules._ANALYSES.clear()
@@ -682,6 +700,7 @@ def test_kept_closures_stay_within_the_bound():
     for rank in ranks:
         analyze(*_singular_problem(rank))
         held.append(sum(len(fb.rels) for fb in rules._CLOSURES.values()))
+        assert rules._CLOSURES.held == held[-1]
     assert max(held) <= rules.MEMO_RELATIONS < len(ranks) * size
     kept = [fb.nodes for fb in rules._CLOSURES.values()]
     newest = [_Engine(*_singular_problem(rank)).fb.nodes
