@@ -5,8 +5,9 @@ chains a fixed rule catalog. A rule fires only when the hypothesis closure
 answers *yes* on every premise; premises answered *unknown* are reported in
 the blocked list, never assumed. Every emitted fact carries a trace whose
 premises can be replayed against the closure and the classifier. A process keeps
-the closures it builds, within ``MEMO_RELATIONS``, and the analyses, keyed by the
-closure's key and alpha, within ``MEMO_FACTS``, each least recently used out first.
+the closures it builds, within ``MEMO_RELATIONS``, and the analyses, within
+``MEMO_FACTS``, each least recently used out first; ``analyze`` looks an analysis up
+by its problem and alpha before it classifies or closes anything.
 """
 from __future__ import annotations
 
@@ -97,25 +98,25 @@ def _rho(rep: CaseReport) -> CardinalExpr | None:
 
 class _Kept(dict):
     """key -> value, least recently used first, with ``held`` the sum of the values'
-    sizes; ``keep`` refuses a value over the bound and pushes the oldest out to fit."""
+    sizes; ``get`` returns a kept value as most recently used, or keeps what ``make``
+    returns unless it is larger than the bound, pushing the oldest out to fit."""
 
     def __init__(self, size) -> None:
         super().__init__()
         self.size, self.held = size, 0
 
-    def find(self, key):
+    def get(self, key, make, bound: int):
         value = self.pop(key, None)
-        if value is not None:
-            self[key] = value
-        return value
-
-    def keep(self, key, value, bound: int) -> None:
-        size = self.size(value)
-        if size <= bound:
+        if value is None:
+            value = make()
+            size = self.size(value)
+            if size > bound:
+                return value
             self.held += size
             while self.held > bound:
                 self.held -= self.size(self.pop(next(iter(self))))
-            self[key] = value
+        self[key] = value
+        return value
 
     def clear(self) -> None:
         super().clear()
@@ -128,42 +129,25 @@ class _Kept(dict):
 # w^w under the builtin worst case (w_1..w_200 with GCH and w_i < 2^w_i) stores 128,271
 # and holds 31 MB, and is not kept
 MEMO_RELATIONS = 12000
-_CLOSURES = _Kept(lambda fb: len(fb.rels))  # the closure key (``_closed``) -> closure
+# (problem, the candidates as a set) -> closure (tabling: Tamaki & Sato 1986); a
+# contradiction is not kept, so its chain is raised every time
+_CLOSURES = _Kept(lambda fb: len(fb.rels))
 
 # the most facts the kept analyses may hold together: 0.9 to 1.2 KB each by tracemalloc
 # (Python 3.11.7), so about 0.5 MB in all; w^10000 + ... + w has 40,003, not kept
 MEMO_FACTS = 400
-# (closure key, alpha) -> report. The engine reads of the closure only what its key fixes
-# (entails_rel, resolve, nodes), and of the hypotheses only whether there are any; so a
-# kept report answers also when its closure was pushed out and built again, or not kept
+# (problem, alpha) -> report, and (closure key, w^delta0) -> a T5.6 sub-analysis on its
+# parent's closure. The engine reads of the closure only what its key fixes (entails_rel,
+# resolve, nodes), and of the hypotheses only whether there are any; the candidates are
+# a function of alpha, so a kept report answers with no closure kept or built
 _ANALYSES = _Kept(lambda report: len(report.facts))
 
 
-def _closed(hyps: tuple, registry: AtomRegistry, candidates: list) -> tuple:
-    """The key and the closure of the hypotheses over the candidates and the registry's
-    declared atoms, built once while it stays kept (tabling: Tamaki & Sato 1986). The
-    engine reads its nodes, which relations hold and each node's resolution, all fixed
-    by its relation set, which ignores the order of the hypothesis lines and the sides
-    of an equality: the key takes the hypotheses as a set, each equality's sides in
-    ``skey`` order. A contradiction is not kept, so its chain is raised every time."""
-    key = (frozenset(_rel_key(h.op, h.lhs, h.rhs) if h.kind == "rel" else h for h in hyps),
-           frozenset(candidates),
-           frozenset(a for a in registry.atoms() if a.builtin_index is None))
-    fb = _CLOSURES.find(key)
-    if fb is None:
-        fb = closure(hyps, registry, extra_exprs=candidates)
-        _CLOSURES.keep(key, fb, MEMO_RELATIONS)
-    return key, fb
-
-
-def _analysis(alpha: OrdinalTerm, on: _Engine, engine=None) -> AnalysisReport:
-    """alpha's report over ``on``'s closure, run by ``engine`` or a new one if not kept."""
-    key = (on.key, alpha)
-    report = _ANALYSES.find(key)
-    if report is None:
-        report = (engine or _Engine(alpha, on.hyps, None, on.fb)).run()
-        _ANALYSES.keep(key, report, MEMO_FACTS)
-    return report
+def _problem(hyps: tuple, registry: AtomRegistry) -> tuple:
+    """The hypotheses as a set, each equality's sides in ``skey`` order, and the declared
+    atoms: with the candidates, all that fixes a closure's relations and resolutions."""
+    return (frozenset(_rel_key(h.op, h.lhs, h.rhs) if h.kind == "rel" else h for h in hyps),
+            frozenset(a for a in registry.atoms() if a.builtin_index is None))
 
 
 def _collapses(facts, F: PosetExpr) -> list[tuple]:
@@ -185,8 +169,12 @@ class _Engine:
         self.reports: dict[OrdinalTerm, CaseReport] = {
             d: classify_exponent(d) for d in self.deltas}
         # a T5.6 sub-analysis (of w^d0, which has none of its own) gets its parent's closure
-        self.key, self.fb = ((None, fb) if fb else
-                             _closed(self.hyps, registry, self._candidates()))
+        self.key, self.fb = None, fb
+        if fb is None:
+            candidates = self._candidates()
+            self.key = (_problem(self.hyps, registry), frozenset(candidates))
+            self.fb = _CLOSURES.get(self.key, lambda: closure(
+                self.hyps, registry, extra_exprs=candidates), MEMO_RELATIONS)
         self.facts: dict[tuple, ForcingFact] = {}
         self.blocked: list[tuple[str, list[str]]] = []
 
@@ -195,21 +183,19 @@ class _Engine:
     def _candidates(self) -> list[CardinalExpr]:
         out = [ALEPH0, CONTINUUM, DIST_H, W1, W2, pow2_of(W1)]
         seen_deltas = list(self.deltas)
-        for d in list(self.deltas):
+        for d in self.deltas:
             if d.is_successor() and not OrdinalTerm(d.summands, 0).is_zero():
                 seen_deltas.append(OrdinalTerm(d.summands, 0))
         for d in seen_deltas:
             ce = _card_expr(d)
             if ce is not None:
                 out += [ce, pow2_of(ce), succ_of(pow2_of(ce))]
-            rep = None
-            if not d.is_zero():
-                rep = self.reports[d] if d in self.reports else classify_exponent(d)
-            rep_kappa = _card_expr(rep.kappa) if rep is not None else None
+            rep = self.reports[d] if d in self.reports else classify_exponent(d)
+            rep_kappa = _card_expr(rep.kappa)
             if rep_kappa is not None and rep_kappa != ALEPH0:
                 out += [rep_kappa, pow2_of(rep_kappa), pow2lt_of(rep_kappa),
                         succ_of(rep_kappa), cc_cp_of(rep_kappa), succ_of(pow2_of(rep_kappa))]
-            if rep is not None and rep.lam is not None:
+            if rep.lam is not None:
                 le = _card_expr(rep.lam)
                 if le is not None and le != ALEPH0:
                     out += [le, cc_cp_of(le)]
@@ -497,7 +483,9 @@ class _Engine:
             return
         target = pow2_of(_card_expr(d0))  # d0 >= w_1, so |d0| is an atom
         # on the parent's closure: its candidates include d0's, so it contains w^d0's own
-        sub_facts = _analysis(omega_power(canon_exp(d0)), self).facts
+        sub = omega_power(canon_exp(d0))
+        sub_facts = _ANALYSES.get((self.key, sub), lambda: _Engine(
+            sub, self.hyps, None, self.fb).run(), MEMO_FACTS).facts
         subF = self._factor_poset(d0)
         route = None
         witness = None
@@ -591,7 +579,8 @@ class _Engine:
 
 def analyze(alpha: OrdinalTerm, hyps, registry: AtomRegistry) -> AnalysisReport:
     """Forward-chain the rule catalog over sq(P(alpha)) under the hypotheses, once per
-    closure and alpha within a process (``_analysis``); each call gets its own report."""
-    engine = _Engine(alpha, hyps, registry)
-    kept = _analysis(alpha, engine, engine)
-    return AnalysisReport(alpha, engine.hyps, *kept._values()[2:])
+    problem and alpha within a process; each call gets its own report."""
+    hyps = tuple(hyps)
+    kept = _ANALYSES.get((_problem(hyps, registry), alpha),
+                         lambda: _Engine(alpha, hyps, registry).run(), MEMO_FACTS)
+    return AnalysisReport(alpha, hyps, *kept._values()[2:])

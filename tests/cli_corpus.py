@@ -94,6 +94,11 @@ _EXTRA = [
                          ("w^(w+1)", "2^w_1 = w_2"))
       for fmt in ([], ["--format", "json"])],
     ["cnfbase", "w_2*w_1", "--base", "zeta"],  # an unknown base atom
+    # T5.6 of w^(w_2+1) reads its parent's closure, whose candidates from w^(w_6+1)
+    # resolve 2^w_2 to w_5; w^(w_2)'s own closure lacks w_5
+    *[["analyze", "w^(w_6+1) + w^(w_2+1)", "--assume", "2^w_1 = w_3",
+       "--assume", "2^w_2 = succ(succ(2^w_1))", "--assume", "2^w_2 < cc(CP(w_2))", *fmt]
+      for fmt in ([], ["--format", "json"])],
 ]
 
 

@@ -491,16 +491,16 @@ def test_one_process_prints_what_a_fresh_one_prints(capsys, seed):
 
 
 def test_kept_analyses_outlive_their_closures(monkeypatch, capsys):
-    """An analysis is kept by its closure's key, not with the closure: once the kept
-    closures are cleared, the same problem builds its closure again, runs the engine
-    0 times and prints the same bytes."""
+    """An analysis is kept by its problem, not with the closure: once the kept
+    closures are cleared, the same problem builds no closure, runs the engine 0 times
+    and prints the same bytes."""
     lines = [["analyze", f"w^(w_1+{n})", "--assume", "2^w_1 = w_2"] for n in (1, 2)]
     first = _answers(capsys, lines, forget=False)
     built = _count_closures(monkeypatch)
     runs = _count_runs(monkeypatch)
     rules._CLOSURES.clear()
     assert _answers(capsys, lines, forget=False) == first
-    assert len(built) == 1 and runs == []
+    assert len(built) == 0 and runs == []
 
 
 def test_closure_not_kept_keeps_its_analyses(monkeypatch, capsys):
@@ -563,10 +563,17 @@ def _kept_facts() -> int:
     return sum(len(r.facts) for r in rules._ANALYSES.values())
 
 
+def _problem_of(key: tuple) -> tuple:
+    """The problem of a top-level analysis's (problem, alpha) key, or of a
+    sub-analysis's ((problem, candidates), w^delta0) key."""
+    first = key[0]
+    return first if isinstance(first[0], frozenset) else first[0]
+
+
 def _kept_alphas() -> list:
-    """The alphas of the kept analyses, least recently used first, which are all over
-    one closure."""
-    (_closure,) = {key for key, _alpha in rules._ANALYSES}
+    """The alphas of the kept analyses, least recently used first, which are all of
+    one problem."""
+    (_problem,) = {_problem_of(key) for key in rules._ANALYSES}
     return [alpha for _key, alpha in rules._ANALYSES]
 
 
@@ -586,6 +593,27 @@ def test_repeated_problem_runs_the_engine_once(monkeypatch):
     again.facts.clear()
     again.blocked.append(("T5.6", []))
     assert analyze(*_ladder_problem(1)).to_obj() == first.to_obj()
+
+
+def test_repeated_problem_is_found_before_any_engine_work(monkeypatch):
+    """A problem met again, in another spelling, is found by its problem and alpha:
+    it builds no engine, classifies no exponent and builds no closure."""
+    first = analyze(*_ladder_problem(1))
+    calls = []
+
+    def counting(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("closure", "classify_exponent"):
+        monkeypatch.setattr(rules, name, counting(name, getattr(rules, name)))
+    monkeypatch.setattr(rules._Engine, "__init__", counting("_Engine", rules._Engine.__init__))
+    registry = AtomRegistry()
+    hyps = parse_hypotheses("w_2 < 2^w_2\nw_2 = 2^w_1\nGCH", registry)
+    again = analyze(parse_term("w_1*w", registry), hyps, registry)
+    assert calls == [] and again.facts == first.facts
 
 
 def test_analysis_larger_than_the_budget_is_not_kept(monkeypatch):
@@ -621,7 +649,8 @@ def test_least_recently_used_analysis_leaves_first(monkeypatch):
 
 def test_ladder_sub_analyses_survive_50_saturate_rounds(monkeypatch):
     """50 rounds of the saturate ladder push older analyses out, but not the 7
-    sub-analyses of w^(w_1), one per closure, which every round meets again."""
+    sub-analyses of w^(w_1), one under each closure key, which every round meets
+    again."""
     runs = _count_runs(monkeypatch)
     for n in range(1, 51):
         for k in range(2, 9):
@@ -629,8 +658,8 @@ def test_ladder_sub_analyses_survive_50_saturate_rounds(monkeypatch):
     sub = parse_term("w^(w_1)", AtomRegistry())
     assert len(runs) == 350 + runs.count(sub) and runs.count(sub) == 7
     assert 350 * 6 > rules.MEMO_FACTS >= _kept_facts() == rules._ANALYSES.held
-    closures = {key for key, _alpha in rules._ANALYSES}
-    assert len(closures) == 7 and all((key, sub) in rules._ANALYSES for key in closures)
+    closures = {key for key, alpha in rules._ANALYSES if alpha == sub}
+    assert len(closures) == len({problem for problem, _candidates in closures}) == 7
 
 
 def test_kept_analyses_at_the_bound_take_at_most_0_6_mb():
