@@ -161,7 +161,8 @@ class FactBase:
         order-trans and lt-weaken, from a shortest path of stored le/lt relations,
         each stored before the relation that cites it: the rule loop sets a bit only
         from the bits of relations stored already, so there is such a path, and every
-        chain is finite and replays."""
+        chain is finite and replays. No step it rebuilds is stored below the bound: the
+        search takes edges in storage order, and a stored le precedes its pair's lt."""
         rels, ids, above = self.rels, self.ids, self.above
         pos = {k: n for n, k in enumerate(rels)}
         edges: dict[CardinalExpr, list[Rel]] = {}
@@ -190,17 +191,15 @@ class FactBase:
             cur = path[0]
             for e in path[1:]:
                 if cur[0] == "lt" == e[0]:
-                    cur = derived(("le", a, cur[2]), "lt-weaken", (cur,), bound)
+                    cur = derived(("le", a, cur[2]), "lt-weaken", (cur,))
                 step = "lt" if "lt" in (cur[0], e[0]) else "le"
                 cur = derived((step, a, e[2]), "order-trans" if step == "lt" else "le-trans",
-                              (cur, e), bound)
+                              (cur, e))
             if cur != k:
-                derived(k, "lt-weaken", (cur,), bound)
+                derived(k, "lt-weaken", (cur,))
 
-        def derived(k: Rel, rule: str, premises: tuple, bound: int) -> Rel:
-            if k in rels and pos[k] < bound:
-                walk(k, bound)
-            elif k not in seen:
+        def derived(k: Rel, rule: str, premises: tuple) -> Rel:
+            if k not in seen:
                 seen.add(k)
                 out.append((k, rule, premises))
             return k

@@ -243,8 +243,7 @@ def _json_write(obj, out) -> None:
             raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
     write(obj, "\n")
-    if parts:
-        out("".join(parts))
+    out("".join(parts))  # spill runs before a value's text is put, so parts holds its end
 
 
 def _dispatch(ns) -> int:

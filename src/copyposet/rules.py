@@ -32,20 +32,19 @@ from .catalog import SCHEMA_VERSION
 
 class AnalysisReport(Value):
     """The outcome of ``analyze``; unlike the other values it is mutable and unhashable."""
-    __slots__ = ("alpha", "hypotheses", "factorization", "notes", "facts",
-                 "ro_conclusion", "blocked", "resolutions")
+    __slots__ = ("alpha", "hypotheses", "factorization", "facts", "ro_conclusion",
+                 "blocked", "resolutions")
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
 
     def __init__(self, alpha: OrdinalTerm, hypotheses: tuple, factorization: PosetExpr,
-                 notes: list, facts: list, ro_conclusion: ForcingFact | None,
-                 blocked: list, resolutions: dict) -> None:
+                 facts: list, ro_conclusion: ForcingFact | None, blocked: list,
+                 resolutions: dict) -> None:
         self.alpha = alpha
         self.hypotheses = hypotheses
         self.factorization = factorization
-        self.notes = list(notes)  # copies, so a kept report shares no list with a request's
-        self.facts = list(facts)
+        self.facts = list(facts)  # copies, so a kept report shares no list with a request's
         self.ro_conclusion = ro_conclusion
         self.blocked = [(rid, list(ps)) for rid, ps in blocked]  # (rule_id, [premises])
         self.resolutions = dict(resolutions)  # rendered expr -> rendered resolution
@@ -60,7 +59,7 @@ class AnalysisReport(Value):
             "alpha_pretty": pretty(self.alpha),
             "hypotheses": [h.render() for h in self.hypotheses],
             "factorization": poset_to_obj(self.factorization, memo),
-            "notes": list(self.notes),
+            "notes": [],
             "facts": [f.to_obj(memo) for f in self.facts],
         }
         if self.ro_conclusion is not None:  # one of the facts: it shares their object
@@ -195,9 +194,9 @@ class _Engine:
             if rep_kappa is not None and rep_kappa != ALEPH0:
                 out += [rep_kappa, pow2_of(rep_kappa), pow2lt_of(rep_kappa),
                         succ_of(rep_kappa), cc_cp_of(rep_kappa), succ_of(pow2_of(rep_kappa))]
-            if rep.lam is not None:
+            if rep.lam is not None:  # w in case B, an atom in case C
                 le = _card_expr(rep.lam)
-                if le is not None and le != ALEPH0:
+                if le != ALEPH0:
                     out += [le, cc_cp_of(le)]
             a = _delta_atom(d)
             if a is not None:
@@ -268,7 +267,7 @@ class _Engine:
                 resolutions[render_expr(e)] = render_expr(r)
         return AnalysisReport(
             alpha=self.alpha, hypotheses=self.hyps, factorization=self.whole,
-            notes=[], facts=self.facts.values(), ro_conclusion=self._pick_conclusion(),
+            facts=self.facts.values(), ro_conclusion=self._pick_conclusion(),
             blocked=dict.fromkeys((rid, tuple(ps)) for rid, ps in self.blocked),
             resolutions=resolutions)
 
@@ -342,11 +341,11 @@ class _Engine:
 
         self._rule_t410(d, F, label)
 
-        if label in ("D", "E") and ce is not None and kappa_e is not None:
+        if label in ("D", "E"):  # kappa > w, so delta >= w_1
             self._rule_t52(d, F, kappa_e, ce)
-        if a is not None and a.singular and kappa_e is not None and kappa_e != ALEPH0:
+        if a is not None and a.singular and kappa_e != ALEPH0:  # case E
             self._rule_t54(F, a)
-        if a is not None and a.regular and label in ("D", "E"):
+        if a is not None and a.regular:  # case D
             self._rule_ex53(F, a)
         rho = _rho(rep)
         if rho is not None:
@@ -369,17 +368,16 @@ class _Engine:
         header = self.emit("RoIso", (cp(ALEPH0), col(W1, CONTINUUM)),
                            (Step("T4.10", (), used),))
         inst = (("delta", pretty(d)), ("case", label))
-        if self._countable(d):
+        if self._countable(d):  # T1.1b has fired: w_1 <= h < c = succ(w_1)
             sub = self.has_fact("RoIso", (F, cp(ALEPH0)))
-            if sub is not None:
-                self.emit("RoIso", (F, col(W1, CONTINUUM)),
-                          (Step("roiso-trans", inst, (("fact", sub), ("fact", header))),
-                           Step("T4.10", inst, used)))
+            self.emit("RoIso", (F, col(W1, CONTINUUM)),
+                      (Step("roiso-trans", inst, (("fact", sub), ("fact", header))),
+                       Step("T4.10", inst, used)))
             return
-        lam = {"A": W1, "B": W1, "D": ALEPH0, "E": ALEPH0}.get(label)  # C: no conclusion
-        if lam is not None:
-            self.emit("RoIso", (F, col(lam, CONTINUUM)),
-                      (Step("T4.10", inst, used + (("case", d, label),)),))
+        # case C cannot reach here: w < cf(theta) < kappa puts kappa >= w_2
+        lam = {"A": W1, "B": W1, "D": ALEPH0, "E": ALEPH0}[label]
+        self.emit("RoIso", (F, col(lam, CONTINUUM)),
+                  (Step("T4.10", inst, used + (("case", d, label),)),))
 
     def _rule_t52(self, d, F, kappa_e, ce) -> None:
         used = self.check("T5.2", [("eq", pow2_of(kappa_e), pow2_of(ce)),
@@ -398,14 +396,13 @@ class _Engine:
                                    ("lt", ALEPH0, cfe), ("eq", pow2_of(ae), succ_of(ae))])
         if used is None:
             return
-        ident = self.has_fact("ForcingEquivalent", (F, cp(ae)))
+        ident = self.has_fact("ForcingEquivalent", (F, cp(ae)))  # case E: sq-cp-ident
         emb = self.emit("CompletelyEmbeds",
                         (col(ALEPH0, succ_of(ae)), ro(cp(ae))),
                         (Step("F2.6d", (("kappa", a.name),), used),))
         coll = self.emit("Collapses", (F, pow2_of(ae), ALEPH0),
                          (Step("F2.6d", (("kappa", a.name),),
-                               (("fact", emb),) + ((("fact", ident),) if ident else ()) +
-                               used),))
+                               (("fact", emb), ("fact", ident)) + used),))
         self.emit("RoIso", (F, col(ALEPH0, pow2_of(ae))),
                   (Step("T5.4", (("kappa", a.name),), (("fact", coll),) + used),
                    Step("F5.1", (("lambda", "w"),), (("fact", coll),))))
@@ -425,9 +422,7 @@ class _Engine:
         ccx = cc_cp_of(rho)
         # the universe's atoms in skey order: an atom outside it entails no relation
         candidates = [x for x in self.fb.nodes if x.kind == "atom"]
-        candidates += [CONTINUUM, pow2_of(rho)]
-        if ce is not None:
-            candidates.append(pow2_of(ce))
+        candidates += [CONTINUUM, pow2_of(rho), pow2_of(ce)]
         emb = self.has_fact("CompletelyEmbeds", (cp(rho), F))
         seen = {ALEPH0}
         for x in candidates:
@@ -439,9 +434,9 @@ class _Engine:
             if used is not None:
                 self.emit("Collapses", (F, x, ALEPH0),
                           (Step("F2.6e", (("kappa", render_expr(rho)),),
-                                ((("fact", emb),) if emb else ()) + used),))
-        # chain-condition preservation needs the poset to *be* CP(kappa)
-        if a is not None and self.has_fact("ForcingEquivalent", (F, cp(atom_expr(a)))):
+                                (("fact", emb),) + used),))
+        # preservation needs the poset to *be* CP(a), as sq-cp-ident gives in cases C-E
+        if a is not None:
             res = self.fb.resolve(ccx)
             if res != ccx and res.kind in ("atom", "succ"):
                 self.emit("Preserves", (F, f">= {render_expr(res)}"),
@@ -515,17 +510,17 @@ class _Engine:
                         (("subfact", d0, witness),)),
                    Step("T5.6", (("route", route),),
                         (("subfact", d0, witness),) +
-                        ((("subfact", d0, sub_sigma),) if sub_sigma and
-                         route == "sigma-closed-collapse-to-w1" else ()))))
+                        ((("subfact", d0, sub_sigma),)
+                         if route == "sigma-closed-collapse-to-w1" else ()))))
 
     def _rule_t58(self, F, a) -> None:
         ae = atom_expr(a)
         used = self.check("T5.8", [("eq", exp_of(ae, ALEPH0), pow2_of(ae))])
         if used is None:
             return
-        coll = self.has_fact("Collapses", (F, exp_of(ae, ALEPH0), W1))
+        coll = self.has_fact("Collapses", (F, exp_of(ae, ALEPH0), W1))  # case A: F2.6c
         self.emit("RoIso", (F, col(W1, pow2_of(ae))),
-                  (Step("F2.6c", (("mu", a.name),), (("fact", coll),) if coll else ()),
+                  (Step("F2.6c", (("mu", a.name),), (("fact", coll),)),
                    Step("T5.8", (("mu", a.name),), used)))
 
     # -- product level ----------------------------------------------------------
@@ -534,12 +529,9 @@ class _Engine:
         if self.whole.kind != "prod":
             return
         k = sum(c for _e, c in self.alpha.summands)
-        labels = {d: self.reports[d].label for d in self.deltas}
-        factor_facts = []
-        if all(lbl in ("A", "B") for lbl in labels.values()):
-            for d in self.deltas:
-                factor_facts.append(self.has_fact("SigmaClosed", (self._factor_poset(d),)))
-            prem = tuple(("fact", f) for f in factor_facts if f)
+        if all(self.reports[d].label in ("A", "B") for d in self.deltas):
+            prem = tuple(("fact", self.has_fact("SigmaClosed", (self._factor_poset(d),)))
+                         for d in self.deltas)
             self.emit("SigmaClosed", (self.whole,),
                       (Step("T4.9a", (("k", str(k)),), prem),))
             self.emit("CompletelyEmbeds", (product([(cp(ALEPH0), k)]), self.whole),
@@ -556,8 +548,7 @@ class _Engine:
         for rho, d in rhos.items():
             emb = self.has_fact("CompletelyEmbeds", (cp(rho), self._factor_poset(d)))
             self.emit("CompletelyEmbeds", (cp(rho), self.whole),
-                      (Step("T4.9b", (("lambda", render_expr(rho)),),
-                            (("fact", emb),) if emb else ()),))
+                      (Step("T4.9b", (("lambda", render_expr(rho)),), (("fact", emb),)),))
         self.emit("Collapses", (self.whole, W2, ALEPH0),
                   (Step("T4.9b", (), ()),))
         target = succ_of(pow2_of(cae))

@@ -14,7 +14,9 @@ from copyposet import rules
 from copyposet.atoms import AtomRegistry
 from copyposet.parser import parse_term
 from copyposet.classify import classify_exponent
-from copyposet.cardexpr import ALEPH0, atom_expr, parse_hypotheses, rel, render_rel
+from copyposet.cardexpr import (
+    ALEPH0, HypothesisError, atom_expr, parse_hypotheses, rel, render_rel,
+)
 from copyposet.cardinals import entails
 from copyposet.catalog import rule_table
 from copyposet.forcing import (
@@ -147,6 +149,40 @@ def test_trace_replay():
     for a subfact, in a fresh analysis of w^delta0)."""
     for alpha, hyps, registry in _replay_inputs():
         _replay(alpha, hyps, registry)
+
+
+# random product problems: regular atoms, singular atoms of cofinality w and of an
+# atom's cofinality, limit and successor exponents of every case, hypothesis lines
+RANDOM_DECLS = ["card kap rank 50", "card lam rank 60", "card mu rank 70 singular cf w",
+                "card nu rank 80 singular cf kap"]
+RANDOM_EXPONENTS = [
+    "2", "w", "w+1", "w*2", "w^w+3", "w_1", "w_1+1", "w_1+2", "w_1*w", "w_1*w+w_1",
+    "w_1*w_1", "w_2", "w_2+1", "w_2*w_1+w_2", "w_2*w_2", "kap", "kap+1", "kap*w_1+kap",
+    "lam", "mu", "mu+1", "mu*w", "nu", "nu+1"]
+RANDOM_HYPOTHESES = [
+    "CH", "GCH", "h < c", "c = w_2", "2^w_1 = w_2", "h = w_1", "2^w_1 = w_3",
+    "2^mu = succ(mu)", "2^<mu = mu", "MA mu=mu", "CohenModel(w_5)", "CohenModel(lam)",
+    "2^kap = succ(kap)", "cc(CP(w_1)) = succ(2^w_1)", "cc(CP(w_1)) = w_3",
+    "w_3 < 2^w_1", "2^w_1 < nu", "2^nu = succ(nu)", "2^kap < nu", "mu^w = 2^mu",
+    "cc(CP(kap)) = succ(2^kap)", "cc(CP(w_2)) = succ(2^w_2)",
+    "h < c\nc = w_2\n2^w_1 = w_2"]
+
+
+def test_trace_replay_of_random_problems():
+    """The replay over seeded random products. A rule cites the facts its case
+    guarantees without a condition, so a wrong case argument shows here as a premise
+    that does not replay; a contradiction or another hypothesis error passes."""
+    rng = random.Random(30)
+    for _ in range(250):  # about 2 s
+        registry = AtomRegistry()
+        lines = RANDOM_DECLS + rng.sample(RANDOM_HYPOTHESES, rng.randint(0, 4))
+        summands = [f"w^({e})*{rng.randint(1, 2)}"
+                    for e in rng.sample(RANDOM_EXPONENTS, rng.randint(1, 3))]
+        try:
+            hyps = parse_hypotheses("\n".join(lines), registry)
+            _replay(parse_term(" + ".join(summands), registry), hyps, registry)
+        except HypothesisError:  # ContradictionError is one
+            pass
 
 
 # catalog results no step names: the factorization (T3.2) and general embedding and

@@ -484,21 +484,22 @@ def test_package_exports():
 
 
 def test_pinned_test_dependencies_agree():
-    """CI's pip install line, pyproject's test extra and the README's install section
-    name the same pytest and hypothesis pins (read with a regex: 3.10 has no tomllib)."""
+    """CI's one pip install line installs pyproject's test extra and names no pin of
+    its own, and the extra and the README's install section name the same pytest and
+    hypothesis pins (read with a regex: 3.10 has no tomllib)."""
     root = pathlib.Path(__file__).resolve().parent.parent
     pin = re.compile(r"\b(pytest|hypothesis)==(\d[\w.]*)")
     workflow = (root / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
     installs = [line for line in workflow.splitlines() if "pip install" in line]
     assert len(installs) == 1
+    assert installs[0].endswith('pip install -e ".[test]"') and not pin.search(installs[0])
     extra = re.search(r"^test = \[(.*)\]$",
                       (root / "pyproject.toml").read_text(encoding="utf-8"), re.M)
     readme = (root / "README.md").read_text(encoding="utf-8")
     install_section = readme.split("## Install and test", 1)[1].split("\n## ", 1)[0]
-    pins = [sorted(set(pin.findall(text)))
-            for text in (installs[0], extra[1], install_section)]
+    pins = [sorted(set(pin.findall(text))) for text in (extra[1], install_section)]
     assert [name for name, _version in pins[0]] == ["hypothesis", "pytest"]
-    assert pins[0] == pins[1] == pins[2]
+    assert pins[0] == pins[1]
 
 
 def test_readme_cli_examples_print_their_comments(capsys):

@@ -113,8 +113,8 @@ def test_analysis_report_is_mutable_and_unhashable():
     with pytest.raises(TypeError):
         hash(report)
     other = _report()
-    other.notes = other.notes + ["one more"]
-    assert other.notes[-1] == "one more" and report != other
+    other.blocked = other.blocked + ["one more"]
+    assert other.blocked[-1] == "one more" and report != other
 
 
 @pytest.mark.parametrize("name", sorted(VALUES))
