@@ -182,14 +182,35 @@ def _emit(ns, text_lines, obj) -> None:
             print(line)
 
 
+class _Json:
+    """A value ``_json_write`` writes as the text ``text_of(value)`` returns, the text
+    it writes of the value at indent 0. The text is made when written, so a response
+    holds the text of one such value at a time, besides the texts kept for reuse."""
+    __slots__ = ("value", "text_of")
+
+    def __init__(self, value, text_of) -> None:
+        self.value, self.text_of = value, text_of
+
+
+def _json_text(obj) -> str:
+    """``obj``'s text as ``_json_write`` writes it."""
+    parts: list[str] = []
+    _json_write(obj, parts.append)
+    return "".join(parts)
+
+
 def _json_write(obj, out) -> None:
     """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, passed to ``out``
     in blocks of at least 8,192 characters (the last may be shorter), so a large
-    response never holds all of its text at once. It serves the trees the responses
-    are made of: str, int, bool, None, and lists, tuples and dicts with str keys.
-    With an indent, json.dumps runs its pure-Python encoder, which spends most of
-    its time on generator frames; this writes the same text directly. A float, a set
-    or a key that is not a str raises ``TypeError``."""
+    response never holds all of its text at once, save the text of a ``_Json``. It
+    serves the trees the responses are made of: str, int, bool, None, lists, tuples
+    and dicts with str keys, and ``_Json``, which stands for a value by the text this
+    writes of the value at indent 0: the splice gives each newline of the text the
+    indent of the place it fills. Every newline in the text is structure, as
+    ``quote`` escapes one inside a string, so the splice writes what the value would.
+    With an indent, json.dumps runs its pure-Python encoder, which spends most of its
+    time on generator frames; this writes the same text directly. A float, a set or a
+    key that is not a str raises ``TypeError``."""
     from json.encoder import encode_basestring_ascii as quote
     parts: list[str] = []
     put = parts.append
@@ -239,11 +260,15 @@ def _json_write(obj, out) -> None:
                 write(o[key], inner)
                 sep = "," + inner
             put(pad + "}")
+        elif isinstance(o, _Json):
+            put(o.text_of(o.value).replace("\n", pad))
+            spill()  # a large text, so that parts holds few of them
         else:
             raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
     write(obj, "\n")
     out("".join(parts))  # spill runs before a value's text is put, so parts holds its end
+    del write  # it calls itself: a reference cycle, which would hold parts until collected
 
 
 def _dispatch(ns) -> int:
@@ -312,12 +337,16 @@ def _dispatch(ns) -> int:
         lines = [render_poset(p)] + notes
         _emit(ns, lines, {"factorization": poset_to_obj(p), "notes": notes})
     else:  # analyze
-        from .rules import analyze
+        from .rules import analyze, kept_text
         report = analyze(t, hyps, registry)
         # the text lines and the report's JSON object (large for a long alpha) are
-        # each built only when printed
+        # each built only when printed; the JSON states each fact and the
+        # factorization by its kept text, and the texts made for this report share
+        # each poset's object (memo)
         if ns.format == "json":
-            _emit(ns, (), report.to_obj())
+            memo: dict = {}
+            text_of = lambda value: kept_text(value, _json_text, memo)
+            _emit(ns, (), report.to_obj(lambda value: _Json(value, text_of)))
             return 0
         lines = [f"alpha = {pretty(t)}",
                  f"factorization: {render_poset(report.factorization)}"]

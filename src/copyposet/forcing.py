@@ -19,14 +19,27 @@ class PosetExpr(Value):
     pos (p,), iter (p, tag) and ro (p,): p is a PosetExpr, alpha and delta are
     ordinals, kappa and lam cardinals, m >= 1 and n naturals and tag a str.
     ``render_poset`` gives each kind's notation."""
-    __slots__ = ("kind", "operands")
+    __slots__ = ("kind", "operands", "_hash")
 
     def __init__(self, kind: str, operands: tuple) -> None:
         init(self, "kind", kind)
         init(self, "operands", operands)
+        init(self, "_hash", None)  # see _cached_hash
+
+    def __hash__(self) -> int:
+        return _cached_hash(self)
 
     def __repr__(self) -> str:
         return f"<{render_poset(self)}>"
+
+
+def _cached_hash(v: PosetExpr | ForcingFact) -> int:
+    """v's hash, computed when first asked for and kept in its ``_hash`` slot: the kept
+    JSON texts (rules._TEXTS) are looked up by poset and by fact, and a fact's hash
+    walks its whole trace."""
+    if v._hash is None:
+        init(v, "_hash", hash(v._values()))
+    return v._hash
 
 
 def sq_copies(alpha: OrdinalTerm) -> PosetExpr:
@@ -176,7 +189,7 @@ def premise_text(p: tuple) -> str:
 
 
 class ForcingFact(Value):
-    __slots__ = ("kind", "operands", "trace", "resolved")
+    __slots__ = ("kind", "operands", "trace", "resolved", "_hash")
 
     def __init__(self, kind: str, operands: tuple = (), trace: tuple = (),
                  resolved: tuple = ()) -> None:
@@ -184,6 +197,10 @@ class ForcingFact(Value):
         init(self, "operands", operands)  # PosetExpr / CardinalExpr / str operands
         init(self, "trace", trace)  # Steps
         init(self, "resolved", resolved)  # ((position, resolved text), ...) for display
+        init(self, "_hash", None)  # see _cached_hash
+
+    def __hash__(self) -> int:
+        return _cached_hash(self)
 
     def to_obj(self, memo: dict | None = None) -> dict:
         """The fact's JSON object; ``memo`` is ``poset_to_obj``'s."""

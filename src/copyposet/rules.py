@@ -5,9 +5,10 @@ chains a fixed rule catalog. A rule fires only when the hypothesis closure
 answers *yes* on every premise; premises answered *unknown* are reported in
 the blocked list, never assumed. Every emitted fact carries a trace whose
 premises can be replayed against the closure and the classifier. A process keeps
-the closures it builds, within ``MEMO_RELATIONS``, and the analyses, within
-``MEMO_FACTS``, each least recently used out first; ``analyze`` looks an analysis up
-by its problem and alpha before it classifies or closes anything.
+the closures it builds, within ``MEMO_RELATIONS``, the analyses, within
+``MEMO_FACTS``, and the JSON texts of facts and factorizations, within ``MEMO_TEXT``,
+each least recently used out first; ``analyze`` looks an analysis up by its problem
+and alpha before it classifies or closes anything, and keeps one it has met before.
 """
 from __future__ import annotations
 
@@ -49,18 +50,21 @@ class AnalysisReport(Value):
         self.blocked = [(rid, list(ps)) for rid, ps in blocked]  # (rule_id, [premises])
         self.resolutions = dict(resolutions)  # rendered expr -> rendered resolution
 
-    def to_obj(self) -> dict:
-        """The report's JSON object, in which each poset's object is built once and
-        shared wherever the poset occurs."""
-        memo: dict = {}
+    def to_obj(self, leaf=None) -> dict:
+        """The report's JSON object. ``leaf`` gives the JSON value of the factorization
+        and of each fact; by default their objects, in which each poset's object is
+        built once and shared wherever the poset occurs."""
+        if leaf is None:
+            memo: dict = {}
+            leaf = lambda value: _leaf_obj(value, memo)
         obj = {
             "schema_version": SCHEMA_VERSION,
             "alpha": term_to_obj(self.alpha),
             "alpha_pretty": pretty(self.alpha),
             "hypotheses": [h.render() for h in self.hypotheses],
-            "factorization": poset_to_obj(self.factorization, memo),
+            "factorization": leaf(self.factorization),
             "notes": [],
-            "facts": [f.to_obj(memo) for f in self.facts],
+            "facts": [leaf(f) for f in self.facts],
         }
         if self.ro_conclusion is not None:  # one of the facts: it shares their object
             obj["ro_conclusion"] = obj["facts"][self.facts.index(self.ro_conclusion)]
@@ -72,6 +76,13 @@ class AnalysisReport(Value):
         if self.resolutions:
             obj["resolutions"] = dict(self.resolutions)
         return obj
+
+
+def _leaf_obj(value: ForcingFact | PosetExpr, memo: dict) -> dict:
+    """The JSON object of a fact or a poset; ``memo`` is ``poset_to_obj``'s."""
+    if isinstance(value, ForcingFact):
+        return value.to_obj(memo)
+    return poset_to_obj(value, memo)
 
 
 def _delta_atom(delta: OrdinalTerm) -> CardinalAtom | None:
@@ -141,6 +152,25 @@ MEMO_FACTS = 400
 # a function of alpha, so a kept report answers with no closure kept or built
 _ANALYSES = _Kept(lambda report: len(report.facts))
 
+# the most top-level keys whose hashes _SEEN holds, oldest out first (about 28 KB by
+# tracemalloc): a top-level analysis is kept only from the second time its
+# (problem, alpha) is met, so a problem met once (each of saturate's) runs with nothing
+# kept. _SEEN holds a hash of the key, not the key, so two keys of one hash at most
+# keep an analysis a run early; sub-analyses, which every alpha over one delta0
+# shares, are kept when first run
+SEEN_KEYS = 256
+_SEEN = _Kept(lambda _met: 1)
+
+# the most characters the kept JSON texts may hold together. A fact's or a
+# factorization's text at indent 0 is kept by its value, and cli splices it into every
+# report that states the value: a saturate round states the same 6 facts and
+# factorization (about 7,600 characters) under 7 problems, and derive's kept analyses
+# state theirs on every hit (72 texts of 67,970 characters in all). By tracemalloc
+# (Python 3.11.7) the table costs about 2 B per character with the facts it is keyed
+# by, so at most about 0.2 MB
+MEMO_TEXT = 100000
+_TEXTS = _Kept(len)
+
 
 def _problem(hyps: tuple, registry: AtomRegistry) -> tuple:
     """The hypotheses as a set, each equality's sides in ``skey`` order, and the declared
@@ -167,15 +197,20 @@ class _Engine:
         self.deltas = [exp_term(e) for e, _c in alpha.summands]
         self.reports: dict[OrdinalTerm, CaseReport] = {
             d: classify_exponent(d) for d in self.deltas}
-        # a T5.6 sub-analysis (of w^d0, which has none of its own) gets its parent's closure
+        # a T5.6 sub-analysis (of w^d0, which has none of its own) gets its parent's
+        # closure; analyze, which has computed the problem, calls ``close`` itself
         self.key, self.fb = None, fb
-        if fb is None:
-            candidates = self._candidates()
-            self.key = (_problem(self.hyps, registry), frozenset(candidates))
-            self.fb = _CLOSURES.get(self.key, lambda: closure(
-                self.hyps, registry, extra_exprs=candidates), MEMO_RELATIONS)
+        if registry is not None:
+            self.close(_problem(self.hyps, registry), registry)
         self.facts: dict[tuple, ForcingFact] = {}
         self.blocked: list[tuple[str, list[str]]] = []
+
+    def close(self, problem: tuple, registry: AtomRegistry) -> None:
+        """Take the problem's closure over the candidates, kept or built."""
+        candidates = self._candidates()
+        self.key = (problem, frozenset(candidates))
+        self.fb = _CLOSURES.get(self.key, lambda: closure(
+            self.hyps, registry, extra_exprs=candidates), MEMO_RELATIONS)
 
     # -- candidate expressions the rules may query -----------------------------
 
@@ -568,10 +603,42 @@ class _Engine:
         return ([f for f in isos if f.operands[1].kind == "col"] or isos or [None])[0]
 
 
+def _met_before(problem: tuple, alpha: OrdinalTerm) -> bool:
+    """Whether ``_SEEN`` holds the hash of (problem, alpha), which it holds from now on.
+    A cardinal expression hashes by identity, and one that no table keeps alive is
+    built anew under another hash, so its ``skey`` stands for it in the hash."""
+    rels, atoms = problem
+    met = hash((frozenset(
+        tuple([x.skey if isinstance(x, CardinalExpr) else x
+               for x in (rel if isinstance(rel, tuple) else rel._values())])
+        for rel in rels), atoms, alpha))
+    if met in _SEEN:
+        return True
+    _SEEN.get(met, lambda: True, SEEN_KEYS)
+    return False
+
+
+def kept_text(value: ForcingFact | PosetExpr, render, memo: dict) -> str:
+    """The text ``render`` makes of the JSON object of a fact or a poset, made once
+    per value within ``MEMO_TEXT``; ``memo`` is ``poset_to_obj``'s."""
+    return _TEXTS.get(value, lambda: render(_leaf_obj(value, memo)), MEMO_TEXT)
+
+
 def analyze(alpha: OrdinalTerm, hyps, registry: AtomRegistry) -> AnalysisReport:
     """Forward-chain the rule catalog over sq(P(alpha)) under the hypotheses, once per
-    problem and alpha within a process; each call gets its own report."""
+    problem and alpha within a process from the second call on; each call gets its
+    own report."""
     hyps = tuple(hyps)
-    kept = _ANALYSES.get((_problem(hyps, registry), alpha),
-                         lambda: _Engine(alpha, hyps, registry).run(), MEMO_FACTS)
+    problem = _problem(hyps, registry)
+    key = (problem, alpha)
+
+    def run() -> AnalysisReport:
+        engine = _Engine(alpha, hyps, None)
+        engine.close(problem, registry)
+        return engine.run()
+
+    if key in _ANALYSES or _met_before(problem, alpha):
+        kept = _ANALYSES.get(key, run, MEMO_FACTS)
+    else:
+        kept = run()
     return AnalysisReport(alpha, hyps, *kept._values()[2:])

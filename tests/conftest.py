@@ -12,16 +12,17 @@ from termcheck import check_canonical
 
 @pytest.fixture(autouse=True)
 def no_kept_closures():
-    """Each test starts and ends with no closure and no analysis kept for reuse:
-    ``rules.analyze`` keeps them for the whole process, so a test recording the
-    closures it builds or the analyses it runs would see none for a problem an
-    earlier test analyzed."""
+    """Each test starts and ends with no closure, no analysis, no problem met and no
+    JSON text kept for reuse: ``rules.analyze`` keeps them for the whole process, so a
+    test recording the closures it builds or the analyses it runs would see none for a
+    problem an earlier test analyzed."""
     from copyposet import rules
-    rules._CLOSURES.clear()
-    rules._ANALYSES.clear()
+    tables = (rules._CLOSURES, rules._ANALYSES, rules._SEEN, rules._TEXTS)
+    for table in tables:
+        table.clear()
     yield
-    rules._CLOSURES.clear()
-    rules._ANALYSES.clear()
+    for table in tables:
+        table.clear()
 
 
 @pytest.fixture

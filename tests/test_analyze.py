@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import json
 import os
 import pathlib
 import random
@@ -465,13 +466,13 @@ def _count_sub_analyses(monkeypatch) -> list:
 
 def _answers(capsys, lines, forget: bool) -> list:
     """(status, stdout, stderr) of each line through cli.main; with ``forget``, no
-    closure and no analysis is kept from one line to the next."""
+    closure, analysis, problem met or JSON text is kept from one line to the next."""
     from copyposet.cli import main
     out = []
     for argv in lines:
         if forget:
-            rules._CLOSURES.clear()
-            rules._ANALYSES.clear()
+            for table in (rules._CLOSURES, rules._ANALYSES, rules._SEEN, rules._TEXTS):
+                table.clear()
         status = main(argv)
         out.append((status, *capsys.readouterr()))
     return out
@@ -531,6 +532,7 @@ def test_kept_analyses_outlive_their_closures(monkeypatch, capsys):
     closures are cleared, the same problem builds no closure, runs the engine 0 times
     and prints the same bytes."""
     lines = [["analyze", f"w^(w_1+{n})", "--assume", "2^w_1 = w_2"] for n in (1, 2)]
+    _answers(capsys, lines, forget=False)  # met once, so kept from the next run on
     first = _answers(capsys, lines, forget=False)
     built = _count_closures(monkeypatch)
     runs = _count_runs(monkeypatch)
@@ -543,8 +545,10 @@ def test_closure_not_kept_keeps_its_analyses(monkeypatch, capsys):
     """A closure too large to keep is built for every request, but its analysis and
     the sub-analysis are kept: a second run runs the engine 0 times."""
     monkeypatch.setattr(rules, "MEMO_RELATIONS", 5)
-    runs = _count_runs(monkeypatch)
     argv = ["analyze", "w^(w_1+1)", "--assume", "2^w_1 = w_2"]
+    _answers(capsys, [argv], forget=False)  # met once, so kept from the next run on
+    rules._ANALYSES.clear()
+    runs = _count_runs(monkeypatch)
     first = _answers(capsys, [argv], forget=False)
     alpha, sub = runs
     assert first[0][0] == 0 and sub == parse_term("w^(w_1)", AtomRegistry())
@@ -614,26 +618,29 @@ def _kept_alphas() -> list:
 
 
 def test_repeated_problem_runs_the_engine_once(monkeypatch):
-    """A problem met again is looked up with its closure, and its report equals the
-    one run for it, with the request's own hypothesis lines."""
+    """A problem met again runs once more and is kept; from then on it is looked up,
+    and its report equals the one run for it, with the request's own hypothesis
+    lines."""
     runs = _count_runs(monkeypatch)
     first = analyze(*_ladder_problem(1))
     registry = AtomRegistry()
     alpha = parse_term("w_1*w", registry)
     hyps = parse_hypotheses("w_2 < 2^w_2\nw_2 = 2^w_1\nGCH", registry)
     again = analyze(alpha, hyps, registry)
-    assert len(runs) == 2  # w^(w_1+1) and its sub-analysis of w^(w_1)
+    assert len(runs) == 3  # w^(w_1+1) twice, and its sub-analysis of w^(w_1) once
     assert again.hypotheses == tuple(hyps) != first.hypotheses
     assert again.to_obj() == {**first.to_obj(),
                               "hypotheses": ["w_2 < 2^w_2", "w_2 = 2^w_1", "GCH"]}
     again.facts.clear()
     again.blocked.append(("T5.6", []))
     assert analyze(*_ladder_problem(1)).to_obj() == first.to_obj()
+    assert len(runs) == 3
 
 
 def test_repeated_problem_is_found_before_any_engine_work(monkeypatch):
     """A problem met again, in another spelling, is found by its problem and alpha:
     it builds no engine, classifies no exponent and builds no closure."""
+    analyze(*_ladder_problem(1))  # met once, so kept from the next run on
     first = analyze(*_ladder_problem(1))
     calls = []
 
@@ -669,6 +676,9 @@ def test_analysis_larger_than_the_budget_is_not_kept(monkeypatch):
 def test_least_recently_used_analysis_leaves_first(monkeypatch):
     """The analysis met longest ago leaves first: w^(w_1+1), met again, outlives
     w^(w_1+2), and the sub-analysis of w^(w_1), met by every run, outlives both."""
+    for n in (1, 2, 3, 4):  # each met once, so kept from its next run on
+        analyze(*_ladder_problem(n))
+    rules._ANALYSES.clear()
     runs = _count_runs(monkeypatch)
     a1, a2, a3, a4 = (_ladder_problem(n)[0] for n in (1, 2, 3, 4))
     sub = parse_term("w^(w_1)", AtomRegistry())
@@ -702,8 +712,9 @@ def test_kept_analyses_at_the_bound_take_at_most_0_6_mb():
     """Filled to MEMO_FACTS with the saturate ladder's analyses, the kept analyses take
     at most 0.6 MB by tracemalloc (0.41 MB measured with Python 3.11.7): what
     clearing the table frees, the closures staying kept."""
-    for k in range(2, 9):
-        analyze(*_ladder_problem(1, k))
+    for n in range(1, 12):  # each met once, so kept from its next run on
+        for k in range(2, 9):
+            analyze(*_ladder_problem(n, k))
     gc.collect()
     tracemalloc.start()
     try:
@@ -720,6 +731,87 @@ def test_kept_analyses_at_the_bound_take_at_most_0_6_mb():
     finally:
         tracemalloc.stop()
     assert len(rules._CLOSURES) == 7 and freed <= 0.6e6
+
+
+# -- JSON texts kept for reuse --------------------------------------------------------
+
+def _ladder_lines(n: int) -> list:
+    """The saturate ladder's JSON lines for w^(w_1+n), k = 2..8: one alpha under 7
+    problems, whose reports state the same facts."""
+    return [["analyze", f"w^(w_1+{n})", "--format", "json", "--assume", "GCH",
+             "--assume", "2^w_1 = w_2", "--assume", f"w_{k} < 2^w_{k}"]
+            for k in range(2, 9)]
+
+
+def test_ladder_lines_of_one_alpha_build_each_fact_json_once(monkeypatch, capsys):
+    """Two ladder lines of one alpha under two problems state the same 6 facts: the
+    second line splices the first line's texts and builds no fact's object."""
+    calls = []
+    real = ForcingFact.to_obj
+    monkeypatch.setattr(ForcingFact, "to_obj",
+                        lambda self, memo=None: calls.append(self) or real(self, memo))
+    answers = _answers(capsys, _ladder_lines(1)[:2], forget=False)
+    assert [status for status, _out, _err in answers] == [0, 0]
+    assert len(calls) == len(set(calls)) == 6
+
+
+@pytest.mark.parametrize("memo_text", [rules.MEMO_TEXT, 1500], ids=["warm", "pushed-out"])
+def test_cli_json_of_random_problems_is_the_reports_json(monkeypatch, capsys, memo_text):
+    """Over seeded random products, each line run twice, the CLI's JSON, which splices
+    the kept text of each fact and of the factorization, is json.dumps of the
+    report's object: with the table warm, where a line's second run makes no text,
+    and with a bound that pushes texts out between and within lines."""
+    from copyposet import cli
+    monkeypatch.setattr(rules, "MEMO_TEXT", memo_text)
+    made = []
+    real = cli._json_text
+    monkeypatch.setattr(cli, "_json_text", lambda obj: made.append(obj) or real(obj))
+    rng = random.Random(31)
+    remade = answered = 0
+    for _ in range(120):  # about 0.6 s for each bound
+        picked = rng.sample(RANDOM_HYPOTHESES, rng.randint(0, 4))
+        lines = RANDOM_DECLS + [line for hyp in picked for line in hyp.splitlines()]
+        alpha = " + ".join(f"w^({e})*{rng.randint(1, 2)}"
+                           for e in rng.sample(RANDOM_EXPONENTS, rng.randint(1, 3)))
+        registry = AtomRegistry()
+        try:
+            hyps = parse_hypotheses("\n".join(lines), registry)
+            report = analyze(parse_term(alpha, registry), hyps, registry)
+        except HypothesisError:  # ContradictionError is one
+            continue
+        expected = json.dumps(report.to_obj(), indent=2, sort_keys=True) + "\n"
+        argv = ["analyze", alpha, "--format", "json",
+                *(arg for line in lines for arg in ("--assume", line))]
+        for _run in range(2):
+            made.clear()
+            assert cli.main(argv) == 0
+            assert capsys.readouterr() == (expected, "")
+        remade += len(made)
+        answered += 1
+    assert answered > 25 and rules._TEXTS.held <= memo_text
+    assert (remade > 0) == (memo_text < 10000)
+
+
+def test_kept_texts_at_the_bound_take_at_most_0_3_mb(capsys):
+    """Filled to MEMO_TEXT with the saturate ladder's texts, the kept JSON texts take
+    at most 0.3 MB by tracemalloc (0.20 MB measured with Python 3.11.7), the facts
+    they are keyed by included: what clearing the table frees."""
+    _answers(capsys, _ladder_lines(1), forget=False)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for n in range(2, 20):
+            _answers(capsys, _ladder_lines(n), forget=False)
+        assert rules.MEMO_TEXT - 8000 < rules._TEXTS.held <= rules.MEMO_TEXT
+        assert rules._TEXTS.held == sum(map(len, rules._TEXTS.values()))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        rules._TEXTS.clear()
+        gc.collect()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert freed <= 0.3e6
 
 
 @pytest.mark.parametrize("first,second,shared", [
