@@ -16,7 +16,7 @@ from .classify import classify_exponent
 from .cardexpr import (
     ContradictionError, Hypothesis, HypothesisError, parse_hypothesis_line,
 )
-from .forcing import factorize, poset_to_obj, render_poset, fact_text
+from .forcing import ForcingFact, PosetExpr, factorize, poset_to_obj, render_poset, fact_text
 from .catalog import SCHEMA_VERSION, rule_lookup, rule_table
 
 # json, shlex, the finite lab (finsets) and the analyzer (rules, and the closure in
@@ -182,16 +182,6 @@ def _emit(ns, text_lines, obj) -> None:
             print(line)
 
 
-class _Json:
-    """A value ``_json_write`` writes as the text ``text_of(value)`` returns, the text
-    it writes of the value at indent 0. The text is made when written, so a response
-    holds the text of one such value at a time, besides the texts kept for reuse."""
-    __slots__ = ("value", "text_of")
-
-    def __init__(self, value, text_of) -> None:
-        self.value, self.text_of = value, text_of
-
-
 def _json_text(obj) -> str:
     """``obj``'s text as ``_json_write`` writes it."""
     parts: list[str] = []
@@ -202,17 +192,20 @@ def _json_text(obj) -> str:
 def _json_write(obj, out) -> None:
     """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, passed to ``out``
     in blocks of at least 8,192 characters (the last may be shorter), so a large
-    response never holds all of its text at once, save the text of a ``_Json``. It
-    serves the trees the responses are made of: str, int, bool, None, lists, tuples
-    and dicts with str keys, and ``_Json``, which stands for a value by the text this
-    writes of the value at indent 0: the splice gives each newline of the text the
-    indent of the place it fills. Every newline in the text is structure, as
-    ``quote`` escapes one inside a string, so the splice writes what the value would.
-    With an indent, json.dumps runs its pure-Python encoder, which spends most of its
-    time on generator frames; this writes the same text directly. A float, a set or a
-    key that is not a str raises ``TypeError``."""
+    response never holds all of its text at once, save the text of one fact or
+    factorization. It serves the trees the responses are made of: str, int, bool,
+    None, lists, tuples and dicts with str keys, and a ``ForcingFact`` or ``PosetExpr``,
+    which stands for its JSON object. Such a leaf is written as its kept text at
+    indent 0 (``rules.kept_text``; the texts made in one call share each poset's
+    object), and the splice gives each newline of the text the indent of the place it
+    fills. Every newline in the text is structure, as ``quote`` escapes one inside a
+    string, so the splice writes what the object would. With an indent, json.dumps
+    runs its pure-Python encoder, which spends most of its time on generator frames;
+    this writes the same text directly. A float, a set or a key that is not a str
+    raises ``TypeError``."""
     from json.encoder import encode_basestring_ascii as quote
     parts: list[str] = []
+    memo: dict = {}  # poset_to_obj's, for the leaves' texts
     put = parts.append
 
     def spill() -> None:
@@ -260,8 +253,9 @@ def _json_write(obj, out) -> None:
                 write(o[key], inner)
                 sep = "," + inner
             put(pad + "}")
-        elif isinstance(o, _Json):
-            put(o.text_of(o.value).replace("\n", pad))
+        elif isinstance(o, (ForcingFact, PosetExpr)):
+            from .rules import kept_text
+            put(kept_text(o, _json_text, memo).replace("\n", pad))
             spill()  # a large text, so that parts holds few of them
         else:
             raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
@@ -337,16 +331,13 @@ def _dispatch(ns) -> int:
         lines = [render_poset(p)] + notes
         _emit(ns, lines, {"factorization": poset_to_obj(p), "notes": notes})
     else:  # analyze
-        from .rules import analyze, kept_text
+        from .rules import analyze
         report = analyze(t, hyps, registry)
         # the text lines and the report's JSON object (large for a long alpha) are
         # each built only when printed; the JSON states each fact and the
-        # factorization by its kept text, and the texts made for this report share
-        # each poset's object (memo)
+        # factorization by its kept text
         if ns.format == "json":
-            memo: dict = {}
-            text_of = lambda value: kept_text(value, _json_text, memo)
-            _emit(ns, (), report.to_obj(lambda value: _Json(value, text_of)))
+            _emit(ns, (), report.to_obj(lambda value: value))
             return 0
         lines = [f"alpha = {pretty(t)}",
                  f"factorization: {render_poset(report.factorization)}"]

@@ -8,7 +8,7 @@ premises can be replayed against the closure and the classifier. A process keeps
 the closures it builds, within ``MEMO_RELATIONS``, the analyses, within
 ``MEMO_FACTS``, and the JSON texts of facts and factorizations, within ``MEMO_TEXT``,
 each least recently used out first; ``analyze`` looks an analysis up by its problem
-and alpha before it classifies or closes anything, and keeps one it has met before.
+and alpha before it classifies or closes anything, and keeps each one it runs.
 """
 from __future__ import annotations
 
@@ -151,15 +151,6 @@ MEMO_FACTS = 400
 # resolve, nodes), and of the hypotheses only whether there are any; the candidates are
 # a function of alpha, so a kept report answers with no closure kept or built
 _ANALYSES = _Kept(lambda report: len(report.facts))
-
-# the most top-level keys whose hashes _SEEN holds, oldest out first (about 28 KB by
-# tracemalloc): a top-level analysis is kept only from the second time its
-# (problem, alpha) is met, so a problem met once (each of saturate's) runs with nothing
-# kept. _SEEN holds a hash of the key, not the key, so two keys of one hash at most
-# keep an analysis a run early; sub-analyses, which every alpha over one delta0
-# shares, are kept when first run
-SEEN_KEYS = 256
-_SEEN = _Kept(lambda _met: 1)
 
 # the most characters the kept JSON texts may hold together. A fact's or a
 # factorization's text at indent 0 is kept by its value, and cli splices it into every
@@ -470,8 +461,9 @@ class _Engine:
                 self.emit("Collapses", (F, x, ALEPH0),
                           (Step("F2.6e", (("kappa", render_expr(rho)),),
                                 (("fact", emb),) + used),))
-        # preservation needs the poset to *be* CP(a), as sq-cp-ident gives in cases C-E
-        if a is not None:
+        # preservation needs the poset to *be* CP(rho): sq-cp-ident makes it CP(a) for an
+        # atom a (cases D and E), and rho = a only in case D (in case E, rho = cf(a) < a)
+        if a is not None and a.regular:
             res = self.fb.resolve(ccx)
             if res != ccx and res.kind in ("atom", "succ"):
                 self.emit("Preserves", (F, f">= {render_expr(res)}"),
@@ -603,21 +595,6 @@ class _Engine:
         return ([f for f in isos if f.operands[1].kind == "col"] or isos or [None])[0]
 
 
-def _met_before(problem: tuple, alpha: OrdinalTerm) -> bool:
-    """Whether ``_SEEN`` holds the hash of (problem, alpha), which it holds from now on.
-    A cardinal expression hashes by identity, and one that no table keeps alive is
-    built anew under another hash, so its ``skey`` stands for it in the hash."""
-    rels, atoms = problem
-    met = hash((frozenset(
-        tuple([x.skey if isinstance(x, CardinalExpr) else x
-               for x in (rel if isinstance(rel, tuple) else rel._values())])
-        for rel in rels), atoms, alpha))
-    if met in _SEEN:
-        return True
-    _SEEN.get(met, lambda: True, SEEN_KEYS)
-    return False
-
-
 def kept_text(value: ForcingFact | PosetExpr, render, memo: dict) -> str:
     """The text ``render`` makes of the JSON object of a fact or a poset, made once
     per value within ``MEMO_TEXT``; ``memo`` is ``poset_to_obj``'s."""
@@ -626,19 +603,14 @@ def kept_text(value: ForcingFact | PosetExpr, render, memo: dict) -> str:
 
 def analyze(alpha: OrdinalTerm, hyps, registry: AtomRegistry) -> AnalysisReport:
     """Forward-chain the rule catalog over sq(P(alpha)) under the hypotheses, once per
-    problem and alpha within a process from the second call on; each call gets its
-    own report."""
+    problem and alpha within a process; each call gets its own report."""
     hyps = tuple(hyps)
     problem = _problem(hyps, registry)
-    key = (problem, alpha)
 
     def run() -> AnalysisReport:
         engine = _Engine(alpha, hyps, None)
         engine.close(problem, registry)
         return engine.run()
 
-    if key in _ANALYSES or _met_before(problem, alpha):
-        kept = _ANALYSES.get(key, run, MEMO_FACTS)
-    else:
-        kept = run()
+    kept = _ANALYSES.get((problem, alpha), run, MEMO_FACTS)
     return AnalysisReport(alpha, hyps, *kept._values()[2:])

@@ -99,6 +99,12 @@ _EXTRA = [
     *[["analyze", "w^(w_6+1) + w^(w_2+1)", "--assume", "2^w_1 = w_3",
        "--assume", "2^w_2 = succ(succ(2^w_1))", "--assume", "2^w_2 < cc(CP(w_2))", *fmt]
       for fmt in ([], ["--format", "json"])],
+    # case E: sq(P(ksing)) collapses 2^ksing = succ(ksing) > w_3 to w, so it preserves
+    # no cardinal >= cc(CP(cf(ksing))) = w_3, and F2.6e claims none
+    *[["analyze", "w^(ksing)", "--card", "ksing rank 40 singular cf w_1",
+       "--assume", "cc(CP(w_1)) = w_3", "--assume", "2^w_1 < ksing",
+       "--assume", "2^ksing = succ(ksing)", *fmt]
+      for fmt in ([], ["--format", "json"])],
 ]
 
 

@@ -16,7 +16,7 @@ from copyposet.atoms import AtomRegistry
 from copyposet.parser import parse_term
 from copyposet.classify import classify_exponent
 from copyposet.cardexpr import (
-    ALEPH0, HypothesisError, atom_expr, parse_hypotheses, rel, render_rel,
+    ALEPH0, W1, HypothesisError, atom_expr, parse_hypotheses, rel, render_rel,
 )
 from copyposet.cardinals import entails
 from copyposet.catalog import rule_table
@@ -169,21 +169,97 @@ RANDOM_HYPOTHESES = [
     "h < c\nc = w_2\n2^w_1 = w_2"]
 
 
+def _random_problem(rng: random.Random) -> tuple[str, list[str]]:
+    """A random product of 1 to 3 factors and 0 to 4 of RANDOM_HYPOTHESES, as alpha's
+    text and the hypothesis lines, the card declarations first."""
+    picked = rng.sample(RANDOM_HYPOTHESES, rng.randint(0, 4))
+    lines = RANDOM_DECLS + [line for hyp in picked for line in hyp.splitlines()]
+    alpha = " + ".join(f"w^({e})*{rng.randint(1, 2)}"
+                       for e in rng.sample(RANDOM_EXPONENTS, rng.randint(1, 3)))
+    return alpha, lines
+
+
 def test_trace_replay_of_random_problems():
     """The replay over seeded random products. A rule cites the facts its case
     guarantees without a condition, so a wrong case argument shows here as a premise
     that does not replay; a contradiction or another hypothesis error passes."""
     rng = random.Random(30)
     for _ in range(250):  # about 2 s
+        alpha, lines = _random_problem(rng)
         registry = AtomRegistry()
-        lines = RANDOM_DECLS + rng.sample(RANDOM_HYPOTHESES, rng.randint(0, 4))
-        summands = [f"w^({e})*{rng.randint(1, 2)}"
-                    for e in rng.sample(RANDOM_EXPONENTS, rng.randint(1, 3))]
         try:
             hyps = parse_hypotheses("\n".join(lines), registry)
-            _replay(parse_term(" + ".join(summands), registry), hyps, registry)
+            _replay(parse_term(alpha, registry), hyps, registry)
         except HypothesisError:  # ContradictionError is one
             pass
+
+
+# Two facts about one poset F that cannot both hold, where "entailed" means that the
+# report's own closure answers yes. Each pattern stands on one forcing argument:
+# - collapsing x to w makes x countable, so a cardinal x >= y is not preserved;
+# - a sigma-closed forcing adds no new w-sequence, so it preserves w_1, which a
+#   collapse of some x >= w_1 to w collapses;
+# - Col(w, k) with k >= w_1 collapses w_1, while Col(w_1, k') is sigma-closed, and
+#   posets with isomorphic regular open algebras force the same extensions;
+# - ro(F) is or is not isomorphic to ro(Q), not both.
+#   P1: Collapses(F, x, w) and Preserves(F, >= y), with y <= x entailed.
+#   P2: SigmaClosed(F) and Collapses(F, x, w), with w_1 <= x entailed.
+#   P3: RoIso(F, Q) and RoNotIso(F, Q).
+#   P4: RoIso(F, Col(w, k)) and RoIso(F, Col(w_1, k')), with w_1 <= k entailed.
+#   P5: SigmaClosed(F) and RoIso(F, Col(w, k)), with w_1 <= k entailed.
+
+def _clash(a: ForcingFact, b: ForcingFact, le) -> str | None:
+    """The pattern by which facts a and b, about one poset, cannot both hold, else
+    None; ``le(x, y)`` says whether x <= y is entailed."""
+    def collapses_w1(Q) -> bool:  # Q is Col(w, k), w_1 <= k entailed
+        return Q.kind == "col" and Q.operands[0] == ALEPH0 and le(W1, Q.operands[1])
+
+    pair = (a.kind, b.kind)
+    if pair == ("Collapses", "Preserves") and a.operands[2] == ALEPH0:
+        (step,) = b.trace  # Ex5.3, whose one premise is cc(CP(rho)) = y
+        assert step.rule == "Ex5.3", fact_text(b)
+        if le(step.premises[0][1][2], a.operands[1]):
+            return "P1"
+    elif pair == ("SigmaClosed", "Collapses") and b.operands[2] == ALEPH0:
+        if le(W1, b.operands[1]):
+            return "P2"
+    elif pair == ("RoIso", "RoNotIso") and a.operands[1] == b.operands[1]:
+        return "P3"
+    elif pair == ("RoIso", "RoIso") and collapses_w1(a.operands[1]):
+        if b.operands[1].kind == "col" and b.operands[1].operands[0] == W1:
+            return "P4"
+    elif pair == ("SigmaClosed", "RoIso") and collapses_w1(b.operands[1]):
+        return "P5"
+    return None
+
+
+def test_facts_of_random_problems_can_all_hold_together():
+    """No report over seeded random products states two facts about one poset that
+    cannot both hold (P1-P5 above). Each fact replays on its own, so only this sees a
+    rule that concludes what another fact of the report refutes."""
+    rng = random.Random(32)
+    clashes = []
+    for _ in range(500):  # about 1.2 s
+        alpha, lines = _random_problem(rng)
+        registry = AtomRegistry()
+        try:
+            hyps = parse_hypotheses("\n".join(lines), registry)
+            report = analyze(parse_term(alpha, registry), hyps, registry)
+        except HypothesisError:  # ContradictionError is one
+            continue
+        fb = _Engine(report.alpha, hyps, registry).fb  # the closure the report read
+
+        def le(x, y) -> bool:
+            return fb.entails_rel("le", x, y) == "yes"
+
+        facts: dict = {}
+        for f in report.facts:
+            facts.setdefault(f.operands[0], []).append(f)
+        given = lines[len(RANDOM_DECLS):]
+        clashes += [f"{alpha} under {given}: {pattern}: {fact_text(a)}; {fact_text(b)}"
+                    for same in facts.values() for a in same for b in same
+                    for pattern in [_clash(a, b, le)] if pattern]
+    assert clashes == []
 
 
 # catalog results no step names: the factorization (T3.2) and general embedding and
@@ -466,12 +542,12 @@ def _count_sub_analyses(monkeypatch) -> list:
 
 def _answers(capsys, lines, forget: bool) -> list:
     """(status, stdout, stderr) of each line through cli.main; with ``forget``, no
-    closure, analysis, problem met or JSON text is kept from one line to the next."""
+    closure, analysis or JSON text is kept from one line to the next."""
     from copyposet.cli import main
     out = []
     for argv in lines:
         if forget:
-            for table in (rules._CLOSURES, rules._ANALYSES, rules._SEEN, rules._TEXTS):
+            for table in (rules._CLOSURES, rules._ANALYSES, rules._TEXTS):
                 table.clear()
         status = main(argv)
         out.append((status, *capsys.readouterr()))
@@ -532,7 +608,6 @@ def test_kept_analyses_outlive_their_closures(monkeypatch, capsys):
     closures are cleared, the same problem builds no closure, runs the engine 0 times
     and prints the same bytes."""
     lines = [["analyze", f"w^(w_1+{n})", "--assume", "2^w_1 = w_2"] for n in (1, 2)]
-    _answers(capsys, lines, forget=False)  # met once, so kept from the next run on
     first = _answers(capsys, lines, forget=False)
     built = _count_closures(monkeypatch)
     runs = _count_runs(monkeypatch)
@@ -545,10 +620,8 @@ def test_closure_not_kept_keeps_its_analyses(monkeypatch, capsys):
     """A closure too large to keep is built for every request, but its analysis and
     the sub-analysis are kept: a second run runs the engine 0 times."""
     monkeypatch.setattr(rules, "MEMO_RELATIONS", 5)
-    argv = ["analyze", "w^(w_1+1)", "--assume", "2^w_1 = w_2"]
-    _answers(capsys, [argv], forget=False)  # met once, so kept from the next run on
-    rules._ANALYSES.clear()
     runs = _count_runs(monkeypatch)
+    argv = ["analyze", "w^(w_1+1)", "--assume", "2^w_1 = w_2"]
     first = _answers(capsys, [argv], forget=False)
     alpha, sub = runs
     assert first[0][0] == 0 and sub == parse_term("w^(w_1)", AtomRegistry())
@@ -618,29 +691,29 @@ def _kept_alphas() -> list:
 
 
 def test_repeated_problem_runs_the_engine_once(monkeypatch):
-    """A problem met again runs once more and is kept; from then on it is looked up,
-    and its report equals the one run for it, with the request's own hypothesis
-    lines."""
+    """A problem is kept the first time it runs, and met again it is looked up with its
+    closure: the engine runs twice in all, once for w^(w_1+1) and once for its
+    sub-analysis, and the report met again equals the one run for it, with the
+    request's own hypothesis lines."""
     runs = _count_runs(monkeypatch)
     first = analyze(*_ladder_problem(1))
     registry = AtomRegistry()
     alpha = parse_term("w_1*w", registry)
     hyps = parse_hypotheses("w_2 < 2^w_2\nw_2 = 2^w_1\nGCH", registry)
     again = analyze(alpha, hyps, registry)
-    assert len(runs) == 3  # w^(w_1+1) twice, and its sub-analysis of w^(w_1) once
+    assert len(runs) == 2  # w^(w_1+1) and its sub-analysis of w^(w_1)
     assert again.hypotheses == tuple(hyps) != first.hypotheses
     assert again.to_obj() == {**first.to_obj(),
                               "hypotheses": ["w_2 < 2^w_2", "w_2 = 2^w_1", "GCH"]}
     again.facts.clear()
     again.blocked.append(("T5.6", []))
     assert analyze(*_ladder_problem(1)).to_obj() == first.to_obj()
-    assert len(runs) == 3
+    assert len(runs) == 2
 
 
 def test_repeated_problem_is_found_before_any_engine_work(monkeypatch):
     """A problem met again, in another spelling, is found by its problem and alpha:
     it builds no engine, classifies no exponent and builds no closure."""
-    analyze(*_ladder_problem(1))  # met once, so kept from the next run on
     first = analyze(*_ladder_problem(1))
     calls = []
 
@@ -676,9 +749,6 @@ def test_analysis_larger_than_the_budget_is_not_kept(monkeypatch):
 def test_least_recently_used_analysis_leaves_first(monkeypatch):
     """The analysis met longest ago leaves first: w^(w_1+1), met again, outlives
     w^(w_1+2), and the sub-analysis of w^(w_1), met by every run, outlives both."""
-    for n in (1, 2, 3, 4):  # each met once, so kept from its next run on
-        analyze(*_ladder_problem(n))
-    rules._ANALYSES.clear()
     runs = _count_runs(monkeypatch)
     a1, a2, a3, a4 = (_ladder_problem(n)[0] for n in (1, 2, 3, 4))
     sub = parse_term("w^(w_1)", AtomRegistry())
@@ -712,9 +782,8 @@ def test_kept_analyses_at_the_bound_take_at_most_0_6_mb():
     """Filled to MEMO_FACTS with the saturate ladder's analyses, the kept analyses take
     at most 0.6 MB by tracemalloc (0.41 MB measured with Python 3.11.7): what
     clearing the table frees, the closures staying kept."""
-    for n in range(1, 12):  # each met once, so kept from its next run on
-        for k in range(2, 9):
-            analyze(*_ladder_problem(n, k))
+    for k in range(2, 9):
+        analyze(*_ladder_problem(1, k))
     gc.collect()
     tracemalloc.start()
     try:
@@ -769,10 +838,7 @@ def test_cli_json_of_random_problems_is_the_reports_json(monkeypatch, capsys, me
     rng = random.Random(31)
     remade = answered = 0
     for _ in range(120):  # about 0.6 s for each bound
-        picked = rng.sample(RANDOM_HYPOTHESES, rng.randint(0, 4))
-        lines = RANDOM_DECLS + [line for hyp in picked for line in hyp.splitlines()]
-        alpha = " + ".join(f"w^({e})*{rng.randint(1, 2)}"
-                           for e in rng.sample(RANDOM_EXPONENTS, rng.randint(1, 3)))
+        alpha, lines = _random_problem(rng)
         registry = AtomRegistry()
         try:
             hyps = parse_hypotheses("\n".join(lines), registry)
