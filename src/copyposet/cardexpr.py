@@ -4,12 +4,9 @@ constructors and rendering, and the hypothesis grammar. The closure over them is
 """
 from __future__ import annotations
 
-import weakref
-from functools import partial
-
 from .atoms import AtomRegistry, CardinalAtom, builtin
 from .parser import ParseError, TokenStream, parse_declaration, tokenize
-from .values import Value, init
+from .values import Value, init, interned
 
 
 class HypothesisError(ValueError):
@@ -27,16 +24,10 @@ class ContradictionError(HypothesisError):
 _KIND_ORDER = {"aleph0": 0, "atom": 1, "succ": 2, "c": 3, "h": 4,
                "pow2": 5, "pow2lt": 6, "exp": 7, "cf": 8, "cc_cp": 9}
 
-# the live expressions by (kind, atom, args), each behind a weak reference whose
-# callback, ``_INTERNED.pop(key, ref)``, drops the entry when its expression dies;
-# both are C calls, unlike WeakValueDictionary's Python-level get, KeyedRef and remove.
-# An expression holds no reference cycle, so it dies (and its entry goes) at once
-_INTERNED: dict[tuple, weakref.ref] = {}
-
 
 class CardinalExpr:
-    """An immutable cardinal expression, hash-consed (Filliatre & Conchon 2006): there
-    is one live instance per ``(kind, atom, args)``, so equality and hashing are the
+    """An immutable cardinal expression, hash-consed by ``values.interned``: there is
+    one live instance per ``(kind, atom, args)``, so equality and hashing are the
     identity ones of ``object``. ``skey`` is the total order key the closure sorts by,
     built once from the children's keys."""
 
@@ -48,20 +39,13 @@ class CardinalExpr:
 
     def __new__(cls, kind: str, atom: CardinalAtom | None = None,
                 args: tuple = ()) -> "CardinalExpr":
-        key = (kind, atom, args)
-        ref = _INTERNED.get(key)
-        if ref is not None:
-            self = ref()
-            if self is not None:
-                return self
-        self = object.__new__(cls)
-        init = object.__setattr__
-        init(self, "kind", kind)
-        init(self, "atom", atom)
-        init(self, "args", args)
-        init(self, "skey", (_KIND_ORDER[kind], atom.rank) if kind == "atom"
-             else (_KIND_ORDER[kind], *(a.skey for a in args)))
-        _INTERNED[key] = weakref.ref(self, partial(_INTERNED.pop, key))
+        self, new = interned(cls, (kind, atom, args))
+        if new:
+            init(self, "kind", kind)
+            init(self, "atom", atom)
+            init(self, "args", args)
+            init(self, "skey", (_KIND_ORDER[kind], atom.rank) if kind == "atom"
+                 else (_KIND_ORDER[kind], *(a.skey for a in args)))
         return self
 
     def __setattr__(self, name, value):

@@ -10,7 +10,7 @@ from .terms import (
     OMEGA, OrdinalTerm, OrdinalError, compare, omega_power, pretty, term_to_obj,
 )
 from .cardexpr import CardinalExpr, render_expr, render_rel
-from .values import Value, init
+from .values import Value, init, interned
 
 
 class PosetExpr(Value):
@@ -18,28 +18,22 @@ class PosetExpr(Value):
     prod ((p, m), ...), cp (kappa,), col (lam, kappa), rp (n, p), quot (delta,),
     pos (p,), iter (p, tag) and ro (p,): p is a PosetExpr, alpha and delta are
     ordinals, kappa and lam cardinals, m >= 1 and n naturals and tag a str.
-    ``render_poset`` gives each kind's notation."""
-    __slots__ = ("kind", "operands", "_hash")
+    ``render_poset`` gives each kind's notation. Hash-consed by ``values.interned``
+    like ``CardinalExpr``: one live instance per kind and operands, so equality and
+    hashing are the identity ones of ``object``."""
+    __slots__ = ("kind", "operands", "__weakref__")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __init__(self, kind: str, operands: tuple) -> None:
-        init(self, "kind", kind)
-        init(self, "operands", operands)
-        init(self, "_hash", None)  # see _cached_hash
-
-    def __hash__(self) -> int:
-        return _cached_hash(self)
+    def __new__(cls, kind: str, operands: tuple) -> PosetExpr:
+        self, new = interned(cls, (kind, operands))
+        if new:
+            init(self, "kind", kind)
+            init(self, "operands", operands)
+        return self
 
     def __repr__(self) -> str:
         return f"<{render_poset(self)}>"
-
-
-def _cached_hash(v: PosetExpr | ForcingFact) -> int:
-    """v's hash, computed when first asked for and kept in its ``_hash`` slot: the kept
-    JSON texts (rules._TEXTS) are looked up by poset and by fact, and a fact's hash
-    walks its whole trace."""
-    if v._hash is None:
-        init(v, "_hash", hash(v._values()))
-    return v._hash
 
 
 def sq_copies(alpha: OrdinalTerm) -> PosetExpr:
@@ -77,6 +71,7 @@ def substitute(o, resolve):
         return resolve(o)
     if isinstance(o, PosetExpr):
         ops = tuple([substitute(x, resolve) for x in o.operands])
+        # o itself would come back from PosetExpr too, but only after hashing ops
         return o if ops == o.operands else PosetExpr(o.kind, ops)
     if isinstance(o, tuple):
         return substitute(o[0], resolve), o[1]
@@ -189,7 +184,7 @@ def premise_text(p: tuple) -> str:
 
 
 class ForcingFact(Value):
-    __slots__ = ("kind", "operands", "trace", "resolved", "_hash")
+    __slots__ = ("kind", "operands", "trace", "resolved")
 
     def __init__(self, kind: str, operands: tuple = (), trace: tuple = (),
                  resolved: tuple = ()) -> None:
@@ -197,10 +192,11 @@ class ForcingFact(Value):
         init(self, "operands", operands)  # PosetExpr / CardinalExpr / str operands
         init(self, "trace", trace)  # Steps
         init(self, "resolved", resolved)  # ((position, resolved text), ...) for display
-        init(self, "_hash", None)  # see _cached_hash
 
     def __hash__(self) -> int:
-        return _cached_hash(self)
+        # the trace is left out, so that no hash walks it: the kept JSON texts
+        # (rules._TEXTS) are looked up by fact
+        return hash((self.kind, self.operands, self.resolved))
 
     def to_obj(self, memo: dict | None = None) -> dict:
         """The fact's JSON object; ``memo`` is ``poset_to_obj``'s."""

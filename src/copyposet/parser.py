@@ -4,7 +4,7 @@ shared with the hypothesis grammar in ``cardexpr``.
 Atoms: ``w`` (omega), ``w_1``, ``w_2``, ... and user atoms declared in a
 preamble of ``card <name> rank <k> [singular cf <atom|w>];`` statements.
 Operators ``+ * ^`` with precedence ``^ > * > +``; ``+`` and ``*`` associate
-left, ``^`` right; parentheses and decimal naturals. Arithmetic is evaluated
+left, ``^`` right; parentheses and decimal naturals of ASCII digits. Arithmetic is evaluated
 on the spot, so the result is always canonical. The relation operators
 ``= < <= > >=`` are tokens too, for hypotheses; an ordinal term rejects them.
 """
@@ -48,9 +48,9 @@ def tokenize(text: str) -> list[Token]:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if "0" <= c <= "9":  # str.isdigit would take "²" and "٣" too
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             if j - i > MAX_NUMERAL_DIGITS:
                 raise ParseError(f"numeral longer than {MAX_NUMERAL_DIGITS} digits", i)

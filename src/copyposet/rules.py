@@ -177,8 +177,7 @@ def _collapses(facts, F: PosetExpr) -> list[tuple]:
 
 
 class _Engine:
-    def __init__(self, alpha: OrdinalTerm, hyps, registry: AtomRegistry | None,
-                 fb: FactBase | None = None):
+    def __init__(self, alpha: OrdinalTerm, hyps, fb: FactBase | None = None):
         if compare(alpha, OMEGA) < 0:
             raise OrdinalError("analysis requires alpha >= w")
         self.alpha = alpha
@@ -189,19 +188,18 @@ class _Engine:
         self.reports: dict[OrdinalTerm, CaseReport] = {
             d: classify_exponent(d) for d in self.deltas}
         # a T5.6 sub-analysis (of w^d0, which has none of its own) gets its parent's
-        # closure; analyze, which has computed the problem, calls ``close`` itself
+        # closure; analyze, which has computed the problem, calls ``close``
         self.key, self.fb = None, fb
-        if registry is not None:
-            self.close(_problem(self.hyps, registry), registry)
         self.facts: dict[tuple, ForcingFact] = {}
         self.blocked: list[tuple[str, list[str]]] = []
 
-    def close(self, problem: tuple, registry: AtomRegistry) -> None:
-        """Take the problem's closure over the candidates, kept or built."""
+    def close(self, problem: tuple, registry: AtomRegistry) -> _Engine:
+        """Take the problem's closure over the candidates, kept or built; the engine."""
         candidates = self._candidates()
         self.key = (problem, frozenset(candidates))
         self.fb = _CLOSURES.get(self.key, lambda: closure(
             self.hyps, registry, extra_exprs=candidates), MEMO_RELATIONS)
+        return self
 
     # -- candidate expressions the rules may query -----------------------------
 
@@ -507,7 +505,7 @@ class _Engine:
         # on the parent's closure: its candidates include d0's, so it contains w^d0's own
         sub = omega_power(canon_exp(d0))
         sub_facts = _ANALYSES.get((self.key, sub), lambda: _Engine(
-            sub, self.hyps, None, self.fb).run(), MEMO_FACTS).facts
+            sub, self.hyps, self.fb).run(), MEMO_FACTS).facts
         subF = self._factor_poset(d0)
         route = None
         witness = None
@@ -606,11 +604,6 @@ def analyze(alpha: OrdinalTerm, hyps, registry: AtomRegistry) -> AnalysisReport:
     problem and alpha within a process; each call gets its own report."""
     hyps = tuple(hyps)
     problem = _problem(hyps, registry)
-
-    def run() -> AnalysisReport:
-        engine = _Engine(alpha, hyps, None)
-        engine.close(problem, registry)
-        return engine.run()
-
-    kept = _ANALYSES.get((problem, alpha), run, MEMO_FACTS)
+    kept = _ANALYSES.get((problem, alpha), lambda: _Engine(alpha, hyps).close(
+        problem, registry).run(), MEMO_FACTS)
     return AnalysisReport(alpha, hyps, *kept._values()[2:])

@@ -12,19 +12,44 @@ Two classes on hot paths write their own ``__eq__`` and ``__hash__`` with the
 same meaning: ``OrdinalTerm`` and ``atoms.CardinalAtom`` (which caches its hash).
 Against the generic path here, on an Intel Xeon with CPython 3.11: comparing equal
 terms ``w^(w_1+1)*3 + w^w + 5`` takes 0.68 instead of 0.99 us, and hashing an atom
-0.12 instead of 0.36 us. ``forcing.PosetExpr`` and ``forcing.ForcingFact`` keep the
-generic ``__eq__`` and cache their hash when it is first asked for: the kept JSON
-texts are looked up by fact and by poset, and a fact's hash walks its whole trace,
-so the 6 facts of a ``saturate`` report hash in about 25 us on the generic path.
-Every other class uses the generic path. None is a dataclass:
+0.12 instead of 0.36 us. ``forcing.ForcingFact`` keeps the generic ``__eq__`` and
+hashes its kind, operands and resolved texts, leaving out its trace: those are
+interned values and strings, so the hash never walks a trace. Every other class
+uses the generic path. None is a dataclass:
 there, ``import dataclasses`` (it loads ``inspect``) takes 7-14 ms and making 15 frozen
 slots dataclasses 11-17 ms, some 20 ms of the 88 ms in which a one-shot command starts.
+
+Two classes are hash-consed (Filliatre & Conchon 2006) through ``interned``:
+``cardexpr.CardinalExpr`` and ``forcing.PosetExpr``. There is one live instance per
+class and value, so their equality and hashing are the identity ones of ``object``.
 """
 from __future__ import annotations
 
+import weakref
+from functools import partial
 from operator import attrgetter
 
 init = object.__setattr__
+
+# the live hash-consed instances by (class, value), each behind a weak reference whose
+# callback, ``_INTERNED.pop(key, ref)``, drops the entry when its instance dies; both
+# are C calls, unlike WeakValueDictionary's Python-level get, KeyedRef and remove. An
+# interned instance holds no reference cycle, so it dies (and its entry goes) at once
+_INTERNED: dict[tuple, weakref.ref] = {}
+
+
+def interned(cls, value: tuple) -> tuple:
+    """(instance, new): the live instance of ``cls`` with this value, or a new one
+    entered in the table, whose fields the caller then sets (``new`` is True)."""
+    key = (cls, value)
+    ref = _INTERNED.get(key)
+    if ref is not None:
+        self = ref()
+        if self is not None:
+            return self, False
+    self = object.__new__(cls)
+    _INTERNED[key] = weakref.ref(self, partial(_INTERNED.pop, key))
+    return self, True
 
 
 class Value:

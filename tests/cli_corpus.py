@@ -105,6 +105,9 @@ _EXTRA = [
        "--assume", "cc(CP(w_1)) = w_3", "--assume", "2^w_1 < ksing",
        "--assume", "2^ksing = succ(ksing)", *fmt]
       for fmt in ([], ["--format", "json"])],
+    # numerals are ASCII: each non-ASCII digit is an unexpected character (exit 2)
+    ["norm", "w^²"], ["norm", "w*٣"], ["analyze", "w^mu", "--card", "mu rank ²"],
+    ["analyze", "w^w_1", "--assume", "card mu rank ²"],
 ]
 
 

@@ -23,10 +23,10 @@ from copyposet.catalog import rule_table
 from copyposet.forcing import (
     ForcingFact, fact_text, poset_to_obj, premise_text, render_poset,
 )
-from copyposet.rules import _Engine, analyze
+from copyposet.rules import analyze
 from copyposet.terms import ONE, OMEGA, exp_term, from_atom, power
 from golden_scenarios import SCENARIOS as GOLDEN, scenario_inputs
-from test_cardinals import T56_PRODUCT, check_lines_replay
+from test_cardinals import T56_PRODUCT, check_lines_replay, closed_engine
 from test_classify import EXAMPLE_LABELS
 
 # inputs beyond the golden battery that the replay and the catalog coverage run
@@ -100,7 +100,7 @@ def test_monotone_in_hypotheses():
     registry2 = AtomRegistry()
     hyps2 = parse_hypotheses(h2_text, registry2)
     alpha2 = parse_term(alpha_text, registry2)
-    engine2 = _Engine(alpha2, hyps2, registry2)
+    engine2 = closed_engine(alpha2, hyps2, registry2)
     a2 = engine2.run()
     keys2 = {engine2.fact_key(f.kind, f.operands) for f in a2.facts}
     for f in a1.facts:
@@ -247,7 +247,7 @@ def test_facts_of_random_problems_can_all_hold_together():
             report = analyze(parse_term(alpha, registry), hyps, registry)
         except HypothesisError:  # ContradictionError is one
             continue
-        fb = _Engine(report.alpha, hyps, registry).fb  # the closure the report read
+        fb = closed_engine(report.alpha, hyps, registry).fb  # the closure the report read
 
         def le(x, y) -> bool:
             return fb.entails_rel("le", x, y) == "yes"
@@ -531,10 +531,10 @@ def _count_sub_analyses(monkeypatch) -> list:
     closures = []
 
     class Counting(rules._Engine):
-        def __init__(self, alpha, hyps, registry, fb=None):
+        def __init__(self, alpha, hyps, fb=None):
             if fb is not None:
                 closures.append(id(fb))
-            super().__init__(alpha, hyps, registry, fb)
+            super().__init__(alpha, hyps, fb)
 
     monkeypatch.setattr(rules, "_Engine", Counting)
     return closures
@@ -918,7 +918,7 @@ def test_kept_closures_stay_within_the_bound():
     """More distinct problems than MEMO_RELATIONS admits: the stored relations kept
     never pass it, and the oldest closures go out first."""
     held = []
-    size = len(_Engine(*_singular_problem(50)).fb.rels)
+    size = len(closed_engine(*_singular_problem(50)).fb.rels)
     ranks = range(50, 50 + rules.MEMO_RELATIONS // size + 20)
     for rank in ranks:
         analyze(*_singular_problem(rank))
@@ -926,7 +926,7 @@ def test_kept_closures_stay_within_the_bound():
         assert rules._CLOSURES.held == held[-1]
     assert max(held) <= rules.MEMO_RELATIONS < len(ranks) * size
     kept = [fb.nodes for fb in rules._CLOSURES.values()]
-    newest = [_Engine(*_singular_problem(rank)).fb.nodes
+    newest = [closed_engine(*_singular_problem(rank)).fb.nodes
               for rank in ranks[len(ranks) - len(kept):]]
     assert kept == newest
 
@@ -960,11 +960,11 @@ def test_kept_closures_at_the_bound_take_at_most_4_5_mb(problem, first):
     gc.collect()
     tracemalloc.start()
     try:
-        _Engine(*problem(first))
+        closed_engine(*problem(first))
         oldest = next(iter(rules._CLOSURES))
         while oldest in rules._CLOSURES:  # until a closure pushes the first one out
             first += 1
-            _Engine(*problem(first))
+            closed_engine(*problem(first))
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
         rules._CLOSURES.clear()
@@ -980,9 +980,10 @@ def test_kept_closure_answers_as_a_fresh_one():
     relations, provenance and resolutions, and the chain of each relation replays as
     a contradiction's does."""
     alpha, hyps, registry = _singular_problem(50)
-    engine = _Engine(alpha, hyps, registry)
+    engine = closed_engine(alpha, hyps, registry)
     fb = engine.fb
-    assert _Engine(alpha, hyps, registry).fb is fb is next(iter(rules._CLOSURES.values()))
+    again = closed_engine(alpha, hyps, registry)
+    assert again.fb is fb is next(iter(rules._CLOSURES.values()))
     fresh = rules.closure(hyps, registry, extra_exprs=engine._candidates())
     assert fb.nodes == fresh.nodes and list(fb.relations()) == list(fresh.relations())
     assert list(fb.rels.items()) == list(fresh.rels.items())

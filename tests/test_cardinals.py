@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from copyposet import cardexpr, cardinals, rules
+from copyposet import cardinals, rules, values
 from copyposet.atoms import AtomRegistry, builtin
 from copyposet.cardexpr import (
     ALEPH0, CONTINUUM, DIST_H, CardinalExpr, ContradictionError, Hypothesis,
@@ -14,6 +14,7 @@ from copyposet.cardexpr import (
     render_expr, render_rel, succ_of,
 )
 from copyposet.cardinals import _gch_ground, closure, cohen_transfer, entails
+from copyposet.forcing import PosetExpr, cp, factorize
 from copyposet.parser import parse_term
 from golden_scenarios import SCENARIOS, scenario_inputs, snapshot
 
@@ -25,6 +26,13 @@ def reg():
 
 def _w(reg, k):
     return atom_expr(reg.lookup(f"w_{k}"))
+
+
+def closed_engine(alpha, hyps, registry) -> rules._Engine:
+    """An engine over the problem's closure, kept or built, as ``rules.analyze`` makes
+    one before it runs it."""
+    engine = rules._Engine(alpha, hyps)
+    return engine.close(rules._problem(engine.hyps, registry), registry)
 
 
 _ROUNDTRIP_REG = AtomRegistry()
@@ -153,13 +161,33 @@ class TestInterning:
         atom = AtomRegistry().declare("nu", 4321)
         gc.disable()
         try:
-            start = len(cardexpr._INTERNED)
+            start = len(values._INTERNED)
             x = succ_of(atom_expr(atom))
-            assert len(cardexpr._INTERNED) == start + 2
-            assert ("atom", atom, ()) in cardexpr._INTERNED
+            assert len(values._INTERNED) == start + 2
+            assert (CardinalExpr, ("atom", atom, ())) in values._INTERNED
             del x
-            assert len(cardexpr._INTERNED) == start
-            assert ("atom", atom, ()) not in cardexpr._INTERNED
+            assert len(values._INTERNED) == start
+            assert (CardinalExpr, ("atom", atom, ())) not in values._INTERNED
+        finally:
+            gc.enable()
+
+    def test_equal_posets_built_apart_are_one(self):
+        first, second = AtomRegistry(), AtomRegistry()
+        alpha = "w^(w_1+1)*2 + w^w + 3"
+        assert factorize(parse_term(alpha, first)) is factorize(parse_term(alpha, second))
+        assert cp(_w(first, 2)) is PosetExpr("cp", (_w(second, 2),))
+        assert cp(_w(first, 2)) is not cp(_w(first, 3))
+
+    def test_poset_entry_leaves_when_the_poset_dies(self):
+        atom = AtomRegistry().declare("nu", 4322)
+        gc.disable()
+        try:
+            start = len(values._INTERNED)
+            p = cp(atom_expr(atom))
+            assert len(values._INTERNED) == start + 2
+            assert (PosetExpr, ("cp", (p.operands[0],))) in values._INTERNED
+            del p
+            assert len(values._INTERNED) == start
         finally:
             gc.enable()
 
@@ -200,12 +228,12 @@ class TestInterning:
             request(rank)
             rank += 1
         gc.collect()
-        start = len(cardexpr._INTERNED)
+        start = len(values._INTERNED)
         for rank in range(50, 250):
             request(rank)
         capsys.readouterr()
         gc.collect()
-        assert len(cardexpr._INTERNED) <= start + 10
+        assert len(values._INTERNED) <= start + 10
 
 
 class TestClosure:
@@ -281,7 +309,7 @@ class TestClosure:
     def test_gch_singular_seed(self):
         """Under GCH a singular atom is its own weak power: mu = 2^<mu."""
         alpha, hyps, reg = _parsed("w^mu", "card mu rank 100 singular cf w\nGCH")
-        fb = rules._Engine(alpha, hyps, reg).fb
+        fb = closed_engine(alpha, hyps, reg).fb
         mu = atom_expr(reg.lookup("mu"))
         assert fb.rels[("eq", mu, pow2lt_of(mu))] == ("GCH", ())
 
@@ -746,7 +774,7 @@ def test_results_do_not_depend_on_registry_history(name, nodes):
     alpha, hyps, registry = _problem(name)
     runs = []
     for _ in range(25):
-        engine = rules._Engine(alpha, hyps, registry)
+        engine = closed_engine(alpha, hyps, registry)
         runs.append((len(engine.fb.universe), snapshot(engine.run())))
     assert runs == [(nodes, runs[0][1])] * 25
 
@@ -791,7 +819,7 @@ def test_t56_sub_analysis_shares_the_closure(monkeypatch, name):
     sizes = []
     for sub in subs:
         assert sub.fb is parent.fb
-        fresh = rules._Engine(sub.alpha, hyps, registry).fb
+        fresh = closed_engine(sub.alpha, hyps, registry).fb
         assert fresh.universe <= parent.fb.universe
         assert set(fresh.relations()) <= set(parent.fb.relations())
         sizes.append(len(fresh.universe))

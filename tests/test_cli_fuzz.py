@@ -34,12 +34,15 @@ SETS = ['{"prefix": "", "period": "10"}', '{"prefix": "1", "period": "0"}',
 HOSTILE = {
     "term": ["9" * 1000, "9" * 1001, "w^" + "9" * 1000, "+".join(["w_1"] * 10_000),
              "+".join(["1"] * 10_000), "(" * 100 + "w" + ")" * 100,
-             "(" * 101 + "w" + ")" * 101, "w_200", "w^w_200", "w_201", "w_" + "9" * 1000],
+             "(" * 101 + "w" + ")" * 101, "w_200", "w^w_200", "w_201", "w_" + "9" * 1000,
+             "w^²", "w*٣", "1٣"],
     "hypothesis": ["succ(" * 99 + "w_1" + ")" * 99 + " < c", "2^" * 101 + "w = c",
                    "cc(CP(" * 40 + "w_1" + "))" * 40 + " < c", "w_200 < c", "w_201 < c",
-                   "CohenModel(w_200)", "card w_201 rank 201", "c = " + "9" * 1000],
+                   "CohenModel(w_200)", "card w_201 rank 201", "c = " + "9" * 1000,
+                   "card mu rank ²", "2^w_1 = w_٣"],
     "declaration": ["é rank 5", "mu rank 0", "w_3 rank 4", "mu rank " + "9" * 1001,
-                    "w_200 rank 200", "w_201 rank 201", "mu rank 5 singular cf nu"],
+                    "w_200 rank 200", "w_201 rank 201", "mu rank 5 singular cf nu",
+                    "mu rank ²", "mu rank ٣"],
     "set": ["1", '{"period": 5}', '{"tail": 5}', '{"period": "1", "prefix": null}',
             '{"tail": ["period"]}', "[" * 5000, '{"tail": [' * 400 + "1" + "]}" * 400,
             "{not json", "@latin1.txt", "@missing", "@set.json\x00"],

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from copyposet.atoms import AtomRegistry
 from copyposet.cardexpr import HypothesisError, parse_cardinal_expr
+from copyposet.cli import main
 from copyposet.parser import MAX_NESTING, MAX_NUMERAL_DIGITS, ParseError, parse_term
 from copyposet.terms import OMEGA, ONE, add, from_atom, mul, nat, power, pretty
 from conftest import make_atoms, random_term
@@ -71,6 +72,18 @@ def test_numeral_length_bound(registry):
     with pytest.raises(ParseError, match="numeral longer than") as exc:
         parse_term("w + " + longest + "9", registry)
     assert exc.value.position == 4
+
+
+@pytest.mark.parametrize("argv,offset", [
+    (["norm", "w^²"], 2), (["norm", "w*٣"], 2), (["norm", "1٣"], 1),
+    (["analyze", "w^mu", "--card", "mu rank ²"], 8),
+    (["analyze", "w^w_1", "--assume", "card mu rank ²"], 13)])
+def test_numerals_are_ascii_digits(capsys, argv, offset):
+    """Only 0-9 make a numeral: "²" (which int() refuses) and "٣" (which it would
+    read as 3) are unexpected characters, a parse error at their offset."""
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: unexpected character {argv[-1][-1]!r} at offset {offset}\n")
 
 
 def test_nesting_bound(registry):
